@@ -48,6 +48,7 @@ FUZZ_TARGETS = \
 	./internal/kary:FuzzSearchUint16 \
 	./internal/kary:FuzzInsertDelete \
 	./internal/segtree:FuzzTreeOps \
+	./internal/segtree:FuzzDeserialize \
 	./internal/segtrie:FuzzTrieOps \
 	./internal/simd:FuzzCompareKernels
 

@@ -1,10 +1,12 @@
 package kary
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/bitmask"
+	"repro/internal/keys"
 )
 
 // FuzzSearchUint16 feeds arbitrary byte strings as key sets and probes and
@@ -48,31 +50,60 @@ func FuzzSearchUint16(f *testing.F) {
 	})
 }
 
-// FuzzInsertDelete drives mutations from a fuzzed op stream against a map.
+// FuzzInsertDelete drives mutations from a fuzzed op stream against a
+// reference set, over both layouts and over 8-bit and 64-bit keys. After
+// every op the storage must be byte-identical to a fresh Build of the
+// reference set: the in-place updates promise exactly that.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 130, 2, 4})
+	f.Add([]byte{5, 4, 3, 2, 1, 0, 127, 126, 133, 255, 128})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tree := BuildUnchecked[uint8](nil, BreadthFirst)
-		ref := map[uint8]bool{}
-		for _, op := range ops {
-			k := op & 0x7F
-			if op&0x80 == 0 {
-				if tree.Insert(k) != !ref[k] {
-					t.Fatalf("insert %d", k)
-				}
-				ref[k] = true
-			} else {
-				if tree.Delete(k) != ref[k] {
-					t.Fatalf("delete %d", k)
-				}
-				delete(ref, k)
-			}
-		}
-		if tree.Len() != len(ref) {
-			t.Fatalf("len %d want %d", tree.Len(), len(ref))
-		}
-		if err := tree.Validate(); err != nil {
-			t.Fatal(err)
+		for _, layout := range Layouts {
+			checkOps(t, ops, layout, func(b byte) uint8 { return b })
+			// Spread the 7-bit key over the whole 64-bit range, so the
+			// realigned sign bit is exercised.
+			checkOps(t, ops, layout, func(b byte) uint64 { return uint64(b)<<57 | uint64(b) })
 		}
 	})
+}
+
+// checkOps applies ops (low 7 bits: key, top bit: delete) to a tree and a
+// reference set and compares the tree with a fresh Build after each one.
+func checkOps[K keys.Key](t *testing.T, ops []byte, layout Layout, key func(byte) K) {
+	t.Helper()
+	tree := BuildUnchecked[K](nil, layout)
+	ref := map[K]bool{}
+	for i, op := range ops {
+		k := key(op & 0x7F)
+		if op&0x80 == 0 {
+			if tree.Insert(k) != !ref[k] {
+				t.Fatalf("%v op %d: insert %d", layout, i, k)
+			}
+			ref[k] = true
+		} else {
+			if tree.Delete(k) != ref[k] {
+				t.Fatalf("%v op %d: delete %d", layout, i, k)
+			}
+			delete(ref, k)
+		}
+		sorted := make([]K, 0, len(ref))
+		for k := range ref {
+			sorted = append(sorted, k)
+		}
+		slices.Sort(sorted)
+		fresh := Build(sorted, layout)
+		if !slices.Equal(tree.Linearized(), fresh.Linearized()) || tree.Stored() != fresh.Stored() ||
+			tree.Len() != fresh.Len() || tree.Levels() != fresh.Levels() {
+			t.Fatalf("%v op %d (%d): storage %v (%d stored, %d keys) differs from a fresh Build %v (%d stored, %d keys)",
+				layout, i, op, tree.Linearized(), tree.Stored(), tree.Len(), fresh.Linearized(), fresh.Stored(), fresh.Len())
+		}
+		gotMax, gotOK := tree.Max()
+		wantMax, wantOK := fresh.Max()
+		if gotMax != wantMax || gotOK != wantOK {
+			t.Fatalf("%v op %d: max (%d,%v) want (%d,%v)", layout, i, gotMax, gotOK, wantMax, wantOK)
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -24,7 +24,6 @@ package kary
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/keys"
 	"repro/internal/simd"
@@ -62,16 +61,15 @@ var Layouts = []Layout{BreadthFirst, DepthFirst}
 // type: k−1 keys fill one 128-bit register (paper Table 2).
 type Tree[K keys.Key] struct {
 	layout Layout
-	n      int    // real key count
-	r      int    // levels of the k-ary search tree
-	m      int    // breadth-first only: number of last-level nodes
-	stored int    // stored key slots, multiple of k−1 (incl. replenishment)
-	data   []byte // packed realigned lanes, stored × key width bytes
-	smax   K      // largest real key; padding value (§3.3)
+	n      int      // real key count
+	r      int      // levels of the k-ary search tree
+	m      int      // breadth-first only: number of last-level nodes
+	stored int      // stored key slots, multiple of k−1 (incl. replenishment)
+	data   []byte   // packed realigned lanes, stored × key width bytes
+	smax   K        // largest real key; padding value (§3.3)
+	slots  *slotMap // sorted→slot map of the geometry; nil while empty
 
-	// Geometry cached at build time so searches never recompute it. The
-	// struct is kept within one cache line: it is embedded by value in
-	// every tree node.
+	// Geometry cached at build time so searches never recompute it.
 	w     uint8  // key width in bytes
 	k     uint8  // k-ary order (lanes+1)
 	lanes uint8  // keys per SIMD register (k−1)
@@ -135,57 +133,42 @@ func BuildChecked[K keys.Key](sorted []K, layout Layout) (*Tree[K], error) {
 // BuildUnchecked is Build without the sortedness check, for callers (the
 // Seg-Tree) that maintain sorted keys themselves.
 func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
-	k := keys.K[K]()
-	w := keys.Width[K]()
-	n := len(sorted)
-	t := &Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
+	t := &Tree[K]{}
+	t.build(sorted, layout)
+	return t
+}
+
+// build makes t a fresh linearization of sorted: every slot of the
+// storage starts as a pad holding S_max, then each key is written to its
+// slot through the geometry's slot map.
+func (t *Tree[K]) build(sorted []K, layout Layout) {
+	k, w, n := keys.K[K](), keys.Width[K](), len(sorted)
+	*t = Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
 	t.lmask = ^uint64(0) >> (64 - 8*uint(w))
 	if keys.Signed[K]() {
 		t.obias = 1 << (8*uint(w) - 1)
 	}
 	if n == 0 {
-		return t
+		return
 	}
 	t.r = levels(n, k)
 	t.smax = sorted[n-1]
-
+	g := geometry{layout: layout, k: k, r: t.r}
 	if layout == BreadthFirst {
 		// Complete tree: upper r−1 levels are full (k^(r−1)−1 keys), the
 		// last level holds m left-packed nodes.
-		upper := pow(k, t.r-1) - 1
-		t.m = (n - upper + k - 2) / (k - 1)
-		t.stored = upper + t.m*(k-1)
-		t.data = make([]byte, t.stored*w)
-		for p := 0; p < t.stored; p++ {
-			keys.PutAt(t.data, p, t.smax)
-		}
-		for s := 0; s < n; s++ {
-			keys.PutAt(t.data, posComplete(s, k, t.r, t.m), sorted[s])
-		}
-		return t
+		t.m = (n - pow(k, t.r-1) + k - 1) / (k - 1)
+		g.m = t.m
 	}
-
-	// Depth-first: perfect-tree positions with interior replenishment,
-	// truncated at the node boundary after the last real key.
-	last := 0
-	positions := make([]int, n)
-	for s := 0; s < n; s++ {
-		p := posDF(s, k, t.r)
-		positions[s] = p
-		if p > last {
-			last = p
-		}
-	}
-	lanes := k - 1
-	t.stored = (last/lanes + 1) * lanes
+	t.slots = slotsFor(g)
+	t.stored = int(t.slots.bound[n])
 	t.data = make([]byte, t.stored*w)
 	for p := 0; p < t.stored; p++ {
 		keys.PutAt(t.data, p, t.smax)
 	}
-	for s, p := range positions {
-		keys.PutAt(t.data, p, sorted[s])
+	for s, x := range sorted {
+		keys.PutAt(t.data, int(t.slots.slot[s]), x)
 	}
-	return t
 }
 
 // Layout reports the linearization order of the tree.
@@ -214,12 +197,7 @@ func (t *Tree[K]) Max() (max K, ok bool) {
 }
 
 // pos maps a sorted position to its storage slot under the tree's layout.
-func (t *Tree[K]) pos(s int) int {
-	if t.layout == DepthFirst {
-		return posDF(s, int(t.k), t.r)
-	}
-	return posComplete(s, int(t.k), t.r, t.m)
-}
+func (t *Tree[K]) pos(s int) int { return int(t.slots.slot[s]) }
 
 // At returns the key at the given index of the original sorted order, by
 // applying the layout's position transformation.
@@ -249,7 +227,6 @@ func (t *Tree[K]) Linearized() []K {
 // Validate checks the structural invariants: delinearized keys strictly
 // ascending, stored a multiple of k−1, maximum consistent.
 func (t *Tree[K]) Validate() error {
-	k := keys.K[K]()
 	if t.w == 0 {
 		return fmt.Errorf("kary: tree not constructed with Build")
 	}
@@ -259,16 +236,13 @@ func (t *Tree[K]) Validate() error {
 		}
 		return nil
 	}
-	if t.stored%(k-1) != 0 {
-		return fmt.Errorf("kary: stored %d not a multiple of k-1=%d", t.stored, k-1)
+	if t.stored%int(t.lanes) != 0 {
+		return fmt.Errorf("kary: stored %d not a multiple of k-1=%d", t.stored, t.lanes)
 	}
 	ks := t.Keys()
-	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-		return fmt.Errorf("kary: delinearized keys not sorted")
-	}
 	for i := 1; i < len(ks); i++ {
-		if ks[i-1] == ks[i] {
-			return fmt.Errorf("kary: duplicate key at index %d", i)
+		if ks[i-1] >= ks[i] {
+			return fmt.Errorf("kary: delinearized keys not sorted (or duplicate) at index %d", i)
 		}
 	}
 	if ks[len(ks)-1] != t.smax {

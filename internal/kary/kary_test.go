@@ -306,17 +306,6 @@ func TestSearchQuick(t *testing.T) {
 	}
 }
 
-// TestLinearizeWrappers checks the convenience wrappers agree with Build.
-func TestLinearizeWrappers(t *testing.T) {
-	sorted := seq[int64](1, 26)
-	if got := LinearizeBF(sorted); !reflect.DeepEqual(got, Build(sorted, BreadthFirst).Linearized()) {
-		t.Fatal("LinearizeBF mismatch")
-	}
-	if got := LinearizeDF(sorted); !reflect.DeepEqual(got, Build(sorted, DepthFirst).Linearized()) {
-		t.Fatal("LinearizeDF mismatch")
-	}
-}
-
 func TestLayoutString(t *testing.T) {
 	if BreadthFirst.String() != "breadth-first" || DepthFirst.String() != "depth-first" {
 		t.Fatal("layout names")

@@ -1,89 +1,104 @@
 package kary
 
-import "repro/internal/keys"
+import "sync"
 
-// Position transformations from sorted order into linearized order for a
-// perfect k-ary search tree of r levels (capacity k^r − 1 keys). These are
-// iterative forms of the paper's recursive Formula 1 (breadth-first) and
-// Formula 2 (depth-first).
-//
-// Structure of the perfect tree over sorted positions 0 … k^r−2: with
-// T_R = k^(r−R) (the sorted span one level-R subtree covers, separators
-// included), the keys of the level-R node j are the sorted positions
-// j·T_R + (i+1)·T_{R+1} − 1 for i = 0 … k−2. Equivalently, sorted position
-// s lies on level R = r−1−e where e is the multiplicity of k in s+1
-// (capped at r−1).
-
-// posBF maps sorted position s to its breadth-first slot (Formula 1):
-// levels are stored contiguously, the level-R region starting at slot
-// k^R − 1, nodes left to right, keys left to right within a node.
-func posBF(s, k, r int) int {
-	q := s + 1
-	e := 0
-	for q%k == 0 && e < r-1 {
-		q /= k
-		e++
-	}
-	// Level R = r−1−e; q = j·k + (i+1) encodes node index j within the
-	// level and key index i within the node.
-	j := q / k
-	i := q%k - 1
-	levelStart := pow(k, r-1-e) - 1
-	return levelStart + j*(k-1) + i
+// slotMap tabulates the position transformation from sorted order into
+// linearized order (Formula 1 breadth-first, Formula 2 depth-first) for
+// one tree geometry. At, Keys, Build and the in-place updates all map
+// positions through it. It is immutable once built and shared by every
+// tree of the geometry.
+type slotMap struct {
+	slot  []int32 // sorted position → storage slot, for every position the geometry holds
+	bound []int32 // key count n → stored slots of a fresh Build with n keys
+	minN  int     // fewest keys with this geometry; fewer change r (or m)
 }
 
-// posDF maps sorted position s to its depth-first slot (Formula 2): a
-// node's k−1 keys are stored first, followed by its k subtrees in order.
-func posDF(s, k, r int) int {
-	pos := 0
-	rem := s                  // position within the current subtree's sorted range
-	childCap := pow(k, r) / k // T_{R+1}: sorted span of each child subtree
-	for {
-		if (rem+1)%childCap == 0 {
-			// Separator of the current node.
-			return pos + (rem+1)/childCap - 1
+// geometry identifies a slot map: depth-first slots depend on (k, r)
+// only, breadth-first ones also on the last-level node count m.
+type geometry struct {
+	layout  Layout
+	k, r, m int
+}
+
+// maxCachedSlots bounds the geometries slotMaps keeps. It covers every
+// Seg-Tree and Seg-Trie node at the Table 3 capacities (the largest is the
+// 728-slot geometry of a 243-key 64-bit node about to split); a larger
+// standalone tree gets a private map that is freed with it.
+const maxCachedSlots = 1 << 12
+
+var slotMaps sync.Map // geometry → *slotMap
+
+// slotsFor returns the slot map of g, cached when g is small enough to
+// keep. It is safe for concurrent use.
+func slotsFor(g geometry) *slotMap {
+	if sm, ok := slotMaps.Load(g); ok {
+		return sm.(*slotMap)
+	}
+	sm := newSlotMap(g)
+	if len(sm.slot) > maxCachedSlots {
+		return sm
+	}
+	cached, _ := slotMaps.LoadOrStore(g, sm)
+	return cached.(*slotMap)
+}
+
+func newSlotMap(g geometry) *slotMap {
+	k, lanes := g.k, g.k-1
+	upper := pow(k, g.r-1) - 1 // keys of the upper r−1 levels
+	sm := &slotMap{minN: upper + 1}
+	if g.layout == DepthFirst {
+		sm.slot = make([]int32, pow(k, g.r)-1)
+		walkDF(sm.slot, k, 0, 0, g.r)
+	} else {
+		// Complete tree: the last level holds m left-packed full nodes.
+		sm.slot = make([]int32, upper+g.m*lanes)
+		sm.minN = upper + (g.m-1)*lanes + 1
+		walkBF(sm.slot, 0, k, g.r, g.m, 0, 0, 0)
+	}
+	// Depth-first storage is truncated at the node boundary after the last
+	// real key's slot; breadth-first storage always spans the whole map.
+	sm.bound = make([]int32, len(sm.slot)+1)
+	for n, last := 1, 0; n <= len(sm.slot); n++ {
+		last = max(last, int(sm.slot[n-1]))
+		if g.layout == BreadthFirst {
+			last = len(sm.slot) - 1
 		}
-		c := (rem + 1) / childCap
-		// Skip this node's keys and the c preceding subtrees, each
-		// holding childCap−1 keys.
-		pos += (k - 1) + c*(childCap-1)
-		rem -= c * childCap
-		childCap /= k
+		sm.bound[n] = int32((last/lanes + 1) * lanes)
+	}
+	return sm
+}
+
+// walkDF tabulates Formula 2 for the subtree of the given levels whose
+// slots start at base and whose sorted positions start at first: a node's
+// k−1 keys are stored first, followed by its k subtrees left to right.
+func walkDF(slot []int32, k, base, first, levels int) {
+	if levels == 0 {
+		return
+	}
+	child := pow(k, levels-1) - 1 // keys, and slots, per child subtree
+	for c := 0; c < k; c++ {
+		if c < k-1 {
+			slot[first+(c+1)*child+c] = int32(base + c)
+		}
+		walkDF(slot, k, base+(k-1)+c*child, first+c*(child+1), levels-1)
 	}
 }
 
-// posComplete maps sorted position s to its breadth-first slot in a
-// complete k-ary tree of r levels with m last-level nodes: the upper r−1
-// levels form a perfect tree mapped by posBF, the last level is left-packed
-// starting at slot k^(r−1)−1. In-order, leaf j covers sorted positions
-// j·k … j·k+k−2 and is followed by one upper key; once the leaves are
-// exhausted the remaining sorted positions are all upper keys.
-func posComplete(s, k, r, m int) int {
-	if r == 1 {
+// walkBF tabulates Formula 1 over a complete tree by an in-order walk:
+// level R starts at slot k^R−1 (start), node j of the level stores key i
+// at start + j·(k−1) + i, and the last level has only nodes j < m. s is
+// the next sorted position; the walk returns the one after the subtree.
+func walkBF(slot []int32, s, k, r, m, level, j, start int) int {
+	if level == r || level == r-1 && j >= m {
 		return s
 	}
-	if s < m*k && (s+1)%k != 0 {
-		j := s / k
-		return pow(k, r-1) - 1 + j*(k-1) + (s - j*k)
+	next := start + (start+1)*(k-1) // k^(level+1) − 1
+	for i := 0; i < k; i++ {
+		s = walkBF(slot, s, k, r, m, level+1, j*k+i, next)
+		if i < k-1 {
+			slot[s] = int32(start + j*(k-1) + i)
+			s++
+		}
 	}
-	var upperIdx int
-	if s < m*k {
-		upperIdx = (s+1)/k - 1
-	} else {
-		upperIdx = s - m*(k-1)
-	}
-	return posBF(upperIdx, k, r-1)
-}
-
-// LinearizeBF linearizes a sorted list breadth-first, returning the slot
-// values including replenishment pads (paper Figure 4). It is a
-// convenience wrapper over Build for inspection and tests; the trees keep
-// the packed byte form internally.
-func LinearizeBF[K keys.Key](sorted []K) []K {
-	return Build(sorted, BreadthFirst).Linearized()
-}
-
-// LinearizeDF linearizes a sorted list depth-first (paper Formula 2).
-func LinearizeDF[K keys.Key](sorted []K) []K {
-	return Build(sorted, DepthFirst).Linearized()
+	return s
 }

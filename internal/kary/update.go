@@ -1,7 +1,10 @@
 package kary
 
 import (
+	"slices"
+
 	"repro/internal/bitmask"
+	"repro/internal/invariants"
 	"repro/internal/keys"
 )
 
@@ -9,108 +12,114 @@ import (
 // Popcount is the paper's overall winner (§5.2).
 const padEvaluator = bitmask.Popcount
 
-// Data-manipulation operations (§3.2). The general case re-sorts and
-// re-linearizes the keys — the paper's naive approach, acceptable because
-// the Seg-Tree targets read-mostly workloads. Continuous filling with
-// ascending keys takes the paper's fast path: the new key is copied
-// directly to its slot and no existing key moves, because the slot
-// transformation depends only on the node geometry (k, r, m), which is
-// unchanged while pad slots remain.
+// Data-manipulation operations (§3.2). The paper re-sorts and
+// re-linearizes a node's keys on every insert that is not an append. Here
+// the keys always occupy sorted positions 0 … n−1 of the geometry's slot
+// map, so while the geometry holds, an insert or delete moves just the
+// keys above the changed position one sorted position along the map, in
+// place; an append moves none. Pads are rewritten only when the maximum
+// changes and depth-first storage follows Build's truncation, so the
+// bytes equal a fresh Build's. Only a geometry change rebuilds the node.
 
-// Insert adds x to the tree, reporting whether it was absent. Appending a
-// new maximum into free pad slots is O(k); any other insert rebuilds the
-// linearized storage.
+// Insert adds x to the tree, reporting whether it was absent.
 func (t *Tree[K]) Insert(x K) bool {
-	if t.n > 0 {
-		if _, found := t.Lookup(x, padEvaluator); found {
-			return false
-		}
-	}
-	if t.n > 0 && x > t.smax && levels(t.n+1, int(t.k)) == t.r {
-		if t.layout == BreadthFirst && t.n < t.stored {
-			t.appendBF(x)
-			return true
-		}
-		if t.layout == DepthFirst {
-			t.appendDF(x)
-			return true
-		}
-	}
-	ks := t.Keys()
-	pos := UpperBound(ks, x)
-	ks = append(ks, x)
-	copy(ks[pos+1:], ks[pos:])
-	ks[pos] = x
-	t.rebuild(ks)
-	return true
-}
-
-// appendBF writes a new maximum into the next pad slot of a breadth-first
-// tree with unchanged geometry and refreshes the remaining pads, which must
-// always equal S_max (§3.3).
-func (t *Tree[K]) appendBF(x K) {
-	k := keys.K[K]()
-	keys.PutAt(t.data, posComplete(t.n, k, t.r, t.m), x)
-	for s := t.n + 1; s < t.stored; s++ {
-		keys.PutAt(t.data, posComplete(s, k, t.r, t.m), x)
-	}
-	t.smax = x
-	t.n++
-}
-
-// appendDF writes a new maximum into its fixed depth-first slot —
-// positions depend only on (k, r), so no existing key moves — growing the
-// truncated storage to the covering node boundary if needed, and
-// refreshing the pads (slots still holding copies of the old maximum).
-func (t *Tree[K]) appendDF(x K) {
-	k, lanes := int(t.k), int(t.lanes)
-	p := posDF(t.n, k, t.r)
-	if need := (p/lanes + 1) * lanes; need > t.stored {
-		grown := make([]byte, need*int(t.w))
-		copy(grown, t.data)
-		for s := t.stored; s < need; s++ {
-			keys.PutAt(grown, s, t.smax)
-		}
-		t.data = grown
-		t.stored = need
-	}
-	// Every slot equal to the old maximum is a pad copy, except the slot
-	// of the real old maximum itself.
-	oldMaxSlot := posDF(t.n-1, k, t.r)
-	for s := 0; s < t.stored; s++ {
-		if s != oldMaxSlot && keys.GetAt[K](t.data, s) == t.smax {
-			keys.PutAt(t.data, s, x)
-		}
-	}
-	keys.PutAt(t.data, p, x)
-	t.smax = x
-	t.n++
-}
-
-// Delete removes x from the tree, reporting whether it was present. It
-// always rebuilds the linearized storage ("every random deletion leads to
-// a reordering operation", §3.2).
-func (t *Tree[K]) Delete(x K) bool {
-	if t.n == 0 {
-		return false
-	}
-	idx, found := t.Lookup(x, padEvaluator)
+	rank, found := t.Lookup(x, padEvaluator)
 	if !found {
-		return false
+		t.InsertAt(rank, x)
 	}
-	ks := t.Keys()
-	copy(ks[idx-1:], ks[idx:])
-	t.rebuild(ks[:len(ks)-1])
-	return true
+	return !found
+}
+
+// InsertAt adds x at sorted index pos. The caller guarantees what Lookup
+// reports for an absent key: x is not in the tree and pos is its rank.
+func (t *Tree[K]) InsertAt(pos int, x K) {
+	n := t.n
+	if invariants.Enabled {
+		invariants.Assertf(pos >= 0 && pos <= n && (pos == 0 || t.At(pos-1) < x) && (pos == n || x < t.At(pos)),
+			"kary: InsertAt(%d, %v) is not the rank of an absent key", pos, x)
+	}
+	if t.slots == nil || n == len(t.slots.slot) {
+		t.build(slices.Insert(t.Keys(), pos, x), t.layout)
+		return
+	}
+	sl := t.slots.slot
+	t.resize(int(t.slots.bound[n+1]))
+	for s := n; s > pos; s-- {
+		moveLane[K](t.data, sl[s], sl[s-1])
+	}
+	keys.PutAt(t.data, int(sl[pos]), x)
+	t.n++
+	if pos == n {
+		t.setMax()
+	}
+}
+
+// Delete removes x from the tree, reporting whether it was present.
+func (t *Tree[K]) Delete(x K) bool {
+	rank, found := t.Lookup(x, padEvaluator)
+	if found {
+		t.DeleteAt(rank - 1)
+	}
+	return found
+}
+
+// DeleteAt removes the key at sorted index pos, which must be in [0, Len()).
+func (t *Tree[K]) DeleteAt(pos int) {
+	n := t.n
+	if n-1 < t.slots.minN {
+		t.build(slices.Delete(t.Keys(), pos, pos+1), t.layout)
+		return
+	}
+	sl := t.slots.slot
+	for s := pos; s < n-1; s++ {
+		moveLane[K](t.data, sl[s], sl[s+1])
+	}
+	t.n--
+	t.resize(int(t.slots.bound[t.n]))
+	if pos == t.n {
+		t.setMax()
+	} else if sl[t.n] < int32(t.stored) {
+		moveLane[K](t.data, sl[t.n], sl[t.n-1]) // the vacated slot becomes a pad
+	}
+}
+
+// resize sets the storage to need slots. Slots added at the end start as
+// pads; a shrink keeps the array for a later regrowth.
+func (t *Tree[K]) resize(need int) {
+	w := int(t.w)
+	if need*w > cap(t.data) {
+		grown := make([]byte, need*w)
+		copy(grown, t.data)
+		t.data = grown
+	}
+	t.data = t.data[:need*w]
+	for p := t.stored; p < need; p++ {
+		keys.PutAt(t.data, p, t.smax)
+	}
+	t.stored = need
+}
+
+// setMax takes the key at the last sorted position as S_max and copies
+// it into every pad, the stored slots of the sorted positions from n on
+// (§3.3).
+func (t *Tree[K]) setMax() {
+	top := t.slots.slot[t.n-1]
+	t.smax = keys.GetAt[K](t.data, int(top))
+	for _, p := range t.slots.slot[t.n:] {
+		if p < int32(t.stored) {
+			moveLane[K](t.data, p, top)
+		}
+	}
+}
+
+// moveLane copies the raw lane bytes of slot src to slot dst.
+func moveLane[K keys.Key](data []byte, dst, src int32) {
+	w := keys.Width[K]()
+	copy(data[int(dst)*w:][:w], data[int(src)*w:][:w])
 }
 
 // Contains reports whether x is present.
 func (t *Tree[K]) Contains(x K) bool {
 	_, found := t.Lookup(x, padEvaluator)
 	return found
-}
-
-// rebuild replaces the tree contents with a fresh linearization of sorted.
-func (t *Tree[K]) rebuild(sorted []K) {
-	*t = *BuildUnchecked(sorted, t.layout)
 }

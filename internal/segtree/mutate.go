@@ -40,9 +40,7 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, 
 			n.vals[pos-1] = val
 			return sep, nil, false
 		}
-		// Ascending appends take the kary fast path; anything else
-		// re-linearizes this node's keys.
-		n.kt.Insert(key)
+		n.kt.InsertAt(pos, key)
 		n.vals = append(n.vals, val)
 		copy(n.vals[pos+1:], n.vals[pos:])
 		n.vals[pos] = val
@@ -67,17 +65,16 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, 
 	if right == nil {
 		return sep, nil, added
 	}
-	ks := n.kt.Keys()
-	ks = append(ks, sep)
-	copy(ks[pos+1:], ks[pos:])
-	ks[pos] = sep
+	// sep is the right half's minimum: above every key before pos and
+	// below the key at pos.
+	n.kt.InsertAt(pos, sep)
 	n.children = append(n.children, nil)
 	copy(n.children[pos+2:], n.children[pos+1:])
 	n.children[pos+1] = right
-	if len(ks) <= t.cfg.BranchCap {
-		t.setKeys(n, ks)
+	if n.kt.Len() <= t.cfg.BranchCap {
 		return sep, nil, added
 	}
+	ks := n.kt.Keys()
 	mid := len(ks) / 2
 	upSep := ks[mid]
 	r := &node[K, V]{
@@ -108,7 +105,7 @@ func (t *Tree[K, V]) remove(n *node[K, V], key K) bool {
 		if !found {
 			return false
 		}
-		n.kt.Delete(key)
+		n.kt.DeleteAt(pos - 1)
 		n.vals = append(n.vals[:pos-1], n.vals[pos:]...)
 		return true
 	}

@@ -7,7 +7,7 @@
 // values stay in plain linear order, because the k-ary search returns the
 // same position a binary search on the sorted keys would (§3.1, "only the
 // keys in the k-ary search tree must be linearized; pointers are left
-// unchanged"). Updates therefore re-linearize at most the keys of the
+// unchanged"). Updates therefore rewrite at most the keys of the
 // nodes they touch — the paper's locality property.
 package segtree
 

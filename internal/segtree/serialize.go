@@ -117,8 +117,11 @@ func Deserialize[K keys.Key, V any](r io.Reader, decodeValue func(io.Reader) (V,
 	if count > maxReasonable {
 		return nil, fmt.Errorf("segtree: implausible item count %d", count)
 	}
-	ks := make([]K, 0, count)
-	vs := make([]V, 0, count)
+	// The count is untrusted until the items arrive: preallocate at most
+	// maxPrealloc of them and let append grow the rest.
+	const maxPrealloc = 1 << 16
+	ks := make([]K, 0, min(count, maxPrealloc))
+	vs := make([]V, 0, min(count, maxPrealloc))
 	keyBuf := make([]byte, width)
 	var prev K
 	for i := uint64(0); i < count; i++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -139,4 +140,66 @@ func TestSerializePropagatesValueCodecErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("decoder error swallowed")
 	}
+}
+
+// TestDeserializeHugeCountDoesNotPreallocate: a 24-byte header claiming
+// 2^40 items must fail on the missing first item without first
+// allocating room for the claimed count.
+func TestDeserializeHugeCountDoesNotPreallocate(t *testing.T) {
+	stream := hostileHeader(1 << 40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Deserialize[uint32, int](bytes.NewReader(stream), decInt)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "reading key 0") {
+		t.Fatalf("got %v, want a failure reading key 0", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("allocated %d bytes for a stream of %d bytes", grew, len(stream))
+	}
+}
+
+// hostileHeader is a valid uint32 stream header (default configuration)
+// claiming count items, with no items after it.
+func hostileHeader(count uint64) []byte {
+	var buf bytes.Buffer
+	if err := NewDefault[uint32, int]().Serialize(&buf, encInt); err != nil {
+		panic(err)
+	}
+	stream := buf.Bytes()
+	binary.LittleEndian.PutUint64(stream[16:], count)
+	return stream
+}
+
+// FuzzDeserialize feeds arbitrary streams to Deserialize. It must return
+// an error or a valid tree, never panic; a tree it accepts must serialize
+// back to the bytes it was read from.
+func FuzzDeserialize(f *testing.F) {
+	tr := New[uint32, int](Config{LeafCap: 4, BranchCap: 3, Layout: kary.DepthFirst, Evaluator: bitmask.Popcount})
+	for i := uint32(0); i < 40; i++ {
+		tr.Put(i*7, int(i))
+	}
+	var buf bytes.Buffer
+	if err := tr.Serialize(&buf, encInt); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hostileHeader(0))
+	f.Add(hostileHeader(1 << 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Deserialize[uint32, int](bytes.NewReader(data), decInt)
+		if err != nil {
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted stream gives an invalid tree: %v", err)
+		}
+		var out bytes.Buffer
+		if err := got.Serialize(&out, encInt); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("round trip changed the stream:\n in %x\nout %x", data, out.Bytes())
+		}
+	})
 }
