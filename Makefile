@@ -31,6 +31,7 @@
 #                      handler must show one trace ID at every tier
 #   make trace-demo  - render traced descents with cmd/treedump
 #   make serve       - run the observability HTTP server (cmd/segserve)
+#   make loc         - non-test Go lines per package and in total
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -65,7 +66,7 @@ LOADTEST_ADDR ?= 127.0.0.1:18080
 # the same number of operations.
 WORKLOAD_SPEC ?= read=70,write=20,scan=5,batch=5;dist=zipfian:0.99;keys=100000;clients=8;ops=200000
 
-.PHONY: check vet fmt build test race stress invariants fuzz loadtest bench bench-diff bench-baseline analyze simdvet staticcheck govulncheck trace-e2e trace-demo serve clean
+.PHONY: check vet fmt build test race stress invariants fuzz loadtest bench bench-diff bench-baseline analyze simdvet staticcheck govulncheck trace-e2e trace-demo serve loc clean
 
 check: vet fmt build race fuzz analyze
 
@@ -218,6 +219,17 @@ trace-demo:
 
 serve:
 	$(GO) run ./cmd/segserve $(SERVE_ARGS)
+
+# Non-test Go line count (every line, as wc -l counts it) per package
+# directory and in total. _test.go files, testdata/ fixtures and the
+# separate perfbench module are left out. CHANGES.md tracks the total
+# next to ns/op.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+		! -path './perfbench/*' ! -path './.*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n", t }'
 
 # BENCH_baseline.json is committed — the benchdiff reference — and must
 # survive a clean.

@@ -779,7 +779,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := s.ix.Explain(k)
+	tr := simdtree.Explain(s.ix, k)
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, tr)
 		return

@@ -9,7 +9,11 @@
 // A "ring" is detected structurally: a struct with a slice field, an
 // integer field whose name contains "mask", and at least one
 // sync/atomic-typed field (the lock-free cursor). Plain lookup tables
-// that happen to have a mask are not constrained.
+// that happen to have a mask are not constrained. A mask named with a
+// prefix (slotMask) guards only the slice fields sharing that prefix
+// (slots), so other slices of the same struct stay unconstrained; a
+// bare mask guards every slice field. Generic rings are matched through
+// their declaration, so Ring[T] methods are checked like any other.
 //
 // For each ring type the analyzer checks, package-wide:
 //
@@ -101,13 +105,14 @@ func detectRings(pkg *types.Package) []*ring {
 			continue
 		}
 		r := &ring{name: tn, slices: make(map[*types.Var]bool)}
+		var slices []*types.Var
 		hasAtomic := false
 		for i := 0; i < st.NumFields(); i++ {
 			fld := st.Field(i)
 			t := fld.Type()
 			switch {
 			case isSlice(t):
-				r.slices[fld] = true
+				slices = append(slices, fld)
 			case isMaskName(fld.Name()) && isInteger(t):
 				if r.mask == nil {
 					r.mask = fld
@@ -117,7 +122,17 @@ func detectRings(pkg *types.Package) []*ring {
 				hasAtomic = true
 			}
 		}
-		if r.mask != nil && len(r.slices) > 0 && hasAtomic {
+		if r.mask == nil || !hasAtomic {
+			continue
+		}
+		prefix := strings.ToLower(r.mask.Name())
+		prefix = prefix[:strings.Index(prefix, "mask")]
+		for _, fld := range slices {
+			if strings.HasPrefix(strings.ToLower(fld.Name()), prefix) {
+				r.slices[fld] = true
+			}
+		}
+		if len(r.slices) > 0 {
 			out = append(out, r)
 		}
 	}
@@ -522,7 +537,10 @@ func indexOK(pass *analysis.Pass, idx ast.Expr, r *ring, maskedLocals, rangeKeys
 	return false
 }
 
-// fieldObject resolves sel to the struct field it selects, or nil.
+// fieldObject resolves sel to the struct field it selects, or nil. A
+// field selected through an instantiated generic type (r.slots inside a
+// method of Ring[T]) resolves to the field of the generic declaration,
+// the object detectRings recorded.
 func fieldObject(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
@@ -532,7 +550,7 @@ func fieldObject(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	if !ok || !v.IsField() {
 		return nil
 	}
-	return v
+	return v.Origin()
 }
 
 // unwrapConv strips parens and type conversions (uint64(e)).

@@ -12,3 +12,9 @@ func (x *Uint64) Add(d uint64) uint64 {
 	x.v += d
 	return x.v
 }
+
+type Pointer[T any] struct{ v *T }
+
+func (x *Pointer[T]) Load() *T { return x.v }
+
+func (x *Pointer[T]) Store(v *T) { x.v = v }

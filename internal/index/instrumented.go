@@ -55,17 +55,13 @@ var Ops = [opCount]Op{OpGet, OpContains, OpPut, OpDelete, OpGetBatch, OpContains
 // an optional obs.Counters capturing the paper's cost-model quantities
 // (SIMD comparisons, node visits, ...) for the operations it serves.
 //
-// Instrumentation can be toggled at runtime: while disabled (the initial
-// state unless constructed otherwise), every operation delegates with a
-// single atomic flag check of overhead. Min/Max/Ascend/Len pass through
-// untimed — they are iteration, not lookup, and would only blur the
-// histograms.
+// Min/Max/Ascend/Len pass through untimed — they are iteration, not
+// lookup, and would only blur the histograms.
 //
 // The wrapper is as concurrency-safe as the wrapped index: the histograms
 // and counters themselves are lock-free.
 type Instrumented[K keys.Key, V any] struct {
 	inner   Index[K, V]
-	on      atomic.Bool
 	hists   [opCount]obs.Histogram
 	counter *obs.Counters // nil when per-index counters are not attached
 	// sampler, when set, traces 1-in-N Gets into its rings (always-on
@@ -97,7 +93,6 @@ func NewInstrumented[K keys.Key, V any](inner Index[K, V], withCounters bool) *I
 	if withCounters {
 		ix.counter = &obs.Counters{}
 	}
-	ix.on.Store(true)
 	return ix
 }
 
@@ -106,13 +101,6 @@ var _ Index[uint32, int] = (*Instrumented[uint32, int])(nil)
 
 // Unwrap returns the wrapped index.
 func (ix *Instrumented[K, V]) Unwrap() Index[K, V] { return ix.inner }
-
-// SetEnabled turns instrumentation on or off; disabled operations
-// delegate directly. It returns the previous state.
-func (ix *Instrumented[K, V]) SetEnabled(on bool) bool { return ix.on.Swap(on) }
-
-// Enabled reports whether operations are currently being recorded.
-func (ix *Instrumented[K, V]) Enabled() bool { return ix.on.Load() }
 
 // Counters returns the attached per-index counters, or nil.
 func (ix *Instrumented[K, V]) Counters() *obs.Counters { return ix.counter }
@@ -191,13 +179,8 @@ func (ix *Instrumented[K, V]) WindowSnapshot(op Op, window time.Duration) (obs.H
 
 // Get implements Index. When sampling is enabled (EnableSampling) the
 // selected 1-in-N calls additionally record a full descent trace into the
-// sampler's rings; unsampled calls pay one atomic load. Sampling is part
-// of instrumentation: SetEnabled(false) suspends it along with the
-// histograms, keeping the disabled path at a single flag check.
+// sampler's rings; unsampled calls pay one atomic load.
 func (ix *Instrumented[K, V]) Get(k K) (V, bool) {
-	if !ix.on.Load() {
-		return ix.inner.Get(k)
-	}
 	start, prev := ix.begin()
 	var v V
 	var ok bool
@@ -216,23 +199,10 @@ func (ix *Instrumented[K, V]) Get(k K) (V, bool) {
 // GetTraced implements Index: the descent is recorded into tr and the
 // call is timed as a Get. A nil tr makes it exactly Get.
 func (ix *Instrumented[K, V]) GetTraced(k K, tr *trace.Trace) (V, bool) {
-	if !ix.on.Load() {
-		return ix.inner.GetTraced(k, tr)
-	}
 	start, prev := ix.begin()
 	v, ok := ix.inner.GetTraced(k, tr)
 	ix.end(OpGet, start, prev)
 	return v, ok
-}
-
-// Explain runs one traced Get against the wrapped index and returns the
-// finished trace — the on-demand "why did this lookup do what it did"
-// view, independent of the sampler.
-func (ix *Instrumented[K, V]) Explain(k K) *trace.Trace {
-	tr := trace.New("get", fmt.Sprint(k))
-	_, ok := ix.GetTraced(k, tr)
-	tr.Finish(ok)
-	return tr
 }
 
 // EnableSampling attaches (replacing any previous) a sampler tracing 1 in
@@ -250,9 +220,6 @@ func (ix *Instrumented[K, V]) Sampler() *trace.Sampler { return ix.sampler.Load(
 
 // Contains implements Index.
 func (ix *Instrumented[K, V]) Contains(k K) bool {
-	if !ix.on.Load() {
-		return ix.inner.Contains(k)
-	}
 	start, prev := ix.begin()
 	ok := ix.inner.Contains(k)
 	ix.end(OpContains, start, prev)
@@ -261,9 +228,6 @@ func (ix *Instrumented[K, V]) Contains(k K) bool {
 
 // Put implements Index.
 func (ix *Instrumented[K, V]) Put(k K, v V) bool {
-	if !ix.on.Load() {
-		return ix.inner.Put(k, v)
-	}
 	start, prev := ix.begin()
 	fresh := ix.inner.Put(k, v)
 	ix.end(OpPut, start, prev)
@@ -272,9 +236,6 @@ func (ix *Instrumented[K, V]) Put(k K, v V) bool {
 
 // Delete implements Index.
 func (ix *Instrumented[K, V]) Delete(k K) bool {
-	if !ix.on.Load() {
-		return ix.inner.Delete(k)
-	}
 	start, prev := ix.begin()
 	ok := ix.inner.Delete(k)
 	ix.end(OpDelete, start, prev)
@@ -283,9 +244,6 @@ func (ix *Instrumented[K, V]) Delete(k K) bool {
 
 // GetBatch implements Index; the whole batch is one observation.
 func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	if !ix.on.Load() {
-		return ix.inner.GetBatch(ks)
-	}
 	start, prev := ix.begin()
 	vs, oks := ix.inner.GetBatch(ks)
 	ix.end(OpGetBatch, start, prev)
@@ -294,9 +252,6 @@ func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) {
 
 // ContainsBatch implements Index; the whole batch is one observation.
 func (ix *Instrumented[K, V]) ContainsBatch(ks []K) []bool {
-	if !ix.on.Load() {
-		return ix.inner.ContainsBatch(ks)
-	}
 	start, prev := ix.begin()
 	oks := ix.inner.ContainsBatch(ks)
 	ix.end(OpContainsBatch, start, prev)
@@ -306,10 +261,6 @@ func (ix *Instrumented[K, V]) ContainsBatch(ks []K) []bool {
 // Scan implements Index; one call is one observation regardless of the
 // number of items visited.
 func (ix *Instrumented[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if !ix.on.Load() {
-		ix.inner.Scan(lo, hi, fn)
-		return
-	}
 	start, prev := ix.begin()
 	ix.inner.Scan(lo, hi, fn)
 	ix.end(OpScan, start, prev)

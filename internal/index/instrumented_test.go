@@ -111,25 +111,6 @@ func TestInstrumentedWindows(t *testing.T) {
 	}
 }
 
-func TestInstrumentedDisabledDelegates(t *testing.T) {
-	ix := index.NewInstrumented(newSmallSegTree(), false)
-	if !ix.SetEnabled(false) {
-		t.Fatal("instrumentation should start enabled")
-	}
-	if ix.Enabled() {
-		t.Fatal("Enabled() after SetEnabled(false)")
-	}
-	ix.Put(1, 10)
-	if v, ok := ix.Get(1); !ok || v != 10 {
-		t.Fatalf("Get through disabled wrapper = %v,%v", v, ok)
-	}
-	for _, op := range index.Ops {
-		if n := ix.Histogram(op).Count; n != 0 {
-			t.Errorf("disabled wrapper recorded %d observations for %v", n, op)
-		}
-	}
-}
-
 func TestInstrumentedCounters(t *testing.T) {
 	// The per-index counters must capture the wrapped structure's SIMD
 	// work and restore any previously enabled global counters afterwards.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/obs"
-	"repro/internal/shape"
 	"repro/internal/trace"
 )
 
@@ -28,6 +27,10 @@ type Sharded[K keys.Key, V any] struct {
 	// shard count. left/right pre-resolve the key-width-dependent shift.
 	right uint
 	left  uint
+	// parts serves the multi-shard reads (Len, Min, Max, Ascend, Scan,
+	// GetBatch, ContainsBatch, IndexStats, Shape) over the same shards,
+	// routed by shardOf.
+	parts[K, V]
 }
 
 // NewSharded partitions shardCount indexes built by newIndex. Each shard
@@ -44,9 +47,12 @@ func NewSharded[K keys.Key, V any](shardCount int, newIndex func() Index[K, V]) 
 	} else {
 		s.left = 32 - bits
 	}
+	s.trees = make([]Index[K, V], shardCount)
 	for i := range s.shards {
 		s.shards[i] = NewVersioned(newIndex)
+		s.trees[i] = s.shards[i]
 	}
+	s.route = s.shardOf
 	return s
 }
 
@@ -104,146 +110,6 @@ func (s *Sharded[K, V]) Delete(key K) bool {
 	return s.shards[s.shardOf(key)].Delete(key)
 }
 
-// Len reports the number of items across all shards. The count is a sum
-// over per-shard pinned versions, exact only when no writer runs
-// concurrently.
-func (s *Sharded[K, V]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// Min returns the smallest key and its value; ok is false when empty.
-// Shards hold ascending key ranges, so the first non-empty shard wins.
-func (s *Sharded[K, V]) Min() (k K, v V, ok bool) {
-	for _, sh := range s.shards {
-		if k, v, ok = sh.Min(); ok {
-			return k, v, true
-		}
-	}
-	return k, v, false
-}
-
-// Max returns the largest key and its value; ok is false when empty.
-func (s *Sharded[K, V]) Max() (k K, v V, ok bool) {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		if k, v, ok = s.shards[i].Max(); ok {
-			return k, v, true
-		}
-	}
-	return k, v, false
-}
-
-// Ascend calls fn for every item in ascending key order until fn returns
-// false. Each shard's items come from one pinned version: fn runs with
-// no lock held and may take as long as it likes; it may even mutate the
-// index (mutations land in later versions, invisible to this walk).
-func (s *Sharded[K, V]) Ascend(fn func(K, V) bool) {
-	stopped := false
-	for _, sh := range s.shards {
-		sh.Ascend(func(k K, v V) bool {
-			if !fn(k, v) {
-				stopped = true
-			}
-			return !stopped
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// Scan calls fn for every item with lo ≤ key ≤ hi in ascending key order
-// until fn returns false, visiting only the shards whose range
-// intersects [lo, hi]. The locking caveats of Ascend apply (none).
-func (s *Sharded[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if lo > hi {
-		return
-	}
-	stopped := false
-	for i := s.shardOf(lo); i <= s.shardOf(hi); i++ {
-		s.shards[i].Scan(lo, hi, func(k K, v V) bool {
-			if !fn(k, v) {
-				stopped = true
-			}
-			return !stopped
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// GetBatch looks up many keys at once: probes are bucketed per shard,
-// and each involved shard pins its published version exactly once for
-// one level-wise batch descent. Results are in input order.
-func (s *Sharded[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	n := len(ks)
-	vals := make([]V, n)
-	found := make([]bool, n)
-	if n == 0 {
-		return vals, found
-	}
-	buckets := make([][]int32, len(s.shards))
-	for i, k := range ks {
-		sh := s.shardOf(k)
-		buckets[sh] = append(buckets[sh], int32(i))
-	}
-	sub := make([]K, 0, n)
-	for si, idxs := range buckets {
-		if len(idxs) == 0 {
-			continue
-		}
-		sub = sub[:0]
-		for _, i := range idxs {
-			sub = append(sub, ks[i])
-		}
-		sv, sf := s.shards[si].GetBatch(sub)
-		for j, i := range idxs {
-			vals[i] = sv[j]
-			found[i] = sf[j]
-		}
-	}
-	return vals, found
-}
-
-// ContainsBatch reports presence for many keys at once, in input order.
-func (s *Sharded[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := s.GetBatch(ks)
-	return found
-}
-
-// IndexStats aggregates the per-shard summaries: counts and bytes sum,
-// height is the deepest shard.
-func (s *Sharded[K, V]) IndexStats() Stats {
-	var st Stats
-	for _, sh := range s.shards {
-		st.Add(sh.IndexStats())
-	}
-	return st
-}
-
-// Shape merges the per-shard structural reports: counts, bytes,
-// registers and histograms sum, levels take the deepest shard, and the
-// structure name is the first shard's prefixed with "sharded/". Each
-// shard's walk runs against its own pinned version, so the merged report
-// is a per-shard-consistent composite, exact when no writer runs
-// concurrently.
-func (s *Sharded[K, V]) Shape() shape.Report {
-	var rep shape.Report
-	for i, sh := range s.shards {
-		r := sh.Shape()
-		if i == 0 {
-			rep = shape.New("sharded/" + r.Structure)
-		}
-		rep.Merge(r)
-	}
-	rep.Shards = len(s.shards)
-	return rep.Finalize()
-}
-
 // Snapshot returns a pinned read view spanning every shard: each shard's
 // currently published version pinned once, composed behind the same
 // key-range routing the live index uses. The composite is per-shard
@@ -251,7 +117,7 @@ func (s *Sharded[K, V]) Shape() shape.Report {
 // global instant). The caller must Release it.
 func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 	snap := &Snapshot[K, V]{
-		trees: make([]Index[K, V], len(s.shards)),
+		parts: parts[K, V]{trees: make([]Index[K, V], len(s.shards)), route: s.route},
 		seqs:  make([]uint64, len(s.shards)),
 		slots: make([]*epochSlot, len(s.shards)),
 	}
@@ -261,7 +127,6 @@ func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 		snap.seqs[i] = v.seq
 		snap.slots[i] = sl
 	}
-	snap.route = s.shardOf
 	return snap
 }
 

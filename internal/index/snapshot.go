@@ -2,7 +2,6 @@ package index
 
 import (
 	"repro/internal/keys"
-	"repro/internal/shape"
 	"repro/internal/trace"
 )
 
@@ -18,13 +17,12 @@ import (
 // concurrent use — share the underlying Versioned/Sharded index instead,
 // or give each goroutine its own Snapshot.
 type Snapshot[K keys.Key, V any] struct {
-	trees []Index[K, V]
-	seqs  []uint64
-	slots []*epochSlot
-	// route maps a key to its tree for sharded snapshots; nil when a
-	// single tree serves all keys. Shard ranges are ordered by key, so
-	// cross-tree iteration in slice order stays globally ordered.
-	route    func(K) int
+	// parts holds the pinned trees, one per shard in key order (a single
+	// unrouted tree for a Versioned index), and serves every multi-tree
+	// read exactly as the live Sharded index does.
+	parts[K, V]
+	seqs     []uint64
+	slots    []*epochSlot
 	released bool
 }
 
@@ -63,152 +61,6 @@ func (s *Snapshot[K, V]) Contains(key K) bool {
 		return s.trees[0].Contains(key)
 	}
 	return s.trees[s.route(key)].Contains(key)
-}
-
-// GetBatch looks up many keys at once against the pinned versions,
-// results in input order. For sharded snapshots probes are bucketed per
-// tree for one level-wise batch descent each, exactly like the live
-// Sharded index — minus the locks.
-func (s *Snapshot[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	if s.route == nil {
-		return s.trees[0].GetBatch(ks)
-	}
-	n := len(ks)
-	vals := make([]V, n)
-	found := make([]bool, n)
-	if n == 0 {
-		return vals, found
-	}
-	buckets := make([][]int32, len(s.trees))
-	for i, k := range ks {
-		t := s.route(k)
-		buckets[t] = append(buckets[t], int32(i))
-	}
-	sub := make([]K, 0, n)
-	for ti, idxs := range buckets {
-		if len(idxs) == 0 {
-			continue
-		}
-		sub = sub[:0]
-		for _, i := range idxs {
-			sub = append(sub, ks[i])
-		}
-		sv, sf := s.trees[ti].GetBatch(sub)
-		for j, i := range idxs {
-			vals[i] = sv[j]
-			found[i] = sf[j]
-		}
-	}
-	return vals, found
-}
-
-// ContainsBatch reports presence for many keys at once, in input order.
-func (s *Snapshot[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := s.GetBatch(ks)
-	return found
-}
-
-// Len reports the number of items across the pinned versions — exact, in
-// contrast to the live Sharded count, because the versions cannot move.
-func (s *Snapshot[K, V]) Len() int {
-	n := 0
-	for _, t := range s.trees {
-		n += t.Len()
-	}
-	return n
-}
-
-// Min returns the smallest pinned key and its value; ok is false when
-// the snapshot is empty.
-func (s *Snapshot[K, V]) Min() (k K, v V, ok bool) {
-	for _, t := range s.trees {
-		if k, v, ok = t.Min(); ok {
-			return k, v, true
-		}
-	}
-	return k, v, false
-}
-
-// Max returns the largest pinned key and its value; ok is false when the
-// snapshot is empty.
-func (s *Snapshot[K, V]) Max() (k K, v V, ok bool) {
-	for i := len(s.trees) - 1; i >= 0; i-- {
-		if k, v, ok = s.trees[i].Max(); ok {
-			return k, v, true
-		}
-	}
-	return k, v, false
-}
-
-// Ascend calls fn for every pinned item in ascending key order until fn
-// returns false. No lock is held: fn may take as long as it likes (the
-// pinned trees are simply parked) and may even mutate the live index.
-func (s *Snapshot[K, V]) Ascend(fn func(K, V) bool) {
-	stopped := false
-	for _, t := range s.trees {
-		t.Ascend(func(k K, v V) bool {
-			if !fn(k, v) {
-				stopped = true
-			}
-			return !stopped
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// Scan calls fn for every pinned item with lo ≤ key ≤ hi in ascending
-// key order until fn returns false, visiting only the trees whose key
-// range intersects [lo, hi].
-func (s *Snapshot[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if lo > hi {
-		return
-	}
-	first, last := 0, len(s.trees)-1
-	if s.route != nil {
-		first, last = s.route(lo), s.route(hi)
-	}
-	stopped := false
-	for i := first; i <= last; i++ {
-		s.trees[i].Scan(lo, hi, func(k K, v V) bool {
-			if !fn(k, v) {
-				stopped = true
-			}
-			return !stopped
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// IndexStats aggregates the pinned versions' summaries.
-func (s *Snapshot[K, V]) IndexStats() Stats {
-	var st Stats
-	for _, t := range s.trees {
-		st.Add(t.IndexStats())
-	}
-	return st
-}
-
-// Shape walks the pinned versions and merges their structural reports
-// the way the live Sharded index does — except here the composite is
-// exactly consistent, because every tree is frozen.
-func (s *Snapshot[K, V]) Shape() shape.Report {
-	if s.route == nil {
-		return s.trees[0].Shape()
-	}
-	var rep shape.Report
-	for i, t := range s.trees {
-		r := t.Shape()
-		if i == 0 {
-			rep = shape.New("sharded/" + r.Structure)
-		}
-		rep.Merge(r)
-	}
-	rep.Shards = len(s.trees)
-	return rep.Finalize()
 }
 
 // Seq reports the snapshot's version: the highest pinned sequence number

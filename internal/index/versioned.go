@@ -320,7 +320,7 @@ func (x *Versioned[K, V]) Shape() shape.Report {
 func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 	v, s := x.pin()
 	return &Snapshot[K, V]{
-		trees: []Index[K, V]{v.tree},
+		parts: parts[K, V]{trees: []Index[K, V]{v.tree}},
 		seqs:  []uint64{v.seq},
 		slots: []*epochSlot{s},
 	}

@@ -1,6 +1,7 @@
 // Package pow2 is the one blessed way the repo sizes its lock-free
-// rings. Every mask-indexed ring (trace.Ring, reqtrace.Ring, the
-// obs windowed epoch rings, the Versioned epoch-slot array) derives its
+// rings. Every mask-indexed ring (trace.Ring — the one pointer ring,
+// holding both descent traces and request spans — the obs windowed
+// epoch rings, the Versioned epoch-slot array) derives its
 // capacity from CeilCap and its index mask from that capacity, so
 // `i & (cap-1)` is a bounds proof by construction. The ringmask
 // analyzer (internal/analysis/ringmask) closes the loop statically: a

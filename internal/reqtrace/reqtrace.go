@@ -11,8 +11,9 @@
 //     through a global sink, so concurrent requests cannot interleave.
 //   - Every recording method is nil-safe: the unsampled path holds a nil
 //     *Span and pays a nil check, no allocation.
-//   - A Tracer samples 1-in-N root spans and retains finished spans in a
-//     lock-free bounded ring (the internal/trace.Ring pattern), drained
+//   - A Tracer samples 1-in-N root spans through the same counter
+//     (trace.Sampler) and retains finished spans in the same lock-free
+//     bounded ring (trace.Ring[Span]) the descent traces use, drained
 //     into flight-recorder bundles and served at /debug/requests.
 //
 // The package is stdlib-only. It does not implement the full OpenTelemetry

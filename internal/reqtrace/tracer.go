@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // The sampling decision sits on the per-operation hot path of the
@@ -23,9 +25,15 @@ import (
 // When the rate is 0 the tracer is off: StartRoot costs one atomic load
 // and returns nil, and every Span method on that nil is a pointer check.
 type Tracer struct {
-	every atomic.Int64 // sample 1 in every root spans; <= 0 disables
+	// roots is the 1-in-N root-span draw: a bare trace.Sampler, the same
+	// counter that samples descent traces (its trace rings stay
+	// unallocated). on points at roots exactly while the rate is
+	// non-zero, so StartRoot's off path is one inlinable pointer load —
+	// calling the nil-safe Sampler.Rate there instead would push
+	// StartRoot past the compiler's inlining budget.
+	roots trace.Sampler
+	on    atomic.Pointer[trace.Sampler]
 
-	ops      atomic.Uint64 // operations offered to ShouldSample
 	started  atomic.Uint64
 	finished atomic.Uint64
 
@@ -35,7 +43,7 @@ type Tracer struct {
 	// taking a lock or draining the entropy pool per span.
 	idState atomic.Uint64
 
-	ring *Ring
+	ring *trace.Ring[Span]
 }
 
 // DefaultRingCap retains enough recent spans to inspect a live workload
@@ -48,8 +56,8 @@ func NewTracer(every, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	t := &Tracer{ring: NewRing(ringCap)}
-	t.every.Store(int64(every))
+	t := &Tracer{ring: trace.NewRing[Span](ringCap)}
+	t.SetRate(every)
 	var seed [8]byte
 	if _, err := crand.Read(seed[:]); err == nil {
 		t.idState.Store(binary.LittleEndian.Uint64(seed[:]))
@@ -68,7 +76,12 @@ func (t *Tracer) SetRate(every int) {
 	if t == nil {
 		return
 	}
-	t.every.Store(int64(every))
+	if every <= 0 {
+		t.on.Store(nil)
+		return
+	}
+	t.roots.SetRate(every)
+	t.on.Store(&t.roots)
 }
 
 // Rate returns the current 1-in-N root sampling rate (0 when off).
@@ -76,11 +89,7 @@ func (t *Tracer) Rate() int {
 	if t == nil {
 		return 0
 	}
-	n := t.every.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
+	return t.on.Load().Rate()
 }
 
 // ShouldSample reports whether the caller's next root span would be
@@ -92,11 +101,7 @@ func (t *Tracer) ShouldSample() bool {
 	if t == nil {
 		return false
 	}
-	n := t.every.Load()
-	if n <= 0 {
-		return false
-	}
-	return t.ops.Add(1)%uint64(n) == 0
+	return t.on.Load().ShouldSample()
 }
 
 // StartRoot starts a new sampled root span named name, or returns nil
@@ -108,7 +113,7 @@ func (t *Tracer) ShouldSample() bool {
 //
 //simdtree:hotpath
 func (t *Tracer) StartRoot(name string) *Span {
-	if t == nil || t.every.Load() <= 0 {
+	if t == nil || t.on.Load() == nil {
 		return nil
 	}
 	return t.startRootSampling(name)
@@ -220,7 +225,7 @@ func (t *Tracer) Stats() TracerStats {
 		return TracerStats{}
 	}
 	return TracerStats{
-		Ops:      t.ops.Load(),
+		Ops:      t.roots.Stats().Ops,
 		Started:  t.started.Load(),
 		Finished: t.finished.Load(),
 		Rate:     t.Rate(),

@@ -16,6 +16,11 @@ import (
 // atomic load. Only sampled operations carry a trace, so the slow-op
 // log sees slow operations at the sampling rate — set the rate to 1 to
 // catch every one.
+//
+// The zero Sampler is the bare 1-in-N counter (SetRate, Rate,
+// ShouldSample, Stats) with no rings; reqtrace.Tracer draws its root
+// spans through one. Only NewSampler allocates the rings the retaining
+// methods (Record, Sampled, SlowOps, DrainSlowOps) need.
 type Sampler struct {
 	every  atomic.Int64 // sample 1 in every operations; <= 0 disables
 	slowNS atomic.Int64 // sampled ops at least this slow enter the slow ring
@@ -24,8 +29,8 @@ type Sampler struct {
 	sampled atomic.Uint64
 	slow    atomic.Uint64
 
-	ring     *Ring
-	slowRing *Ring
+	ring     *Ring[Trace]
+	slowRing *Ring[Trace]
 }
 
 // Default ring capacities: enough recent traces to inspect a live
@@ -39,7 +44,7 @@ const (
 // disables) and flagging sampled operations at or above slowThreshold
 // (0 disables the slow log).
 func NewSampler(every int, slowThreshold time.Duration) *Sampler {
-	s := &Sampler{ring: NewRing(defaultRingCap), slowRing: NewRing(defaultSlowRingCap)}
+	s := &Sampler{ring: NewRing[Trace](defaultRingCap), slowRing: NewRing[Trace](defaultSlowRingCap)}
 	s.SetRate(every)
 	s.SetSlowThreshold(slowThreshold)
 	return s

@@ -134,7 +134,7 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestRingWrapAndOrder(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[Trace](4)
 	if r.Cap() != 4 {
 		t.Fatalf("Cap = %d", r.Cap())
 	}
@@ -165,7 +165,7 @@ func TestRingWrapAndOrder(t *testing.T) {
 // empties the ring (so consecutive diagnostics bundles carry distinct
 // evidence) while Total keeps counting.
 func TestRingDrain(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[Trace](4)
 	if got := r.Drain(); len(got) != 0 {
 		t.Fatalf("empty Drain len %d", len(got))
 	}
@@ -222,8 +222,8 @@ func TestSamplerDrainSlowOps(t *testing.T) {
 
 func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {3, 4}, {5, 8}, {256, 256}} {
-		if got := NewRing(tc.in).Cap(); got != tc.want {
-			t.Errorf("NewRing(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := NewRing[Trace](tc.in).Cap(); got != tc.want {
+			t.Errorf("NewRing[Trace](%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

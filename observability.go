@@ -47,8 +47,8 @@ func ActiveCounters() *Counters { return obs.Active() }
 
 // InstrumentedIndex wraps any Index with per-operation latency histograms
 // and optional cost-model counters; it satisfies Index itself. Construct
-// with NewInstrumentedIndex or NewIndex(WithInstrumentation(...)), or wrap
-// an existing index with WrapInstrumented.
+// with NewInstrumentedIndex, or wrap an existing index with
+// WrapInstrumented.
 type InstrumentedIndex[K Key, V any] = index.Instrumented[K, V]
 
 // IndexSnapshot is everything an InstrumentedIndex records: per-op

@@ -1,9 +1,8 @@
 package simdtree_test
 
 // Overhead of the instrumentation wrapper, measured three ways: the bare
-// structure, the wrapper with recording switched off (the atomic-load
-// fast path that must stay within 5% of bare), and the wrapper recording
-// histograms + counters. Run with:
+// structure, the wrapper recording histograms only, and the wrapper
+// recording histograms + counters. Run with:
 //
 //	go test -run=^$ -bench=BenchmarkInstrumentedOverhead -benchtime=2s .
 
@@ -38,11 +37,6 @@ func BenchmarkInstrumentedOverhead(b *testing.B) {
 		}
 	}
 	b.Run("bare", func(b *testing.B) { run(b, build()) })
-	b.Run("wrapped-off", func(b *testing.B) {
-		ix := simdtree.WrapInstrumented(build(), true)
-		ix.SetEnabled(false)
-		run(b, ix)
-	})
 	b.Run("wrapped-hist", func(b *testing.B) {
 		run(b, simdtree.WrapInstrumented(build(), false))
 	})

@@ -146,9 +146,10 @@ func TestOptionsAPI(t *testing.T) {
 		cfg.LeafCap != 8 || cfg.BranchCap != 8 {
 		t.Errorf("NewSegTree options not applied: %+v", cfg)
 	}
-	// Zero-option calls keep the old defaults (compat with pre-options
-	// callers).
-	if got, want := simdtree.NewSegTree[uint32, int]().Config(), simdtree.DefaultSegTreeConfig[uint32](); got != want {
+	// Zero-option calls apply the paper's defaults: Table 3 node sizing
+	// (338 keys for 32-bit keys), depth-first layout, popcount.
+	want := simdtree.SegTreeConfig{LeafCap: 338, BranchCap: 338, Layout: simdtree.DepthFirst, Evaluator: simdtree.Popcount}
+	if got := simdtree.NewSegTree[uint32, int]().Config(); got != want {
 		t.Errorf("zero-option NewSegTree config %+v, want default %+v", got, want)
 	}
 	trie := simdtree.NewSegTrie[uint32, int](simdtree.WithLayout(simdtree.DepthFirst))
@@ -171,18 +172,16 @@ func TestOptionsAPI(t *testing.T) {
 			t.Errorf("%v NewIndex Get = %q,%v", s, v, ok)
 		}
 	}
-	sharded := simdtree.NewIndex[uint64, int](
-		simdtree.WithStructure(simdtree.StructureBPlusTree),
-		simdtree.WithShards(4), simdtree.WithInstrumentation(true))
+	inst := simdtree.NewInstrumentedIndex[uint64, int](
+		simdtree.WithStructure(simdtree.StructureBPlusTree), simdtree.WithShards(4))
 	for i := uint64(0); i < 100; i++ {
-		sharded.Put(i, int(i))
+		inst.Put(i, int(i))
 	}
-	if sharded.Len() != 100 {
-		t.Errorf("sharded instrumented Len = %d", sharded.Len())
+	if inst.Len() != 100 {
+		t.Errorf("sharded instrumented Len = %d", inst.Len())
 	}
-	inst, ok := sharded.(*simdtree.InstrumentedIndex[uint64, int])
-	if !ok {
-		t.Fatal("WithInstrumentation did not produce an InstrumentedIndex")
+	if _, ok := inst.Unwrap().(*simdtree.ShardedIndex[uint64, int]); !ok {
+		t.Fatalf("NewInstrumentedIndex(WithShards(4)) wraps %T, want *ShardedIndex", inst.Unwrap())
 	}
 	if inst.Histogram(simdtree.OpPut).Count != 100 {
 		t.Errorf("put histogram = %d, want 100", inst.Histogram(simdtree.OpPut).Count)

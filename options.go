@@ -22,7 +22,6 @@ import (
 //	ix := simdtree.NewIndex[uint64, string](
 //		simdtree.WithStructure(simdtree.StructureOptimizedSegTrie),
 //		simdtree.WithShards(16),
-//		simdtree.WithInstrumentation(true),
 //	)
 
 // Structure selects which index structure NewIndex builds.
@@ -69,8 +68,6 @@ type options struct {
 	branchCap    int
 	shards       int
 	snapshots    bool
-	instrument   bool
-	counters     bool
 }
 
 // Option configures a constructor. The same Option type is accepted by
@@ -101,9 +98,6 @@ func (o *options) reject(constructor string) {
 	}
 	if o.snapshots {
 		fail("WithSnapshots", useNewIndex+" or wrap with NewVersionedIndex")
-	}
-	if o.instrument {
-		fail("WithInstrumentation", useNewIndex+" or NewInstrumentedIndex")
 	}
 }
 
@@ -157,14 +151,6 @@ func WithSnapshots() Option {
 	return func(o *options) { o.snapshots = true }
 }
 
-// WithInstrumentation makes NewIndex wrap the structure in an
-// InstrumentedIndex recording per-operation latency histograms. When
-// counters is true the wrapper also attaches cost-model Counters (SIMD
-// comparisons, node visits, ...) scoped to its operations.
-func WithInstrumentation(counters bool) Option {
-	return func(o *options) { o.instrument = true; o.counters = counters }
-}
-
 // segTreeConfig resolves options against the Seg-Tree defaults.
 func (o *options) segTreeConfig(forKey SegTreeConfig) SegTreeConfig {
 	cfg := forKey
@@ -214,13 +200,10 @@ func (o *options) bPlusTreeConfig(forKey BPlusTreeConfig, constructor string) BP
 }
 
 // NewIndex builds any structure of the module behind the common Index
-// interface: the structure kind, node parameters, sharding and
-// instrumentation are all selected with options. The zero-option call
-// returns a default Seg-Tree.
-//
-// Wrapping order is Instrumented(Sharded(structure)): histograms then
-// cover whole sharded operations, and with WithShards(n ≥ 2) the result
-// is safe for concurrent use.
+// interface: the structure kind, node parameters and sharding are all
+// selected with options. The zero-option call returns a default
+// Seg-Tree. With WithShards(n ≥ 2) the result is safe for concurrent
+// use.
 func NewIndex[K Key, V any](opts ...Option) Index[K, V] {
 	o := buildOptions(opts)
 	newOne := func() Index[K, V] {
@@ -235,34 +218,24 @@ func NewIndex[K Key, V any](opts ...Option) Index[K, V] {
 			return segtree.New[K, V](o.segTreeConfig(segtree.DefaultConfig[K]()))
 		}
 	}
-	var ix Index[K, V]
 	switch {
 	case o.shards >= 2:
 		// Sharded shards are each a versioned snapshot publisher, so
 		// WithSnapshots is already implied.
-		ix = index.NewSharded[K, V](o.shards, newOne)
+		return index.NewSharded[K, V](o.shards, newOne)
 	case o.snapshots:
-		ix = index.NewVersioned[K, V](newOne)
+		return index.NewVersioned[K, V](newOne)
 	default:
-		ix = newOne()
+		return newOne()
 	}
-	if o.instrument {
-		ix = index.NewInstrumented(ix, o.counters)
-	}
-	return ix
 }
 
-// NewInstrumentedIndex is NewIndex with the instrumentation wrapper
-// implied, returned as the concrete *InstrumentedIndex so callers reach
-// Snapshot, WritePrometheus and the runtime toggle without assertions.
-// Cost-model counters are attached by default; pass
-// WithInstrumentation(false) for latency histograms only.
+// NewInstrumentedIndex is NewIndex wrapped in an InstrumentedIndex with
+// cost-model counters attached, returned as the concrete type so callers
+// reach Snapshot and WritePrometheus without assertions. The wrapper
+// sits outside any sharding, so its histograms cover whole sharded
+// operations. For latency histograms only, use
+// WrapInstrumented(NewIndex(opts...), false).
 func NewInstrumentedIndex[K Key, V any](opts ...Option) *InstrumentedIndex[K, V] {
-	o := buildOptions(opts)
-	counters := true
-	if o.instrument {
-		counters = o.counters
-	}
-	inner := NewIndex[K, V](append(opts, func(o *options) { o.instrument = false })...)
-	return index.NewInstrumented(inner, counters)
+	return index.NewInstrumented(NewIndex[K, V](opts...), true)
 }

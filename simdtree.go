@@ -98,24 +98,6 @@ func NewSegTree[K Key, V any](opts ...Option) *SegTree[K, V] {
 	return segtree.New[K, V](o.segTreeConfig(segtree.DefaultConfig[K]()))
 }
 
-// NewSegTreeWithConfig returns an empty Seg-Tree with a custom
-// configuration.
-//
-// Deprecated: use NewSegTree with options (WithLayout, WithEvaluator,
-// WithLeafCap, WithBranchCap).
-func NewSegTreeWithConfig[K Key, V any](cfg SegTreeConfig) *SegTree[K, V] {
-	return segtree.New[K, V](cfg)
-}
-
-// DefaultSegTreeConfig returns the paper's default Seg-Tree configuration
-// for key type K.
-//
-// Deprecated: use NewSegTree with options; the zero-option call applies
-// this configuration.
-func DefaultSegTreeConfig[K Key]() SegTreeConfig {
-	return segtree.DefaultConfig[K]()
-}
-
 // BulkLoadSegTree builds a Seg-Tree from strictly ascending keys with
 // completely filled nodes — the paper's initial-filling fast path. The
 // zero-option call uses the paper's default configuration; WithLayout,
@@ -125,15 +107,6 @@ func BulkLoadSegTree[K Key, V any](ks []K, vs []V, opts ...Option) *SegTree[K, V
 	o := buildOptions(opts)
 	o.reject("BulkLoadSegTree")
 	return segtree.BulkLoad[K, V](o.segTreeConfig(segtree.DefaultConfig[K]()), ks, vs)
-}
-
-// BulkLoadSegTreeWithConfig builds a Seg-Tree from strictly ascending
-// keys with a custom configuration.
-//
-// Deprecated: use BulkLoadSegTree with options (WithLayout,
-// WithEvaluator, WithLeafCap, WithBranchCap).
-func BulkLoadSegTreeWithConfig[K Key, V any](cfg SegTreeConfig, ks []K, vs []V) *SegTree[K, V] {
-	return segtree.BulkLoad[K, V](cfg, ks, vs)
 }
 
 // SegTrie is the paper's Segment-Trie (§4): a prefix B-Tree over 8-bit key
@@ -156,29 +129,12 @@ func NewSegTrie[K Key, V any](opts ...Option) *SegTrie[K, V] {
 	return segtrie.New[K, V](o.segTrieConfig("NewSegTrie"))
 }
 
-// NewSegTrieWithConfig returns an empty Seg-Trie with a custom
-// configuration.
-//
-// Deprecated: use NewSegTrie with options (WithLayout, WithEvaluator).
-func NewSegTrieWithConfig[K Key, V any](cfg SegTrieConfig) *SegTrie[K, V] {
-	return segtrie.New[K, V](cfg)
-}
-
 // NewOptimizedSegTrie returns an empty optimized Seg-Trie; WithLayout and
 // WithEvaluator override the per-node 17-ary search parameters.
 func NewOptimizedSegTrie[K Key, V any](opts ...Option) *OptimizedSegTrie[K, V] {
 	o := buildOptions(opts)
 	o.reject("NewOptimizedSegTrie")
 	return segtrie.NewOptimized[K, V](o.segTrieConfig("NewOptimizedSegTrie"))
-}
-
-// NewOptimizedSegTrieWithConfig returns an empty optimized Seg-Trie with a
-// custom configuration.
-//
-// Deprecated: use NewOptimizedSegTrie with options (WithLayout,
-// WithEvaluator).
-func NewOptimizedSegTrieWithConfig[K Key, V any](cfg SegTrieConfig) *OptimizedSegTrie[K, V] {
-	return segtrie.NewOptimized[K, V](cfg)
 }
 
 // BPlusTree is the paper's baseline: a B+-Tree with binary inner-node
@@ -196,14 +152,6 @@ func NewBPlusTree[K Key, V any](opts ...Option) *BPlusTree[K, V] {
 	return btree.New[K, V](o.bPlusTreeConfig(btree.DefaultConfig[K](), "NewBPlusTree"))
 }
 
-// NewBPlusTreeWithConfig returns an empty baseline B+-Tree with a custom
-// configuration.
-//
-// Deprecated: use NewBPlusTree with options (WithLeafCap, WithBranchCap).
-func NewBPlusTreeWithConfig[K Key, V any](cfg BPlusTreeConfig) *BPlusTree[K, V] {
-	return btree.New[K, V](cfg)
-}
-
 // BulkLoadBPlusTree builds a baseline B+-Tree from strictly ascending
 // keys with completely filled nodes. The zero-option call uses Table 3
 // node sizing; WithLeafCap and WithBranchCap override the capacities,
@@ -212,15 +160,6 @@ func BulkLoadBPlusTree[K Key, V any](ks []K, vs []V, opts ...Option) *BPlusTree[
 	o := buildOptions(opts)
 	o.reject("BulkLoadBPlusTree")
 	return btree.BulkLoad[K, V](o.bPlusTreeConfig(btree.DefaultConfig[K](), "BulkLoadBPlusTree"), ks, vs)
-}
-
-// BulkLoadBPlusTreeWithConfig builds a baseline B+-Tree from strictly
-// ascending keys with a custom configuration.
-//
-// Deprecated: use BulkLoadBPlusTree with options (WithLeafCap,
-// WithBranchCap).
-func BulkLoadBPlusTreeWithConfig[K Key, V any](cfg BPlusTreeConfig, ks []K, vs []V) *BPlusTree[K, V] {
-	return btree.BulkLoad[K, V](cfg, ks, vs)
 }
 
 // KaryTree is one linearized k-ary search tree over a sorted key list —

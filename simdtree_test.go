@@ -17,13 +17,11 @@ func TestFacadeSegTree(t *testing.T) {
 	if _, ok := tr.Get(43); ok {
 		t.Fatal("phantom")
 	}
-	cfg := simdtree.DefaultSegTreeConfig[uint32]()
-	if cfg.LeafCap != 338 {
+	if cfg := tr.Config(); cfg.LeafCap != 338 {
 		t.Fatalf("default config leaf cap %d", cfg.LeafCap)
 	}
-	cfg.Layout = simdtree.BreadthFirst
-	cfg.Evaluator = simdtree.SwitchCase
-	tr2 := simdtree.NewSegTreeWithConfig[uint32, string](cfg)
+	tr2 := simdtree.NewSegTree[uint32, string](
+		simdtree.WithLayout(simdtree.BreadthFirst), simdtree.WithEvaluator(simdtree.SwitchCase))
 	tr2.Put(7, "seven")
 	if v, ok := tr2.Get(7); !ok || v != "seven" {
 		t.Fatal("custom config get")
@@ -40,14 +38,12 @@ func TestFacadeBulkLoadAndScan(t *testing.T) {
 	seg := simdtree.BulkLoadSegTree(ks, vs)
 	base := simdtree.BulkLoadBPlusTree(ks, vs,
 		simdtree.WithLeafCap(64), simdtree.WithBranchCap(64))
-	// The deprecated config-struct forms build the same trees.
-	seg2 := simdtree.BulkLoadSegTreeWithConfig(simdtree.DefaultSegTreeConfig[uint64](), ks, vs)
-	if seg2.Len() != seg.Len() {
-		t.Fatalf("WithConfig bulk load diverged: %d != %d", seg2.Len(), seg.Len())
+	if c := base.Config(); c.LeafCap != 64 || c.BranchCap != 64 {
+		t.Fatalf("B+ bulk load caps not applied: %+v", c)
 	}
-	base2 := simdtree.BulkLoadBPlusTreeWithConfig(simdtree.BPlusTreeConfig{LeafCap: 64, BranchCap: 64}, ks, vs)
-	if base2.Len() != base.Len() {
-		t.Fatalf("WithConfig B+ bulk load diverged: %d != %d", base2.Len(), base.Len())
+	seg2 := simdtree.BulkLoadSegTree(ks, vs, simdtree.WithLayout(simdtree.BreadthFirst))
+	if seg2.Len() != seg.Len() || seg2.Config().Layout != simdtree.BreadthFirst {
+		t.Fatalf("optioned bulk load diverged: %d keys, %+v", seg2.Len(), seg2.Config())
 	}
 	count := 0
 	seg.Scan(100, 200, func(k uint64, v int) bool { count++; return true })
@@ -77,13 +73,13 @@ func TestFacadeTries(t *testing.T) {
 	if trie.Levels() != 8 {
 		t.Fatal("trie levels")
 	}
-	cfg := simdtree.SegTrieConfig{Layout: simdtree.DepthFirst, Evaluator: simdtree.BitShift}
-	tr2 := simdtree.NewSegTrieWithConfig[uint32, int](cfg)
+	custom := []simdtree.Option{simdtree.WithLayout(simdtree.DepthFirst), simdtree.WithEvaluator(simdtree.BitShift)}
+	tr2 := simdtree.NewSegTrie[uint32, int](custom...)
 	tr2.Put(5, 5)
 	if !tr2.Contains(5) {
 		t.Fatal("custom trie")
 	}
-	opt2 := simdtree.NewOptimizedSegTrieWithConfig[uint32, int](cfg)
+	opt2 := simdtree.NewOptimizedSegTrie[uint32, int](custom...)
 	opt2.Put(5, 5)
 	if !opt2.Contains(5) {
 		t.Fatal("custom optimized trie")
@@ -106,5 +102,20 @@ func TestFacadeTable2Constants(t *testing.T) {
 	}
 	if simdtree.KValue[uint64]() != 3 || simdtree.ParallelComparisons[uint64]() != 2 {
 		t.Fatal("64-bit table 2")
+	}
+}
+
+// NewInstrumentedIndex must leave the caller's option slice alone: an
+// append onto a variadic slice with spare capacity would overwrite the
+// caller's backing array, here turning s's WithShards into something
+// else.
+func TestNewInstrumentedIndexKeepsCallerOptions(t *testing.T) {
+	base := make([]simdtree.Option, 0, 2)
+	base = append(base, simdtree.WithStructure(simdtree.StructureSegTree))
+	s := append(base, simdtree.WithShards(4))
+	simdtree.NewInstrumentedIndex[uint64, int](base...)
+	ix := simdtree.NewIndex[uint64, int](s...)
+	if _, ok := ix.(*simdtree.ShardedIndex[uint64, int]); !ok {
+		t.Fatalf("NewIndex(WithShards(4)) after NewInstrumentedIndex = %T, want *ShardedIndex", ix)
 	}
 }

@@ -195,7 +195,7 @@ func TestInstrumentedSampling(t *testing.T) {
 	if sp.Stats().Sampled != before {
 		t.Fatal("rate 0 still sampled")
 	}
-	if tr := ix.Explain(3); !tr.Found || tr.Structure != "segtree" {
+	if tr := simdtree.Explain(ix, 3); !tr.Found || tr.Structure != "segtree" {
 		t.Fatalf("Explain through wrapper: %+v", tr)
 	}
 }
