@@ -14,6 +14,8 @@
 #                      live segserve over HTTP (graceful-shutdown path
 #                      included)
 #   make fuzz        - 5 s smoke run of every fuzz target
+#   make examples    - run every program under examples/; fails on a
+#                      non-zero exit
 #   make fmt         - fail if any file is not gofmt-clean
 #   make analyze     - build cmd/simdvet and run the repo's own analyzers
 #                      (hotalloc, nopanic, traceguard, evalmask, atomicmix,
@@ -66,7 +68,7 @@ LOADTEST_ADDR ?= 127.0.0.1:18080
 # the same number of operations.
 WORKLOAD_SPEC ?= read=70,write=20,scan=5,batch=5;dist=zipfian:0.99;keys=100000;clients=8;ops=200000
 
-.PHONY: check vet fmt build test race stress invariants fuzz loadtest bench bench-diff bench-baseline analyze simdvet staticcheck govulncheck trace-e2e trace-demo serve loc clean
+.PHONY: check vet fmt build test race stress invariants fuzz examples loadtest bench bench-diff bench-baseline analyze simdvet staticcheck govulncheck trace-e2e trace-demo serve loc clean
 
 check: vet fmt build race fuzz analyze
 
@@ -114,6 +116,14 @@ fuzz:
 		pkg=$${t%:*}; fn=$${t#*:}; \
 		echo "fuzz $$pkg $$fn"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME); \
+	done
+
+# Run each example program end to end (a few seconds in total). `build`
+# only compiles them, so a panic in one would otherwise go unnoticed.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "example $$d"; \
+		$(GO) run ./$$d > /dev/null; \
 	done
 
 # Generous ceilings for the loadtest SLO gate: race-built binaries on

@@ -37,15 +37,16 @@ func ExampleSegTree_Scan() {
 	// 50 5
 }
 
-func ExampleSegTree_IterRange() {
+// Scan bounds are inclusive at both ends.
+func ExampleSegTree_Scan_inclusive() {
 	tree := simdtree.NewSegTree[uint32, string]()
 	tree.Put(1, "a")
 	tree.Put(2, "b")
 	tree.Put(3, "c")
-	it := tree.IterRange(2, 3)
-	for it.Next() {
-		fmt.Println(it.Key(), it.Value())
-	}
+	tree.Scan(2, 3, func(k uint32, v string) bool {
+		fmt.Println(k, v)
+		return true
+	})
 	// Output:
 	// 2 b
 	// 3 c
@@ -82,8 +83,8 @@ func ExampleNewOptimizedSegTrie() {
 		trie.Put(uint64(i), i)
 	}
 	// Consecutive keys collapse the eight nominal levels into one node.
-	st := trie.Stats()
-	fmt.Println(st.Nodes, st.Height, st.OmittedLevels)
+	rep := trie.Shape()
+	fmt.Println(rep.Nodes, rep.Levels, rep.OmittedLevels)
 	// Output:
 	// 1 1 7
 }

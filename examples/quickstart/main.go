@@ -68,9 +68,11 @@ func main() {
 		vs[i] = "v"
 	}
 	big := simdtree.BulkLoadSegTree(ks, vs)
-	st := big.Stats()
+	// Shape walks the tree once: every leaf sits on its last level.
+	rep := big.Shape()
+	leaves := rep.LevelFill[len(rep.LevelFill)-1].Nodes
 	fmt.Printf("\nbulk-loaded %d keys: height=%d, %d branch + %d leaf nodes, %.1f MB\n",
-		big.Len(), st.Height, st.BranchNodes, st.LeafNodes, float64(st.MemoryBytes)/(1<<20))
+		big.Len(), rep.Levels, rep.Nodes-leaves, leaves, float64(rep.TotalBytes)/(1<<20))
 	if _, ok := big.Get(1_000_000); ok {
 		fmt.Println("found key 1,000,000")
 	}

@@ -37,8 +37,8 @@ func main() {
 	}
 	fmt.Printf("Opt.Seg-Trie built in %8v\n\n", time.Since(start).Round(time.Millisecond))
 
-	bs := base.Stats()
-	ts := trie.Stats()
+	bs := base.IndexStats()
+	ts := trie.IndexStats()
 	fmt.Printf("B+-Tree:       height %d, key memory %7.2f MB, total %7.2f MB\n",
 		bs.Height, mb(bs.KeyMemoryBytes), mb(bs.MemoryBytes))
 	fmt.Printf("Opt.Seg-Trie:  height %d, key memory %7.2f MB, total %7.2f MB\n",
@@ -79,9 +79,9 @@ func main() {
 	// Growth: appending one key past a 256-boundary adds at most one trie
 	// level (§4's "inserting 256 increases the optimized Seg-Trie by one
 	// level").
-	before := trie.Stats().Height
+	before := trie.IndexStats().Height
 	trie.Put(1<<40, 0)
-	fmt.Printf("height before/after far-away insert: %d/%d\n", before, trie.Stats().Height)
+	fmt.Printf("height before/after far-away insert: %d/%d\n", before, trie.IndexStats().Height)
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }

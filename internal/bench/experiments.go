@@ -323,40 +323,31 @@ func Memory(keysCount int, rec *Recorder) string {
 		trie.Put(k, uint64(i))
 		opt.Put(k, uint64(i))
 	}
-	stats := []struct {
-		name               string
-		keyBytes, allBytes int64
-		shape              shape.Report
-	}{}
-	add := func(name string, keyBytes, allBytes int64, rep shape.Report) {
-		stats = append(stats, struct {
-			name               string
-			keyBytes, allBytes int64
-			shape              shape.Report
-		}{name, keyBytes, allBytes, rep})
-	}
 	baseTree := btree.BulkLoad[uint64, uint64](btree.DefaultConfig[uint64](), ks, vs)
 	segTree := segtree.BulkLoad[uint64, uint64](segtree.DefaultConfig[uint64](), ks, vs)
-	base := baseTree.Stats()
-	seg := segTree.Stats()
-	ts := trie.Stats()
-	os := opt.Stats()
-	add("B+-Tree (binary)", base.KeyMemoryBytes, base.MemoryBytes, baseTree.Shape())
-	add("Seg-Tree", seg.KeyMemoryBytes, seg.MemoryBytes, segTree.Shape())
-	add("Seg-Trie", ts.KeyMemoryBytes, ts.MemoryBytes, trie.Shape())
-	add("Optimized Seg-Trie", os.KeyMemoryBytes, os.MemoryBytes, opt.Shape())
+	shapes := []struct {
+		name  string
+		shape shape.Report
+	}{
+		{"B+-Tree (binary)", baseTree.Shape()},
+		{"Seg-Tree", segTree.Shape()},
+		{"Seg-Trie", trie.Shape()},
+		{"Optimized Seg-Trie", opt.Shape()},
+	}
+	baseKeyBytes := index.StatsOf(shapes[0].shape).KeyMemoryBytes
 
 	var rows [][]string
-	for _, s := range stats {
+	for _, s := range shapes {
+		st := index.StatsOf(s.shape)
 		rec.Record(Measurement{Experiment: "memory", Structure: s.name,
-			Metric: "key-bytes", Value: float64(s.keyBytes), Unit: "bytes"})
+			Metric: "key-bytes", Value: float64(st.KeyMemoryBytes), Unit: "bytes"})
 		rec.Record(Measurement{Experiment: "memory", Structure: s.name,
-			Metric: "total-bytes", Value: float64(s.allBytes), Unit: "bytes"})
+			Metric: "total-bytes", Value: float64(st.MemoryBytes), Unit: "bytes"})
 		RecordShape(rec, "memory", s.name, s.shape)
 		rows = append(rows, []string{
-			s.name, fmt.Sprint(s.keyBytes),
-			fmt.Sprintf("%.2fx", float64(base.KeyMemoryBytes)/float64(s.keyBytes)),
-			fmt.Sprint(s.allBytes),
+			s.name, fmt.Sprint(st.KeyMemoryBytes),
+			fmt.Sprintf("%.2fx", float64(baseKeyBytes)/float64(st.KeyMemoryBytes)),
+			fmt.Sprint(st.MemoryBytes),
 			fmt.Sprintf("%.2f", s.shape.BytesPerKey),
 			fmt.Sprintf("%.3f", s.shape.FillDegree),
 			fmt.Sprintf("%.3f", s.shape.RegisterUtilization)})

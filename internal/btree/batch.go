@@ -34,14 +34,5 @@ func (t *Tree[K, V]) ContainsBatch(ks []K) []bool {
 }
 
 // IndexStats summarizes the tree in the structure-independent terms of
-// the index layer; Stats retains the B+-Tree-specific breakdown.
-func (t *Tree[K, V]) IndexStats() index.Stats {
-	s := t.Stats()
-	return index.Stats{
-		Keys:           s.Keys,
-		Height:         s.Height,
-		Nodes:          s.BranchNodes + s.LeafNodes,
-		MemoryBytes:    s.MemoryBytes,
-		KeyMemoryBytes: s.KeyMemoryBytes,
-	}
-}
+// the index layer, projected from Shape.
+func (t *Tree[K, V]) IndexStats() index.Stats { return index.StatsOf(t.Shape()) }

@@ -254,44 +254,3 @@ func lowerBound[K keys.Key](xs []K, v K) int {
 	}
 	return lo
 }
-
-// Stats summarizes the tree's shape and memory footprint.
-type Stats struct {
-	Height        int
-	BranchNodes   int
-	LeafNodes     int
-	Keys          int
-	SeparatorKeys int
-	// MemoryBytes follows the paper's accounting (§5.1): every key costs
-	// its data-type width, every child or value pointer eight bytes.
-	MemoryBytes int64
-	// KeyMemoryBytes counts key storage only (no pointers) — the basis of
-	// the paper's 8× memory-reduction claim for the Seg-Trie, whose
-	// partial keys are one byte wide.
-	KeyMemoryBytes int64
-}
-
-// Stats computes shape and memory statistics by walking the tree.
-func (t *Tree[K, V]) Stats() Stats {
-	s := Stats{Height: t.Height()}
-	w := int64(keys.Width[K]())
-	var walk func(n *node[K, V])
-	walk = func(n *node[K, V]) {
-		if n.leaf() {
-			s.LeafNodes++
-			s.Keys += len(n.keys)
-			s.MemoryBytes += int64(len(n.keys))*w + int64(len(n.keys))*8
-			s.KeyMemoryBytes += int64(len(n.keys)) * w
-			return
-		}
-		s.BranchNodes++
-		s.SeparatorKeys += len(n.keys)
-		s.MemoryBytes += int64(len(n.keys))*w + int64(len(n.children))*8
-		s.KeyMemoryBytes += int64(len(n.keys)) * w
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return s
-}

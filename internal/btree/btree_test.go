@@ -225,9 +225,9 @@ func TestBulkLoadFillsNodesCompletely(t *testing.T) {
 		ks[i] = uint32(i)
 	}
 	tr := BulkLoad[uint32, int](small(), ks, vs)
-	st := tr.Stats()
-	if st.LeafNodes != 16 {
-		t.Fatalf("leaves %d", st.LeafNodes)
+	rep := tr.Shape()
+	if leaves := rep.LevelFill[len(rep.LevelFill)-1]; leaves.Nodes != 16 || leaves.Fill != 1 {
+		t.Fatalf("leaves %+v", leaves)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -271,12 +271,13 @@ func TestStats(t *testing.T) {
 		ks[i] = uint64(i)
 	}
 	tr := BulkLoad[uint64, int](Config{LeafCap: 10, BranchCap: 4}, ks, vs)
-	st := tr.Stats()
+	st := tr.IndexStats()
 	if st.Keys != 100 {
 		t.Fatalf("keys %d", st.Keys)
 	}
-	if st.LeafNodes != 10 || st.BranchNodes == 0 {
-		t.Fatalf("leaves %d branches %d", st.LeafNodes, st.BranchNodes)
+	rep := tr.Shape()
+	if leaves := rep.LevelFill[len(rep.LevelFill)-1].Nodes; leaves != 10 || rep.Nodes == leaves {
+		t.Fatalf("leaves %d of %d nodes", leaves, rep.Nodes)
 	}
 	// Leaf memory alone: 100 keys × (8 key + 8 value pointer).
 	if st.MemoryBytes < 1600 {

@@ -7,12 +7,11 @@ import (
 
 // Shape implements shape.Shaper for the scalar baseline. A node's slots
 // are its configured capacity (LeafCap or BranchCap) — the classic
-// B-Tree fill-factor denominator — while the byte accounting counts
-// only the keys actually stored, matching Stats (§5.1: keys at their
-// width, pointers at eight bytes; TotalBytes == IndexStats().
-// MemoryBytes). The baseline performs no SIMD loads, so registers,
-// padding and replenishment are all zero — the contrast the adapted
-// trees' reports are read against.
+// B-Tree fill-factor denominator — while the byte accounting IndexStats
+// projects counts only the keys actually stored (§5.1: keys at their
+// width, pointers at eight bytes). The baseline performs no SIMD loads,
+// so registers, padding and replenishment are all zero — the contrast
+// the adapted trees' reports are read against.
 func (t *Tree[K, V]) Shape() shape.Report {
 	rep := shape.New("btree")
 	rep.Keys = t.size

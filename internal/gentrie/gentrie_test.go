@@ -76,7 +76,7 @@ func TestMemoryTradeoff(t *testing.T) {
 		seg.Put(k, i)
 	}
 	gm := gen.Stats().MemoryBytes
-	sm := seg.Stats().MemoryBytes
+	sm := seg.IndexStats().MemoryBytes
 	if gm < 4*sm {
 		t.Fatalf("expected generalized trie to pay heavily for sparse data: %d vs %d bytes", gm, sm)
 	}

@@ -72,12 +72,12 @@ type Index[K keys.Key, V any] interface {
 	// search.
 	GetTraced(key K, tr *trace.Trace) (V, bool)
 	// IndexStats summarizes shape and memory in structure-independent
-	// terms. The structures additionally expose richer per-package Stats.
+	// terms: StatsOf(Shape()).
 	IndexStats() Stats
 	// Shape walks the structure and returns the full structural-health
-	// report: per-level fill, register utilization, memory split. A full
-	// traversal — for snapshots and debug endpoints, not hot paths. Its
-	// TotalBytes must equal IndexStats().MemoryBytes.
+	// report: per-level fill, register utilization, memory split. It is
+	// the one structural walk each structure implements — for snapshots
+	// and debug endpoints, not hot paths.
 	Shape() shape.Report
 }
 
@@ -99,14 +99,16 @@ type Stats struct {
 	KeyMemoryBytes int64
 }
 
-// Add accumulates o into s, taking the maximum height — the aggregation
-// the Sharded index uses across its shards.
-func (s *Stats) Add(o Stats) {
-	s.Keys += o.Keys
-	if o.Height > s.Height {
-		s.Height = o.Height
+// StatsOf projects a shape report onto the summary: Height is the
+// report's Levels, and key memory counts real keys and §3.3
+// replenishment pads (PointerBytes is the rest of TotalBytes). A merged
+// Sharded report projects to the per-shard sums with the deepest height.
+func StatsOf(r shape.Report) Stats {
+	return Stats{
+		Keys:           r.Keys,
+		Height:         r.Levels,
+		Nodes:          r.Nodes,
+		MemoryBytes:    r.TotalBytes,
+		KeyMemoryBytes: r.KeyBytes + r.PaddingBytes,
 	}
-	s.Nodes += o.Nodes
-	s.MemoryBytes += o.MemoryBytes
-	s.KeyMemoryBytes += o.KeyMemoryBytes
 }

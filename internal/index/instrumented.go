@@ -327,11 +327,12 @@ type MetricsSnapshot struct {
 }
 
 // Snapshot captures the current state of all recorded metrics. The
-// structural report is refreshed here — a full walk of the wrapped
-// index — so every snapshot (and every Prometheus scrape) carries
-// current fill and footprint figures.
+// structural report is refreshed here — one walk of the wrapped index,
+// from which Stats is projected — so every snapshot (and every
+// Prometheus scrape) carries current fill and footprint figures.
 func (ix *Instrumented[K, V]) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{Stats: ix.inner.IndexStats(), Shape: ix.inner.Shape()}
+	sh := ix.inner.Shape()
+	s := MetricsSnapshot{Stats: StatsOf(sh), Shape: sh}
 	for _, op := range Ops {
 		s.Ops = append(s.Ops, OpSnapshot{Op: op.String(), Histogram: ix.hists[op].Read()})
 	}

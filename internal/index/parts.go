@@ -129,15 +129,9 @@ func (p *parts[K, V]) ContainsBatch(ks []K) []bool {
 	return found
 }
 
-// IndexStats aggregates the per-part summaries: counts and bytes sum,
-// height is the deepest part.
-func (p *parts[K, V]) IndexStats() Stats {
-	var st Stats
-	for _, t := range p.trees {
-		st.Add(t.IndexStats())
-	}
-	return st
-}
+// IndexStats projects the merged report: counts and bytes sum, height is
+// the deepest part.
+func (p *parts[K, V]) IndexStats() Stats { return StatsOf(p.Shape()) }
 
 // Shape merges the per-part structural reports: counts, bytes, registers
 // and histograms sum, levels take the deepest part, and the structure

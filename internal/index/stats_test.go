@@ -99,14 +99,3 @@ func TestOptimizedTrieStatsHandComputed(t *testing.T) {
 		KeyMemoryBytes: 19, // 16 slots + 3 prefix bytes
 	})
 }
-
-// TestStatsAdd pins the Sharded aggregation rule: sums everywhere except
-// Height, which takes the maximum.
-func TestStatsAdd(t *testing.T) {
-	s := index.Stats{Keys: 1, Height: 2, Nodes: 3, MemoryBytes: 10, KeyMemoryBytes: 4}
-	s.Add(index.Stats{Keys: 2, Height: 1, Nodes: 1, MemoryBytes: 5, KeyMemoryBytes: 2})
-	want := index.Stats{Keys: 3, Height: 2, Nodes: 4, MemoryBytes: 15, KeyMemoryBytes: 6}
-	if s != want {
-		t.Errorf("Add = %+v, want %+v", s, want)
-	}
-}

@@ -185,9 +185,6 @@ func (t *Tree[K]) Levels() int { return t.r }
 // the paper's N_S (Table 3) for the breadth-first layout.
 func (t *Tree[K]) Stored() int { return t.stored }
 
-// MemoryBytes reports the key storage size in bytes.
-func (t *Tree[K]) MemoryBytes() int { return len(t.data) }
-
 // Max returns the largest real key; ok is false for an empty tree.
 func (t *Tree[K]) Max() (max K, ok bool) {
 	if t.n == 0 {

@@ -11,6 +11,9 @@ type slotMap struct {
 	slot  []int32 // sorted position → storage slot, for every position the geometry holds
 	bound []int32 // key count n → stored slots of a fresh Build with n keys
 	minN  int     // fewest keys with this geometry; fewer change r (or m)
+
+	fullOnce sync.Once
+	full     []int32 // key count n → registers whose every lane holds a real key
 }
 
 // geometry identifies a slot map: depth-first slots depend on (k, r)
@@ -66,6 +69,25 @@ func newSlotMap(g geometry) *slotMap {
 		sm.bound[n] = int32((last/lanes + 1) * lanes)
 	}
 	return sm
+}
+
+// fullRegisters reports how many registers of lanes slots are full when
+// the geometry holds n keys: every lane holds one of slot[0..n-1]. The
+// table behind it is built on first use.
+func (sm *slotMap) fullRegisters(n, lanes int) int {
+	sm.fullOnce.Do(func() {
+		filled := make([]int, len(sm.slot)/lanes) // real keys per register so far
+		sm.full = make([]int32, len(sm.slot)+1)
+		for i, p := range sm.slot {
+			reg := int(p) / lanes
+			filled[reg]++
+			sm.full[i+1] = sm.full[i]
+			if filled[reg] == lanes {
+				sm.full[i+1]++
+			}
+		}
+	})
+	return int(sm.full[n])
 }
 
 // walkDF tabulates Formula 2 for the subtree of the given levels whose

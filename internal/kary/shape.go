@@ -62,27 +62,14 @@ func (t *Tree[K]) slotLevels() []int {
 // RegisterStats reports the SIMD register loads of the tree's key
 // storage: total registers (= k-ary nodes, one 16-byte load each) and
 // how many are fully populated with real keys. Used by the structures
-// that embed kary trees to aggregate register utilization.
+// that embed kary trees to aggregate register utilization; it reads the
+// geometry's slot map and allocates nothing.
 func (t *Tree[K]) RegisterStats() (total, full int) {
 	if t.stored == 0 {
 		return 0, 0
 	}
 	lanes := int(t.lanes)
-	real := t.realSlots()
-	total = t.stored / lanes
-	for node := 0; node < total; node++ {
-		f := true
-		for i := node * lanes; i < (node+1)*lanes; i++ {
-			if !real[i] {
-				f = false
-				break
-			}
-		}
-		if f {
-			full++
-		}
-	}
-	return total, full
+	return t.stored / lanes, t.slots.fullRegisters(t.n, lanes)
 }
 
 // Shape implements shape.Shaper for a raw linearization: every k-ary

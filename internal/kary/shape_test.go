@@ -1,8 +1,12 @@
 package kary
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/keys"
 	"repro/internal/shape"
 )
 
@@ -111,9 +115,9 @@ func TestShapeLevelAndSlotConsistency(t *testing.T) {
 				t.Errorf("%v n=%d: LevelFill spans %d levels, want %d",
 					layout, n, len(rep.LevelFill), tr.Levels())
 			}
-			if rep.TotalBytes != int64(tr.MemoryBytes()) {
-				t.Errorf("%v n=%d: TotalBytes = %d, want MemoryBytes %d",
-					layout, n, rep.TotalBytes, tr.MemoryBytes())
+			if rep.TotalBytes != int64(len(tr.data)) {
+				t.Errorf("%v n=%d: TotalBytes = %d, want key storage %d",
+					layout, n, rep.TotalBytes, len(tr.data))
 			}
 			total, full := tr.RegisterStats()
 			if total != rep.Registers || full != rep.FullRegisters {
@@ -152,4 +156,105 @@ func TestShapeStructureNames(t *testing.T) {
 	if got := Build([]uint32{1}, DepthFirst).Shape().Structure; got != "kary-df" {
 		t.Errorf("DF structure = %q, want kary-df", got)
 	}
+}
+
+// registerStatsOracle counts registers directly: mark the slots of the
+// real keys, then count the registers whose every lane is marked.
+func registerStatsOracle[K keys.Key](t *Tree[K]) (total, full int) {
+	if t.stored == 0 {
+		return 0, 0
+	}
+	lanes := int(t.lanes)
+	real := t.realSlots()
+	total = t.stored / lanes
+	for node := 0; node < total; node++ {
+		f := true
+		for i := node * lanes; i < (node+1)*lanes; i++ {
+			if !real[i] {
+				f = false
+				break
+			}
+		}
+		if f {
+			full++
+		}
+	}
+	return total, full
+}
+
+// TestRegisterStatsMatchesOracle pins the tabulated full-register counts
+// against the direct count for every key count below limit, both layouts
+// and every key width, and along a random history of in-place inserts
+// and deletes.
+func TestRegisterStatsMatchesOracle(t *testing.T) {
+	checkRegisterStats[uint8](t, 256)
+	checkRegisterStats[uint16](t, 800)
+	checkRegisterStats[int32](t, 800)
+	checkRegisterStats[uint64](t, 800)
+}
+
+func checkRegisterStats[K keys.Key](t *testing.T, limit int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(limit)))
+	for _, layout := range Layouts {
+		check := func(tr *Tree[K], what string) {
+			t.Helper()
+			total, full := tr.RegisterStats()
+			if wantTotal, wantFull := registerStatsOracle(tr); total != wantTotal || full != wantFull {
+				t.Fatalf("%d-byte %v %s: RegisterStats (%d,%d), oracle (%d,%d)",
+					keys.Width[K](), layout, what, total, full, wantTotal, wantFull)
+			}
+		}
+		var sorted []K
+		for n := 0; n < limit; n++ {
+			check(BuildUnchecked(sorted, layout), fmt.Sprintf("Build n=%d", n))
+			sorted = append(sorted, K(n))
+		}
+		tr := BuildUnchecked([]K(nil), layout)
+		for i := 0; i < 4*limit; i++ {
+			x := K(rng.Intn(limit))
+			if rng.Intn(3) == 0 {
+				tr.Delete(x)
+			} else {
+				tr.Insert(x)
+			}
+			check(tr, fmt.Sprintf("after %d updates (n=%d)", i+1, tr.Len()))
+		}
+	}
+}
+
+func TestRegisterStatsAllocationFree(t *testing.T) {
+	for _, layout := range Layouts {
+		tr := Build(ascending16(500), layout)
+		if allocs := testing.AllocsPerRun(100, func() { tr.RegisterStats() }); allocs != 0 {
+			t.Errorf("%v: RegisterStats allocates %v times per call", layout, allocs)
+		}
+	}
+}
+
+// TestFullRegistersConcurrentFirstUse builds a fresh slot map's table
+// from several goroutines at once, as concurrent Shape walks of trees
+// sharing a geometry do; every caller must see the same counts.
+func TestFullRegistersConcurrentFirstUse(t *testing.T) {
+	g := geometry{layout: DepthFirst, k: 5, r: 3}
+	ref := newSlotMap(g)
+	want := make([]int, len(ref.slot)+1)
+	for n := range want {
+		want[n] = ref.fullRegisters(n, 4)
+	}
+	sm := newSlotMap(g)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range want {
+				if got := sm.fullRegisters(n, 4); got != want[n] {
+					t.Errorf("n=%d: %d full registers, want %d", n, got, want[n])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -255,43 +255,3 @@ func (t *Tree[K, V]) Ascend(fn func(K, V) bool) {
 		}
 	}
 }
-
-// Stats summarizes the tree's shape and memory footprint.
-type Stats struct {
-	Height      int
-	BranchNodes int
-	LeafNodes   int
-	Keys        int
-	// StoredKeySlots counts key slots including §3.3 replenishment pads —
-	// the per-node N_S summed over the tree.
-	StoredKeySlots int
-	// MemoryBytes follows the paper's accounting (§5.1): every stored key
-	// slot costs the data-type width, every child or value pointer eight
-	// bytes.
-	MemoryBytes int64
-	// KeyMemoryBytes counts key storage only (stored slots × key width).
-	KeyMemoryBytes int64
-}
-
-// Stats computes shape and memory statistics by walking the tree.
-func (t *Tree[K, V]) Stats() Stats {
-	s := Stats{Height: t.Height()}
-	var walk func(n *node[K, V])
-	walk = func(n *node[K, V]) {
-		s.StoredKeySlots += n.kt.Stored()
-		s.KeyMemoryBytes += int64(n.kt.MemoryBytes())
-		if n.leaf() {
-			s.LeafNodes++
-			s.Keys += n.kt.Len()
-			s.MemoryBytes += int64(n.kt.MemoryBytes()) + int64(len(n.vals))*8
-			return
-		}
-		s.BranchNodes++
-		s.MemoryBytes += int64(n.kt.MemoryBytes()) + int64(len(n.children))*8
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return s
-}

@@ -254,17 +254,17 @@ func TestStatsAndMemory(t *testing.T) {
 	}
 	cfg := Config{LeafCap: 10, BranchCap: 10, Layout: kary.BreadthFirst, Evaluator: bitmask.Popcount}
 	tr := BulkLoad[uint64, int](cfg, ks, vs)
-	st := tr.Stats()
-	if st.Keys != 1000 {
-		t.Fatalf("keys %d", st.Keys)
+	rep := tr.Shape()
+	if rep.Keys != 1000 {
+		t.Fatalf("keys %d", rep.Keys)
 	}
-	if st.LeafNodes != 100 {
-		t.Fatalf("leaves %d", st.LeafNodes)
+	if leaves := rep.LevelFill[len(rep.LevelFill)-1].Nodes; leaves != 100 {
+		t.Fatalf("leaves %d", leaves)
 	}
-	if st.StoredKeySlots < 1000 {
-		t.Fatalf("stored slots %d", st.StoredKeySlots)
+	if rep.Slots < 1000 {
+		t.Fatalf("stored slots %d", rep.Slots)
 	}
-	if st.MemoryBytes <= 0 || st.Height != tr.Height() {
+	if st := tr.IndexStats(); st.MemoryBytes <= 0 || st.Height != tr.Height() {
 		t.Fatalf("memory %d height %d", st.MemoryBytes, st.Height)
 	}
 }

@@ -8,10 +8,9 @@ import (
 // Shape implements shape.Shaper: one shape node per B+-Tree node, level
 // 0 at the root. A node's slots are its k-ary tree's stored slots, so
 // fill degree directly exposes the §3.3 replenishment waste; registers
-// are the 16-byte loads of the per-node k-ary trees. The byte split
-// reproduces Stats' §5.1 accounting exactly (TotalBytes ==
-// IndexStats().MemoryBytes): real keys and replenishment pads cost the
-// key width, child and value pointers eight bytes.
+// are the 16-byte loads of the per-node k-ary trees. The byte split is
+// the §5.1 accounting IndexStats projects: real keys and replenishment
+// pads cost the key width, child and value pointers eight bytes.
 func (t *Tree[K, V]) Shape() shape.Report {
 	rep := shape.New("segtree")
 	rep.Keys = t.size

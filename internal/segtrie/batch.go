@@ -39,14 +39,14 @@ func (t *Trie[K, V]) GetBatch(ks []K) ([]V, []bool) {
 	return index.LevelWise[K, V](ks, trieCur[V]{t.root, 0},
 		func(c trieCur[V]) bool { return int(c.level) == last },
 		func(c trieCur[V], i int) trieCur[V] {
-			idx, hit := t.find(c.n, t.segment(us[i], int(c.level)), nil)
+			idx, hit := find(&c.n.kt, t.segment(us[i], int(c.level)), t.cfg.Evaluator, nil)
 			if !hit {
 				return trieCur[V]{}
 			}
 			return trieCur[V]{c.n.children[idx], c.level + 1}
 		},
 		func(c trieCur[V], i int) (v V, ok bool) {
-			if idx, hit := t.find(c.n, t.segment(us[i], last), nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(us[i], last), t.cfg.Evaluator, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false
@@ -60,19 +60,9 @@ func (t *Trie[K, V]) ContainsBatch(ks []K) []bool {
 }
 
 // IndexStats summarizes the trie in the structure-independent terms of
-// the index layer; Stats retains the trie-specific breakdown. Height is
-// the fixed level count r = m/8 — the number of node searches a
-// worst-case lookup performs.
-func (t *Trie[K, V]) IndexStats() index.Stats {
-	s := t.Stats()
-	return index.Stats{
-		Keys:           s.Keys,
-		Height:         t.levels,
-		Nodes:          s.Nodes,
-		MemoryBytes:    s.MemoryBytes,
-		KeyMemoryBytes: s.KeyMemoryBytes,
-	}
-}
+// the index layer, projected from Shape. Height is the fixed level count
+// r = m/8 — the number of node searches a worst-case lookup performs.
+func (t *Trie[K, V]) IndexStats() index.Stats { return index.StatsOf(t.Shape()) }
 
 // optCur is one probe group's descent position in an optimized trie.
 type optCur[V any] struct {
@@ -110,7 +100,7 @@ func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
 			if !ok {
 				return optCur[V]{}
 			}
-			idx, hit := t.find(c.n, t.segment(us[i], level), nil)
+			idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil)
 			if !hit {
 				return optCur[V]{}
 			}
@@ -121,7 +111,7 @@ func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
 			if !match {
 				return v, false
 			}
-			if idx, hit := t.find(c.n, t.segment(us[i], level), nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false
@@ -135,15 +125,6 @@ func (t *Optimized[K, V]) ContainsBatch(ks []K) []bool {
 }
 
 // IndexStats summarizes the optimized trie in the structure-independent
-// terms of the index layer; Stats retains the variant-specific breakdown
-// (omitted levels, stored slots).
-func (t *Optimized[K, V]) IndexStats() index.Stats {
-	s := t.Stats()
-	return index.Stats{
-		Keys:           s.Keys,
-		Height:         s.Height,
-		Nodes:          s.Nodes,
-		MemoryBytes:    s.MemoryBytes,
-		KeyMemoryBytes: s.KeyMemoryBytes,
-	}
-}
+// terms of the index layer, projected from Shape (which also reports the
+// omitted levels). Height is the most nodes on a root-to-value path.
+func (t *Optimized[K, V]) IndexStats() index.Stats { return index.StatsOf(t.Shape()) }

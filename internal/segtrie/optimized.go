@@ -3,7 +3,6 @@ package segtrie
 import (
 	"repro/internal/kary"
 	"repro/internal/keys"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -64,54 +63,7 @@ func (t *Optimized[K, V]) segment(u uint64, level int) uint8 {
 // The untraced Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^Optimized\.(Get|find|segment)$
-
-// find mirrors Trie.find: single-key and full nodes take the §4 fast
-// paths. tr, when non-nil, records the step taken.
-//
-//simdtree:hotpath
-func (t *Optimized[K, V]) find(n *onode[V], pk uint8, tr *trace.Trace) (idx int, ok bool) {
-	// As in Trie.find, only the fast paths record the visit themselves;
-	// the k-ary path is counted inside kt.Lookup.
-	switch n.kt.Len() {
-	case 0:
-		obs.NodeVisits(1)
-		if tr != nil {
-			tr.FastPath("empty-node", 0)
-		}
-		return 0, false
-	case 1:
-		// A single-key node holds exactly its maximum.
-		obs.NodeVisits(1)
-		obs.ScalarComparisons(1)
-		at, _ := n.kt.Max()
-		switch {
-		case at == pk:
-			idx, ok = 0, true
-		case at > pk:
-			idx, ok = 0, false
-		default:
-			idx, ok = 1, false
-		}
-		if tr != nil {
-			tr.Add(trace.Step{Kind: trace.KindFastPath, Depth: tr.Depth(),
-				Note: "single-key", Position: idx, Scalar: 1})
-		}
-		return idx, ok
-	case 256:
-		// Full node: direct index, zero comparisons of any kind (§4).
-		obs.NodeVisits(1)
-		if tr != nil {
-			tr.FastPath("full-node", int(pk))
-		}
-		return int(pk), true
-	}
-	pos, found := n.kt.LookupT(pk, t.cfg.Evaluator, tr)
-	if found {
-		return pos - 1, true
-	}
-	return pos, false
-}
+//simdtree:kernels ^Optimized\.(Get|segment)$
 
 // Get returns the value stored under key, if present.
 //
@@ -130,7 +82,7 @@ func (t *Optimized[K, V]) Get(key K) (v V, ok bool) {
 			}
 			level++
 		}
-		idx, hit := t.find(n, t.segment(u, level), nil)
+		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
 		if !hit {
 			return v, false
 		}
@@ -176,7 +128,7 @@ func (t *Optimized[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
 		pk := t.segment(u, level)
 		tr.Segment(level, pk)
 		tr.Node(level, n.kt.Len(), layout, "trie")
-		idx, hit := t.find(n, pk, tr)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr)
 		if !hit {
 			return v, false
 		}
@@ -250,7 +202,7 @@ func (t *Optimized[K, V]) Put(key K, val V) bool {
 			return true
 		}
 		pk := t.segment(u, level)
-		idx, hit := t.find(n, pk, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
 		if hit {
 			if n.last() {
 				n.vals[idx] = val
@@ -295,7 +247,7 @@ func (t *Optimized[K, V]) Delete(key K) bool {
 			}
 			level++
 		}
-		idx, hit := t.find(n, t.segment(u, level), nil)
+		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
 		if !hit {
 			return false
 		}

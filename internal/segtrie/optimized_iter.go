@@ -6,7 +6,7 @@ import (
 	"repro/internal/keys"
 )
 
-// Iteration, statistics and validation for the optimized Seg-Trie.
+// Ordered reads and validation for the optimized Seg-Trie.
 
 // Min returns the smallest key and its value; ok is false when empty.
 func (t *Optimized[K, V]) Min() (k K, v V, ok bool) {
@@ -113,52 +113,6 @@ func (t *Optimized[K, V]) oscan(n *onode[V], level int, prefix, lo, hi uint64, f
 		}
 	}
 	return true
-}
-
-// OptimizedStats summarizes the optimized trie's shape and memory.
-type OptimizedStats struct {
-	Nodes          int
-	Keys           int
-	StoredKeySlots int
-	OmittedLevels  int // total prefix bytes: levels whose search was skipped
-	// Height is the maximum number of nodes on a root-to-value path — the
-	// number of SIMD node searches a worst-case lookup performs.
-	Height int
-	// MemoryBytes: stored partial-key slots and prefix bytes cost one byte
-	// each, child and value pointers eight bytes.
-	MemoryBytes int64
-	// KeyMemoryBytes counts partial-key and prefix storage only.
-	KeyMemoryBytes int64
-}
-
-// Stats computes shape and memory statistics by walking the trie.
-func (t *Optimized[K, V]) Stats() OptimizedStats {
-	var s OptimizedStats
-	if t.root == nil {
-		return s
-	}
-	var walk func(n *onode[V], depth int)
-	walk = func(n *onode[V], depth int) {
-		s.Nodes++
-		s.StoredKeySlots += n.kt.Stored()
-		s.OmittedLevels += len(n.prefix)
-		s.MemoryBytes += int64(n.kt.MemoryBytes()) + int64(len(n.prefix))
-		s.KeyMemoryBytes += int64(n.kt.MemoryBytes()) + int64(len(n.prefix))
-		if depth > s.Height {
-			s.Height = depth
-		}
-		if n.last() {
-			s.Keys += n.kt.Len()
-			s.MemoryBytes += int64(len(n.vals)) * 8
-			return
-		}
-		s.MemoryBytes += int64(len(n.children)) * 8
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
-	}
-	walk(t.root, 1)
-	return s
 }
 
 // Validate checks the structural invariants: per-node kary invariants,

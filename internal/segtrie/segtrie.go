@@ -89,7 +89,7 @@ func (t *Trie[K, V]) Config() Config { return t.cfg }
 // The untraced Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^Trie\.(Get|find|segment)$
+//simdtree:kernels ^(Trie\.(Get|segment)|find)$
 
 // segment extracts the 8-bit partial key of level from the
 // order-preserving bit pattern u.
@@ -99,16 +99,17 @@ func (t *Trie[K, V]) segment(u uint64, level int) uint8 {
 	return uint8(u >> (8 * uint(t.levels-1-level)))
 }
 
-// find locates pk inside n, recording into tr when non-nil. On a hit,
-// idx is the position of pk's child or value; on a miss, idx is the
-// insertion position. It applies the §4 fast paths: a single-key node is
-// compared directly and a full node is indexed without any search.
+// find locates pk inside a node's partial keys kt — of either trie
+// variant — recording into tr when non-nil. On a hit, idx is the
+// position of pk's child or value; on a miss, idx is the insertion
+// position. It applies the §4 fast paths: a single-key node is compared
+// directly and a full node is indexed without any search.
 //
 //simdtree:hotpath
-func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bool) {
+func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace) (idx int, ok bool) {
 	// The general path's node visit is counted inside kt.Lookup; the fast
 	// paths below bypass the k-ary search, so they record the visit here.
-	switch n.kt.Len() {
+	switch kt.Len() {
 	case 0:
 		obs.NodeVisits(1)
 		if tr != nil {
@@ -119,7 +120,7 @@ func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bo
 		// A single-key node holds exactly its maximum.
 		obs.NodeVisits(1)
 		obs.ScalarComparisons(1)
-		at, _ := n.kt.Max()
+		at, _ := kt.Max()
 		switch {
 		case at == pk:
 			idx, ok = 0, true
@@ -141,7 +142,7 @@ func (t *Trie[K, V]) find(n *node[V], pk uint8, tr *trace.Trace) (idx int, ok bo
 		}
 		return int(pk), true
 	}
-	pos, found := n.kt.LookupT(pk, t.cfg.Evaluator, tr)
+	pos, found := kt.LookupT(pk, ev, tr)
 	if found {
 		return pos - 1, true
 	}
@@ -157,7 +158,7 @@ func (t *Trie[K, V]) Get(key K) (v V, ok bool) {
 	u := keys.OrderedBits(key)
 	n := t.root
 	for level := 0; ; level++ {
-		idx, hit := t.find(n, t.segment(u, level), nil)
+		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
 		if !hit {
 			return v, false
 		}
@@ -184,7 +185,7 @@ func (t *Trie[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
 		pk := t.segment(u, level)
 		tr.Segment(level, pk)
 		tr.Node(level, n.kt.Len(), layout, "trie")
-		idx, hit := t.find(n, pk, tr)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr)
 		if !hit {
 			return v, false
 		}
@@ -209,7 +210,7 @@ func (t *Trie[K, V]) Put(key K, val V) bool {
 	n := t.root
 	for level := 0; ; level++ {
 		pk := t.segment(u, level)
-		idx, hit := t.find(n, pk, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
 		last := level == t.levels-1
 		if hit {
 			if last {
@@ -249,7 +250,7 @@ func (t *Trie[K, V]) Delete(key K) bool {
 	n := t.root
 	for level := 0; ; level++ {
 		pk := t.segment(u, level)
-		idx, hit := t.find(n, pk, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
 		if !hit {
 			return false
 		}
@@ -362,76 +363,6 @@ func (t *Trie[K, V]) scan(n *node[V], level int, prefix, lo, hi uint64, fn func(
 		}
 	}
 	return true
-}
-
-// Stats summarizes the trie's shape and memory footprint.
-type Stats struct {
-	Nodes          int
-	NodesPerLevel  []int
-	Keys           int
-	StoredKeySlots int
-	// FilledLevels counts the levels below the longest common prefix of
-	// all stored keys — the "depth of the tree" of the paper's Figure 11.
-	FilledLevels int
-	// MemoryBytes follows the paper's accounting: stored partial-key
-	// slots cost one byte each, child and value pointers eight bytes.
-	MemoryBytes int64
-	// KeyMemoryBytes counts partial-key storage only (one byte per stored
-	// slot) — the basis of the paper's 8× memory-reduction claim.
-	KeyMemoryBytes int64
-}
-
-// Stats computes shape and memory statistics by walking the trie.
-func (t *Trie[K, V]) Stats() Stats {
-	s := Stats{NodesPerLevel: make([]int, t.levels)}
-	var walk func(n *node[V], level int)
-	walk = func(n *node[V], level int) {
-		s.Nodes++
-		s.NodesPerLevel[level]++
-		s.StoredKeySlots += n.kt.Stored()
-		s.MemoryBytes += int64(n.kt.MemoryBytes())
-		s.KeyMemoryBytes += int64(n.kt.MemoryBytes())
-		if level == t.levels-1 {
-			s.Keys += n.kt.Len()
-			s.MemoryBytes += int64(len(n.vals)) * 8
-			return
-		}
-		s.MemoryBytes += int64(len(n.children)) * 8
-		for _, c := range n.children {
-			walk(c, level+1)
-		}
-	}
-	walk(t.root, 0)
-	for level := 0; level < t.levels; level++ {
-		onlyChain := s.NodesPerLevel[level] == 1
-		if onlyChain {
-			// A level with a single node holding a single key is part of
-			// the common prefix, not a filled level.
-			n := t.nodeAtLevel(level)
-			if n != nil && n.kt.Len() == 1 && level != t.levels-1 {
-				continue
-			}
-		}
-		s.FilledLevels = t.levels - level
-		break
-	}
-	if t.size == 0 {
-		s.FilledLevels = 0
-	}
-	return s
-}
-
-// nodeAtLevel returns the single node at the given level when the levels
-// above form a single-key chain, else nil.
-func (t *Trie[K, V]) nodeAtLevel(level int) *node[V] {
-	n := t.root
-	for l := 0; l < level; l++ {
-		if n.kt.Len() != 1 {
-			return nil
-		}
-		n = n.children[0]
-	}
-	return n
 }
 
 // Validate checks the structural invariants: per-node kary invariants,

@@ -73,12 +73,12 @@ func TestFigure8Scenario(t *testing.T) {
 	if _, ok := tr.Get(0x1122334455667789); ok {
 		t.Fatal("phantom key")
 	}
-	st := tr.Stats()
+	rep := tr.Shape()
 	// One node on each of the four shared levels, one node holding both
 	// diverged partial keys at level 4, then two parallel paths below.
 	for lvl, want := range []int{1, 1, 1, 1, 1, 2, 2, 2} {
-		if st.NodesPerLevel[lvl] != want {
-			t.Fatalf("level %d: %d nodes, want %d (%v)", lvl, st.NodesPerLevel[lvl], want, st.NodesPerLevel)
+		if rep.LevelFill[lvl].Nodes != want {
+			t.Fatalf("level %d: %d nodes, want %d (%v)", lvl, rep.LevelFill[lvl].Nodes, want, rep.LevelFill)
 		}
 	}
 	if err := tr.Validate(); err != nil {
@@ -244,6 +244,58 @@ func TestScan(t *testing.T) {
 	check("optimized", opt.Scan)
 }
 
+// scanKeys collects the keys Scan reports for [lo, hi].
+func scanKeys[K uint16 | uint64](scan func(K, K, func(K, int) bool), lo, hi K) []K {
+	var got []K
+	scan(lo, hi, func(k K, _ int) bool { got = append(got, k); return true })
+	return got
+}
+
+func TestTrieScanEdgeCases(t *testing.T) {
+	tr := NewDefault[uint16, int]()
+	opt := NewOptimizedDefault[uint16, int]()
+	for name, scan := range map[string]func(uint16, uint16, func(uint16, int) bool){
+		"empty trie": tr.Scan, "empty optimized": opt.Scan,
+	} {
+		if got := scanKeys(scan, 0, 65535); got != nil {
+			t.Fatalf("%s: scan emitted %v", name, got)
+		}
+	}
+	for _, k := range []uint16{10, 20, 30, 1000, 65535} {
+		tr.Put(k, int(k))
+		opt.Put(k, int(k))
+	}
+	for name, scan := range map[string]func(uint16, uint16, func(uint16, int) bool){
+		"trie": tr.Scan, "optimized": opt.Scan,
+	} {
+		if got := scanKeys(scan, 0, 5); got != nil {
+			t.Fatalf("%s: below-range scan emitted %v", name, got)
+		}
+		if got := scanKeys(scan, 65535, 65535); len(got) != 1 || got[0] != 65535 {
+			t.Fatalf("%s: max-key scan = %v", name, got)
+		}
+	}
+}
+
+// TestOptimizedScanSeekIntoCompressedPrefix starts scans inside and
+// between stored prefixes, where the bounds diverge from a node's
+// omitted levels rather than from its partial keys.
+func TestOptimizedScanSeekIntoCompressedPrefix(t *testing.T) {
+	opt := NewOptimizedDefault[uint64, int]()
+	ks := []uint64{0x0101010101010101, 0x0101010101010102, 0x0202020202020201}
+	for i, k := range ks {
+		opt.Put(k, i)
+	}
+	// lo inside the first prefix, below its keys; hi on its first key.
+	if got := scanKeys(opt.Scan, 0x0101000000000000, 0x0101010101010101); len(got) != 1 || got[0] != ks[0] {
+		t.Fatalf("seek into prefix = %x", got)
+	}
+	// lo between the two subtrees.
+	if got := scanKeys(opt.Scan, 0x0101010101010103, ^uint64(0)); len(got) != 1 || got[0] != ks[2] {
+		t.Fatalf("seek between subtrees = %x", got)
+	}
+}
+
 // TestConsecutiveTupleIDs is the paper's flagship workload: consecutive
 // keys starting at zero. 0…255 must fit in a single value node; the plain
 // trie keeps the 7 single-key chain levels, the optimized trie omits them.
@@ -254,28 +306,30 @@ func TestConsecutiveTupleIDs(t *testing.T) {
 		tr.Put(uint64(i), i)
 		opt.Put(uint64(i), i)
 	}
-	st := tr.Stats()
-	if st.Nodes != 8 {
-		t.Fatalf("plain trie nodes: %d want 8", st.Nodes)
+	rep := tr.Shape()
+	if rep.Nodes != 8 {
+		t.Fatalf("plain trie nodes: %d want 8", rep.Nodes)
 	}
-	if st.FilledLevels != 1 {
-		t.Fatalf("plain trie filled levels: %d want 1", st.FilledLevels)
+	// Seven single-key chain levels above one filled level.
+	for lvl, lf := range rep.LevelFill[:7] {
+		if lf.Nodes != 1 || lf.Keys != 1 {
+			t.Fatalf("plain trie level %d: %+v, want one single-key node", lvl, lf)
+		}
 	}
-	ost := opt.Stats()
-	if ost.Nodes != 1 {
-		t.Fatalf("optimized nodes: %d want 1", ost.Nodes)
+	orep := opt.Shape()
+	if orep.Nodes != 1 {
+		t.Fatalf("optimized nodes: %d want 1", orep.Nodes)
 	}
-	if ost.Height != 1 {
-		t.Fatalf("optimized height: %d want 1", ost.Height)
+	if orep.Levels != 1 {
+		t.Fatalf("optimized height: %d want 1", orep.Levels)
 	}
-	if ost.OmittedLevels != 7 {
-		t.Fatalf("omitted levels: %d want 7", ost.OmittedLevels)
+	if orep.OmittedLevels != 7 {
+		t.Fatalf("omitted levels: %d want 7", orep.OmittedLevels)
 	}
 	// §4: inserting 256 adds one level.
 	opt.Put(256, 256)
-	ost = opt.Stats()
-	if ost.Height != 2 {
-		t.Fatalf("after 256: height %d want 2", ost.Height)
+	if h := opt.IndexStats().Height; h != 2 {
+		t.Fatalf("after 256: height %d want 2", h)
 	}
 	for i := 0; i <= 256; i++ {
 		if v, ok := opt.Get(uint64(i)); !ok || v != i {
@@ -304,9 +358,9 @@ func TestKeyMemoryReduction(t *testing.T) {
 		opt.Put(uint64(i), i)
 	}
 	base := btree.BulkLoad[uint64, int](btree.DefaultConfig[uint64](), ks, vs)
-	bm := base.Stats().KeyMemoryBytes
-	tm := tr.Stats().KeyMemoryBytes
-	om := opt.Stats().KeyMemoryBytes
+	bm := base.IndexStats().KeyMemoryBytes
+	tm := tr.IndexStats().KeyMemoryBytes
+	om := opt.IndexStats().KeyMemoryBytes
 	if float64(bm)/float64(om) < 6 {
 		t.Fatalf("optimized trie key memory %d vs B+-Tree %d: reduction below 6x", om, bm)
 	}
@@ -325,9 +379,8 @@ func TestFullNodeFastPath(t *testing.T) {
 	for i := 0; i < 65536; i += 256 { // fills the root completely
 		tr.Put(uint16(i), i)
 	}
-	st := tr.Stats()
-	if st.NodesPerLevel[0] != 1 {
-		t.Fatal("root count")
+	if root := tr.Shape().LevelFill[0]; root.Nodes != 1 || root.Keys != 256 {
+		t.Fatalf("root level %+v", root)
 	}
 	for i := 0; i < 65536; i += 256 {
 		if v, ok := tr.Get(uint16(i)); !ok || v != i {
@@ -346,9 +399,8 @@ func TestDeleteUnlinksEmptyNodes(t *testing.T) {
 	if !tr.Delete(1 << 56) {
 		t.Fatal("delete failed")
 	}
-	st := tr.Stats()
-	if st.Nodes != 8 {
-		t.Fatalf("nodes after unlink: %d want 8", st.Nodes)
+	if n := tr.IndexStats().Nodes; n != 8 {
+		t.Fatalf("nodes after unlink: %d want 8", n)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -375,9 +427,8 @@ func TestOptimizedCompressionAfterDelete(t *testing.T) {
 	if v, ok := opt.Get(0x01); !ok || v != 1 {
 		t.Fatal("survivor lookup")
 	}
-	st := opt.Stats()
-	if st.Nodes != 1 {
-		t.Fatalf("nodes after compression: %d want 1", st.Nodes)
+	if n := opt.IndexStats().Nodes; n != 1 {
+		t.Fatalf("nodes after compression: %d want 1", n)
 	}
 }
 

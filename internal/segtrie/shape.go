@@ -16,10 +16,10 @@ import "repro/internal/shape"
 const plainNodeBytes = 16 + 8
 
 // Shape implements shape.Shaper: one shape node per trie node at its
-// fixed level (height is invariant at r = m/8, §4). The byte split
-// reproduces Stats' accounting (TotalBytes == IndexStats().
-// MemoryBytes): real partial keys and replenishment pads cost one byte,
-// child and value pointers eight bytes.
+// fixed level (height is invariant at r = m/8, §4). The byte split is
+// the accounting IndexStats projects: real partial keys and
+// replenishment pads cost one byte, child and value pointers eight
+// bytes.
 func (t *Trie[K, V]) Shape() shape.Report {
 	rep := shape.New("segtrie")
 	rep.Keys = t.size
@@ -50,8 +50,8 @@ func (t *Trie[K, V]) Shape() shape.Report {
 // expansion makes the stored height much smaller than r), and the §4
 // omission shows up as OmittedLevels/PrefixBytes with the measured
 // byte saving against materializing those levels as plain single-key
-// nodes. TotalBytes == IndexStats().MemoryBytes: partial keys, pads
-// and prefix bytes cost one byte, pointers eight.
+// nodes. Partial keys, pads and prefix bytes cost one byte, pointers
+// eight.
 func (t *Optimized[K, V]) Shape() shape.Report {
 	rep := shape.New("opt-segtrie")
 	rep.Keys = t.size

@@ -11,9 +11,11 @@
 // fraction of 16-byte compare registers that are fully populated with
 // real keys.
 //
-// Every index structure implements Shaper; the Sharded wrapper merges
-// its shards' reports and the Instrumented wrapper exports report
-// fields as Prometheus gauges. cmd/segserve serves the report at
+// Every index structure implements Shaper, and its Shape is the one
+// walk that measures it: index.StatsOf projects a report onto the
+// IndexStats summary. The Sharded wrapper merges its shards' reports
+// and the Instrumented wrapper exports report fields as Prometheus
+// gauges. cmd/segserve serves the report at
 // /debug/shape, cmd/treedump renders it with -shape, and cmd/segbench
 // records footprint fields into the BENCH JSON next to ns/op.
 package shape
@@ -94,7 +96,7 @@ type Report struct {
 	// PaddingBytes is storage holding §3.3 replenishment pads — slots
 	// whose S_max copies exist only to keep registers loadable.
 	PaddingBytes int64 `json:"padding_bytes"`
-	// TotalBytes = KeyBytes + PointerBytes + PaddingBytes; it matches the
+	// TotalBytes = KeyBytes + PointerBytes + PaddingBytes: the
 	// structures' MemoryBytes accounting.
 	TotalBytes int64 `json:"total_bytes"`
 	// BytesPerKey is TotalBytes/Keys.

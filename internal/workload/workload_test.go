@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/segtrie"
+	"repro/internal/shape"
 )
 
 func TestClassStrings(t *testing.T) {
@@ -122,10 +123,27 @@ func TestSkewedDepthFillsExactLevels(t *testing.T) {
 		for i, k := range ks {
 			tr.Put(k, i)
 		}
-		if got := tr.Stats().FilledLevels; got != depth {
+		if got := filledLevels(tr.Shape()); got != depth {
 			t.Fatalf("depth %d: trie fills %d levels", depth, got)
 		}
 	}
+}
+
+// filledLevels counts the trie levels below the longest common prefix of
+// all stored keys — the "depth of the tree" of the paper's Figure 11. A
+// prefix level is a single node holding a single partial key; the last
+// level always counts.
+func filledLevels(rep shape.Report) int {
+	if rep.Keys == 0 {
+		return 0
+	}
+	last := len(rep.LevelFill) - 1
+	for _, lf := range rep.LevelFill[:last] {
+		if lf.Nodes != 1 || lf.Keys != 1 {
+			return len(rep.LevelFill) - lf.Level
+		}
+	}
+	return 1
 }
 
 func TestProbesDrawFromLoaded(t *testing.T) {
