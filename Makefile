@@ -48,7 +48,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # Every fuzz target in the module, as "package:Target" pairs — go test
 # allows only one -fuzz pattern per invocation.
 FUZZ_TARGETS = \
-	./internal/kary:FuzzSearchUint16 \
+	./internal/kary:FuzzNodeSearchKernels \
 	./internal/kary:FuzzInsertDelete \
 	./internal/segtree:FuzzTreeOps \
 	./internal/segtree:FuzzDeserialize \

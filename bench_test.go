@@ -779,3 +779,29 @@ func BenchmarkBatchedLookup(b *testing.B) {
 		sink += hits
 	})
 }
+
+// BenchmarkSegTreeGet is the bare Seg-Tree point lookup with the default
+// configuration (depth-first, popcount) on random uint64 keys loaded in
+// random order, probed with present keys in random order: the structure
+// descent with nothing wrapped around it.
+func BenchmarkSegTreeGet(b *testing.B) {
+	for _, n := range []int{2048, 32768} {
+		rng := rand.New(rand.NewSource(11))
+		ks := workload.UniformRandom[uint64](rng, n)
+		rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		tree := segtree.New[uint64, int](segtree.DefaultConfig[uint64]())
+		for i, k := range ks {
+			tree.Put(k, i)
+		}
+		probes := workload.Probes(rng, ks, workload.DefaultProbeCount)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if _, ok := tree.Get(probes[i%len(probes)]); ok {
+					hits++
+				}
+			}
+			sink += hits
+		})
+	}
+}

@@ -7,7 +7,10 @@ import (
 	"time"
 
 	simdtree "repro"
+	"repro/internal/bitmask"
 	"repro/internal/driver"
+	"repro/internal/kary"
+	"repro/internal/keys"
 	"repro/internal/reqtrace"
 )
 
@@ -125,6 +128,41 @@ func TestGetIsAllocationFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNodeSearchIsAllocationFree extends the matrix below the structures:
+// the standalone k-ary node search — Search and Lookup on one Table 3
+// node — must not allocate for any key width, layout or evaluator.
+func TestNodeSearchIsAllocationFree(t *testing.T) {
+	nodeSearchAllocs[uint8](t, "8bit", 254)
+	nodeSearchAllocs[uint16](t, "16bit", 404)
+	nodeSearchAllocs[uint32](t, "32bit", 338)
+	nodeSearchAllocs[uint64](t, "64bit", 242)
+}
+
+func nodeSearchAllocs[K keys.Key](t *testing.T, name string, n int) {
+	ks := make([]K, n) // 0 … n, without n/2
+	for i := range ks {
+		ks[i] = K(i)
+		if i >= n/2 {
+			ks[i]++
+		}
+	}
+	hit, miss := ks[n/4], K(n/2)
+	for _, layout := range kary.Layouts {
+		node := kary.Build(ks, layout)
+		for _, ev := range bitmask.Evaluators {
+			allocs := testing.AllocsPerRun(200, func() {
+				node.Search(hit, ev)
+				node.Search(miss, ev)
+				node.Lookup(hit, ev)
+				node.Lookup(miss, ev)
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%v/%v: node search allocates %.1f times per hit+miss pair", name, layout, ev, allocs)
+			}
+		}
 	}
 }
 

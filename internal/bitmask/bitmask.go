@@ -10,11 +10,7 @@
 // "no key is greater".
 package bitmask
 
-import (
-	"math/bits"
-
-	"repro/internal/obs"
-)
+import "math/bits"
 
 // The evaluators are zero-allocation hot paths (one evaluation per tree
 // level); the directive keeps their //simdtree:hotpath annotations
@@ -61,7 +57,6 @@ var Evaluators = []Evaluator{BitShift, SwitchCase, Popcount}
 //
 //simdtree:hotpath
 func (e Evaluator) Evaluate(mask uint16, width int) int {
-	obs.MaskEvals(1)
 	switch e {
 	case BitShift:
 		return BitShiftEval(mask, width)

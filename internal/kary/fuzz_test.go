@@ -1,53 +1,104 @@
 package kary
 
 import (
+	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/bitmask"
 	"repro/internal/keys"
+	"repro/internal/trace"
 )
 
-// FuzzSearchUint16 feeds arbitrary byte strings as key sets and probes and
-// checks every search path against the scalar binary search.
-func FuzzSearchUint16(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint16(3), false)
-	f.Add([]byte{0xFF, 0xFE, 0x00, 0x01}, uint16(0xFFFE), true)
-	f.Add([]byte{}, uint16(9), false)
-	f.Fuzz(func(t *testing.T, raw []byte, probe uint16, df bool) {
-		set := map[uint16]struct{}{}
-		for i := 0; i+1 < len(raw); i += 2 {
-			set[uint16(raw[i])|uint16(raw[i+1])<<8] = struct{}{}
-		}
-		sorted := make([]uint16, 0, len(set))
-		for k := range set {
-			sorted = append(sorted, k)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+// FuzzNodeSearchKernels checks every node search kernel against the
+// scalar binary search, over all eight key types, both layouts and all
+// three evaluators. The keys are the width-sized chunks of raw plus size
+// keys drawn from seed, up to three Table 3 nodes; typ picks the key type.
+// Search, Lookup, SearchT with a live trace and SearchWithEquality must
+// all return UpperBound and its membership bit, for the probe and for up
+// to 64 of the keys and the values next to each.
+func FuzzNodeSearchKernels(f *testing.F) {
+	// The seed corpus of the uint16-only target this one generalizes.
+	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint64(3), false, uint8(2), int64(0), uint16(0))
+	f.Add([]byte{0xFF, 0xFE, 0x00, 0x01}, uint64(0xFFFE), true, uint8(2), int64(0), uint16(0))
+	f.Add([]byte{}, uint64(9), false, uint8(2), int64(0), uint16(0))
+	for typ := uint8(0); typ < 8; typ++ {
+		f.Add([]byte{}, uint64(1)<<63|5, typ%2 == 0, typ, int64(typ), uint16(2000))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, probe uint64, df bool, typ uint8, seed int64, size uint16) {
 		layout := BreadthFirst
 		if df {
 			layout = DepthFirst
 		}
-		tree := Build(sorted, layout)
-		if err := tree.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		want := UpperBound(sorted, probe)
-		wantFound := want > 0 && sorted[want-1] == probe
-		for _, ev := range bitmask.Evaluators {
-			if got := tree.Search(probe, ev); got != want {
-				t.Fatalf("%v search(%d): got %d want %d", ev, probe, got, want)
-			}
-		}
-		rank, found := tree.Lookup(probe, bitmask.Popcount)
-		if rank != want || found != wantFound {
-			t.Fatalf("lookup(%d): got (%d,%v) want (%d,%v)", probe, rank, found, want, wantFound)
-		}
-		if got := tree.SearchWithEquality(probe, bitmask.Popcount); got != want {
-			t.Fatalf("eq-search(%d): got %d want %d", probe, got, want)
+		switch typ % 8 {
+		case 0:
+			checkNodeSearch[uint8](t, raw, probe, layout, seed, size, 254)
+		case 1:
+			checkNodeSearch[int8](t, raw, probe, layout, seed, size, 254)
+		case 2:
+			checkNodeSearch[uint16](t, raw, probe, layout, seed, size, 404)
+		case 3:
+			checkNodeSearch[int16](t, raw, probe, layout, seed, size, 404)
+		case 4:
+			checkNodeSearch[uint32](t, raw, probe, layout, seed, size, 338)
+		case 5:
+			checkNodeSearch[int32](t, raw, probe, layout, seed, size, 338)
+		case 6:
+			checkNodeSearch[uint64](t, raw, probe, layout, seed, size, 242)
+		default:
+			checkNodeSearch[int64](t, raw, probe, layout, seed, size, 242)
 		}
 	})
+}
+
+// checkNodeSearch builds one tree for FuzzNodeSearchKernels, with at most
+// three nodes' worth (3·node) of keys, and checks its searches.
+func checkNodeSearch[K keys.Key](t *testing.T, raw []byte, probe uint64, layout Layout, seed int64, size uint16, node int) {
+	w := keys.Width[K]()
+	set := map[K]bool{}
+	for i := 0; i+w <= len(raw) && len(set) < 3*node; i += w {
+		set[keys.Get[K](raw[i:])] = true
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for want := min(len(set)+int(size)%(3*node+1), 3*node, 1<<(8*min(w, 4))); len(set) < want; {
+		set[K(rng.Uint64())] = true
+	}
+	sorted := make([]K, 0, len(set))
+	for k := range set {
+		sorted = append(sorted, k)
+	}
+	slices.Sort(sorted)
+	tree := Build(sorted, layout)
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	probes := []K{K(probe)}
+	for i := 0; i < len(sorted); i += 1 + len(sorted)/64 { // at most 64 keys
+		probes = append(probes, sorted[i]-1, sorted[i], sorted[i]+1)
+	}
+	for _, v := range probes {
+		want := UpperBound(sorted, v)
+		wantFound := want > 0 && sorted[want-1] == v
+		for _, ev := range bitmask.Evaluators {
+			if got := tree.Search(v, ev); got != want {
+				t.Fatalf("%v %v n=%d: Search(%v) = %d, want %d", layout, ev, len(sorted), v, got, want)
+			}
+			if rank, found := tree.Lookup(v, ev); rank != want || found != wantFound {
+				t.Fatalf("%v %v n=%d: Lookup(%v) = (%d,%v), want (%d,%v)", layout, ev, len(sorted), v, rank, found, want, wantFound)
+			}
+			tr := trace.New("search", "")
+			if got := tree.SearchT(v, ev, tr); got != want {
+				t.Fatalf("%v %v n=%d: SearchT(%v) = %d, want %d", layout, ev, len(sorted), v, got, want)
+			}
+			// Below S_max a depth-first descent compares every level.
+			if smax, ok := tree.Max(); layout == DepthFirst && ok && v < smax && tr.SIMDComparisons() != tree.Levels() {
+				t.Fatalf("n=%d: depth-first SearchT(%v) compared %d of %d levels", len(sorted), v, tr.SIMDComparisons(), tree.Levels())
+			}
+			if got := tree.SearchWithEquality(v, ev); got != want {
+				t.Fatalf("%v %v n=%d: SearchWithEquality(%v) = %d, want %d", layout, ev, len(sorted), v, got, want)
+			}
+		}
+	}
 }
 
 // FuzzInsertDelete drives mutations from a fuzzed op stream against a

@@ -70,11 +70,9 @@ type Tree[K keys.Key] struct {
 	slots  *slotMap // sorted→slot map of the geometry; nil while empty
 
 	// Geometry cached at build time so searches never recompute it.
-	w     uint8  // key width in bytes
-	k     uint8  // k-ary order (lanes+1)
-	lanes uint8  // keys per SIMD register (k−1)
-	obias uint64 // XOR bias mapping K to unsigned lane order
-	lmask uint64 // low w×8 bits
+	w     uint8 // key width in bytes
+	k     uint8 // k-ary order (lanes+1)
+	lanes uint8 // keys per SIMD register (k−1)
 }
 
 // Prepare broadcasts the search key v into a reusable SIMD search
@@ -144,10 +142,6 @@ func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
 func (t *Tree[K]) build(sorted []K, layout Layout) {
 	k, w, n := keys.K[K](), keys.Width[K](), len(sorted)
 	*t = Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
-	t.lmask = ^uint64(0) >> (64 - 8*uint(w))
-	if keys.Signed[K]() {
-		t.obias = 1 << (8*uint(w) - 1)
-	}
 	if n == 0 {
 		return
 	}

@@ -12,6 +12,11 @@ type slotMap struct {
 	bound []int32 // key count n → stored slots of a fresh Build with n keys
 	minN  int     // fewest keys with this geometry; fewer change r (or m)
 
+	// stride is, per level of a depth-first geometry, the slot count of
+	// one child subtree below that level (k^(r−1−level) − 1); nil for
+	// breadth-first geometries.
+	stride []int32
+
 	fullOnce sync.Once
 	full     []int32 // key count n → registers whose every lane holds a real key
 }
@@ -52,6 +57,9 @@ func newSlotMap(g geometry) *slotMap {
 	if g.layout == DepthFirst {
 		sm.slot = make([]int32, pow(k, g.r)-1)
 		walkDF(sm.slot, k, 0, 0, g.r)
+		for level := 0; level < g.r; level++ {
+			sm.stride = append(sm.stride, int32(pow(k, g.r-1-level)-1))
+		}
 	} else {
 		// Complete tree: the last level holds m left-packed full nodes.
 		sm.slot = make([]int32, upper+g.m*lanes)

@@ -1,6 +1,7 @@
 package kary
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitmask"
@@ -10,19 +11,19 @@ import (
 	"repro/internal/trace"
 )
 
-// The descent kernels below are the zero-allocation hot paths of the
-// paper's Algorithms 4 and 5; the directive keeps their
-// //simdtree:hotpath annotations checked by cmd/simdvet.
+// The node search below is the zero-allocation hot path of the paper's
+// Algorithms 4 and 5; the directive keeps its //simdtree:hotpath
+// annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|searchBF|searchDF|SearchWithEquality)|evaluate|clamp|firstSetLane)$
+//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|lookup|maskDigit|SearchWithEquality)|clamp)$
 
 // Search returns the index, in the original sorted order, of the first key
 // strictly greater than v — the same value binary search on the sorted list
 // yields, in [0, Len()]. It runs the paper's SIMD sequence once per k-ary
-// tree level, dispatching to Algorithm 5 (breadth-first) or Algorithm 4
-// (depth-first), and evaluates each comparison bitmask with ev.
+// tree level, as Algorithm 5 (breadth-first) or Algorithm 4
+// (depth-first), and evaluates each comparison with ev.
 func (t *Tree[K]) Search(v K, ev bitmask.Evaluator) int {
-	return t.SearchP(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev)
+	return t.SearchP(v, Prepare(v), ev)
 }
 
 // SearchP is Search with a caller-prepared search register (see Prepare),
@@ -36,80 +37,149 @@ func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
 // untraced paths share one kernel, so a trace shows exactly what the
 // search executed.
 func (t *Tree[K]) SearchT(v K, ev bitmask.Evaluator, tr *trace.Trace) int {
-	return t.SearchPT(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev, tr)
+	return t.SearchPT(v, Prepare(v), ev, tr)
 }
 
 // SearchPT is SearchP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level).
+// nothing and costs one pointer comparison per level). It is the rank of
+// the same descent LookupPT runs.
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	obs.NodeVisits(1)
+	rank, _ := t.lookup(v, search, ev, tr, false)
+	return rank
+}
+
+// Lookup combines Search with a membership test: it returns the rank (the
+// index of the first key greater than v) and whether v itself is present.
+// The equality information falls out of the descent for free — every
+// visited node's compare also tests its loaded lanes for equality, so
+// callers avoid the position transformation a separate At(rank-1)
+// comparison would cost.
+func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
+	return t.LookupP(v, Prepare(v), ev)
+}
+
+// LookupP is Lookup with a caller-prepared search register (see Prepare).
+func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
+	return t.LookupPT(v, search, ev, nil)
+}
+
+// LookupT is Lookup with per-level trace recording into tr (nil records
+// nothing).
+func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
+	return t.LookupPT(v, Prepare(v), ev, tr)
+}
+
+// LookupPT is LookupP with per-level trace recording into tr (nil records
+// nothing and costs one pointer comparison per level).
+//
+//simdtree:hotpath
+func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
+	return t.lookup(v, search, ev, tr, true)
+}
+
+// lookup is the one node search behind Search and Lookup: the §3.3 fast
+// paths, then the layout's descent, then one cost record for the node.
+// The paper's Algorithms 4 (depth-first) and 5 (breadth-first) share the
+// loop and differ only in where the chosen child lies. wantEq asks for
+// the membership bit: each level then also tests the loaded node for an
+// equal lane. A Search skips that test, and its trace shows no equality
+// hits.
+//
+// Each level computes its digit — how many keys of the loaded node are
+// ≤ v, the child to descend to — with the lane width's Rank kernel of
+// simd.Search: Algorithm 3 without a movemask and without a branch on
+// the data. Because K fixes the width, the width cases below fold away
+// and the kernel inlines into the loop. Another evaluator, or a trace,
+// takes maskDigit behind one well-predicted branch.
+//
+//simdtree:hotpath
+func (t *Tree[K]) lookup(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, wantEq bool) (rank int, found bool) {
 	if t.n == 0 {
+		obs.NodeSearch(0, 0)
 		if tr != nil {
 			tr.FastPath("empty-node", 0)
 		}
-		return 0
+		return 0, false
 	}
 	// §3.3: replenishment check. If v is not smaller than S_max, no key is
-	// greater; this also guarantees the descent below never reads pad-only
-	// regions outside the truncated storage.
+	// greater; this also guarantees the descent never reads pad-only
+	// regions outside the truncated storage. S_max is always a real key.
 	if v >= t.smax {
+		obs.NodeSearch(0, 0)
 		if tr != nil {
 			tr.FastPath("smax-short-circuit", t.n)
 		}
-		return t.n
+		return t.n, v == t.smax
 	}
-	obs.LevelsDescended(t.r)
-	if t.layout == DepthFirst {
-		return t.searchDF(search, ev, tr)
+	w, k, lanes := keys.Width[K](), keys.K[K](), keys.Lanes[K]()
+	df, slow := t.layout == DepthFirst, ev != bitmask.Popcount || tr != nil
+	keyIdx, R := 0, 0
+	for ; R < t.r && keyIdx < t.stored; R++ {
+		node := t.data[keyIdx*w : keyIdx*w+16]
+		lo, hi := binary.LittleEndian.Uint64(node), binary.LittleEndian.Uint64(node[8:])
+		eq := wantEq && search.Eq(lo, hi)
+		var d int
+		switch {
+		case slow:
+			d = t.maskDigit(search, ev, tr, R, keyIdx, eq)
+		case w == 1:
+			d = search.Rank8(lo, hi)
+		case w == 2:
+			d = search.Rank16(lo, hi)
+		case w == 4:
+			d = search.Rank32(lo, hi)
+		default:
+			d = search.Rank64(lo, hi)
+		}
+		found = found || eq
+		if df {
+			// Algorithm 4: jump over d child subtrees, whose slot count
+			// comes from the geometry's stride table; each puts its keys
+			// and one separator below v.
+			sub := int(t.slots.stride[R])
+			rank += d * (sub + 1)
+			keyIdx += lanes + d*sub
+		} else {
+			// Algorithm 5 over a complete tree: the upper levels are
+			// perfect, so the rank accumulates one digit per level and
+			// doubles as the node index within the next level, which
+			// starts at slot k^(R+1)−1; the child of digit d below the
+			// node at slot i is at slot k·i + (d+1)·(k−1).
+			rank = rank*k + d
+			keyIdx = keyIdx*k + (d+1)*lanes
+		}
 	}
-	return t.searchBF(search, ev, tr)
+	if R < t.r {
+		// The descent reached a node beyond the stored slots. Only a
+		// breadth-first last-level node can be missing: every depth-first
+		// subtree a descent enters holds the key after the last key ≤ v,
+		// a real key because v < S_max, and a node is stored before its
+		// subtree. A missing leaf means v is larger than every key of all
+		// m existing leaves, which therefore all count as ≤ v.
+		rank += t.m * lanes
+		if tr != nil {
+			tr.Skip(R, "missing-leaf-node")
+		}
+	}
+	obs.NodeSearch(t.r, R)
+	return clamp(rank, t.n), found
 }
 
-// searchBF is the paper's Algorithm 5: breadth-first search using SIMD,
-// here over a complete k-ary tree. The upper r−1 levels are perfect, so
-// pLevel accumulates one child digit per level and doubles as the node
-// index within the next level. The left-packed last level has m nodes; a
-// descent to a missing node means the insertion point lies behind every
-// existing leaf, giving rank pLevel + m·(k−1) directly. The five-step
-// SIMD sequence of §2.1 (load, broadcast, compare, movemask, evaluate) is
-// written out in the loop body so it compiles to straight-line code.
+// maskDigit is the level step of the evaluator ablation and of traced
+// descents: it builds the node's movemask, evaluates it with ev (the
+// paper's Algorithms 1–3) and records the level into tr.
 //
 //simdtree:hotpath
-func (t *Tree[K]) searchBF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
-
-	pLevel := 0
-	base := 0   // first slot of the current level
-	lvlCnt := 1 // nodes on the current level
-	for R := 0; R < t.r-1; R++ {
-		keyIdx := base + pLevel*lanes
-		mask := search.GtMask(data[keyIdx*w:])
-		pos := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, false, pos)
-		}
-		pLevel = pLevel*k + pos
-		base += lvlCnt * lanes
-		lvlCnt *= k
-	}
-	if pLevel >= t.m {
-		// Missing last-level node: v is larger than every key of all m
-		// existing leaves, which therefore all count as ≤ v.
-		if tr != nil {
-			tr.Skip(t.r-1, "missing-leaf-node")
-		}
-		return clamp(pLevel+t.m*lanes, t.n)
-	}
-	keyIdx := base + pLevel*lanes
-	mask := search.GtMask(data[keyIdx*w:])
-	pos := evaluate(ev, mask, w)
+func (t *Tree[K]) maskDigit(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, level, keyIdx int, eq bool) int {
+	w := int(t.w)
+	mask := search.Mask(t.data[keyIdx*w:])
+	d := ev.Evaluate(mask, w)
 	if tr != nil {
-		tr.SIMD(t.r-1, w, t.laneStrings(keyIdx), mask, false, pos)
+		tr.SIMD(level, w, t.laneStrings(keyIdx), mask, eq, d)
 	}
-	return clamp(pLevel*k+pos, t.n)
+	return d
 }
 
 // laneStrings formats the lane values of the node starting at slot
@@ -123,158 +193,6 @@ func (t *Tree[K]) laneStrings(keyIdx int) []string {
 	return out
 }
 
-// evaluate dispatches the bitmask evaluation with an inlined fast path for
-// the paper's preferred popcount algorithm. It dispatches to the leaf
-// algorithms directly rather than through Evaluator.Evaluate so the
-// per-level observability hook fires exactly once per evaluation.
-//
-//simdtree:hotpath
-func evaluate(ev bitmask.Evaluator, mask uint16, w int) int {
-	obs.MaskEvals(1)
-	switch ev {
-	case bitmask.BitShift:
-		return bitmask.BitShiftEval(mask, w)
-	case bitmask.SwitchCase:
-		return bitmask.SwitchEval(mask, w)
-	default:
-		return bitmask.PopcountEval(mask, w)
-	}
-}
-
-// searchDF is the paper's Algorithm 4: depth-first search using SIMD.
-// subSize tracks the per-child key capacity of the shrinking perfect
-// subtree; the key pointer jumps over the chosen number of subtrees.
-//
-//simdtree:hotpath
-func (t *Tree[K]) searchDF(search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
-
-	subSize := pow(k, t.r) - 1
-	pLevel := 0
-	keyIdx := 0
-	for R := 0; subSize > 0; R++ {
-		pLevel *= k
-		subSize = (subSize - lanes) / k
-		if keyIdx >= t.stored {
-			// Truncated pure-pad region: every pad equals S_max > v, so
-			// the digit of this and all deeper levels is 0.
-			if tr != nil {
-				tr.Skip(R, "pad-region")
-			}
-			continue
-		}
-		mask := search.GtMask(data[keyIdx*w:])
-		position := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, false, position)
-		}
-		keyIdx += lanes + subSize*position
-		pLevel += position
-	}
-	return clamp(pLevel, t.n)
-}
-
-// Lookup combines Search with a membership test: it returns the rank (the
-// index of the first key greater than v) and whether v itself is present.
-// The equality information falls out of the descent for free — every
-// visited node is tested with a three-instruction any-lane-equal check on
-// the register that is already loaded, so callers avoid the position
-// transformation a separate At(rank-1) comparison would cost.
-func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupP(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev)
-}
-
-// LookupP is Lookup with a caller-prepared search register (see Prepare).
-func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupPT(v, search, ev, nil)
-}
-
-// LookupT is Lookup with per-level trace recording into tr (nil records
-// nothing).
-func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	return t.LookupPT(v, simd.NewSearch(int(t.w), (uint64(v)^t.obias)&t.lmask), ev, tr)
-}
-
-// LookupPT is LookupP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level).
-//
-//simdtree:hotpath
-func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	obs.NodeVisits(1)
-	if t.n == 0 {
-		if tr != nil {
-			tr.FastPath("empty-node", 0)
-		}
-		return 0, false
-	}
-	if v >= t.smax {
-		// S_max is always a real key; larger keys cannot be present.
-		if tr != nil {
-			tr.FastPath("smax-short-circuit", t.n)
-		}
-		return t.n, v == t.smax
-	}
-	obs.LevelsDescended(t.r)
-	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	data := t.data
-
-	if t.layout == DepthFirst {
-		subSize := pow(k, t.r) - 1
-		pLevel := 0
-		keyIdx := 0
-		for R := 0; subSize > 0; R++ {
-			pLevel *= k
-			subSize = (subSize - lanes) / k
-			if keyIdx >= t.stored {
-				if tr != nil {
-					tr.Skip(R, "pad-region")
-				}
-				continue
-			}
-			mask, eq := search.GtMaskEq(data[keyIdx*w:])
-			found = found || eq
-			position := evaluate(ev, mask, w)
-			if tr != nil {
-				tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, position)
-			}
-			keyIdx += lanes + subSize*position
-			pLevel += position
-		}
-		return clamp(pLevel, t.n), found
-	}
-
-	pLevel := 0
-	base := 0
-	lvlCnt := 1
-	for R := 0; R < t.r-1; R++ {
-		keyIdx := base + pLevel*lanes
-		mask, eq := search.GtMaskEq(data[keyIdx*w:])
-		found = found || eq
-		pos := evaluate(ev, mask, w)
-		if tr != nil {
-			tr.SIMD(R, w, t.laneStrings(keyIdx), mask, eq, pos)
-		}
-		pLevel = pLevel*k + pos
-		base += lvlCnt * lanes
-		lvlCnt *= k
-	}
-	if pLevel >= t.m {
-		if tr != nil {
-			tr.Skip(t.r-1, "missing-leaf-node")
-		}
-		return clamp(pLevel+t.m*lanes, t.n), found
-	}
-	keyIdx := base + pLevel*lanes
-	mask, eq := search.GtMaskEq(data[keyIdx*w:])
-	found = found || eq
-	pos := evaluate(ev, mask, w)
-	if tr != nil {
-		tr.SIMD(t.r-1, w, t.laneStrings(keyIdx), mask, eq, pos)
-	}
-	return clamp(pLevel*k+pos, t.n), found
-}
-
 //simdtree:hotpath
 func clamp(x, hi int) int {
 	if x > hi {
@@ -284,75 +202,54 @@ func clamp(x, hi int) int {
 }
 
 // SearchWithEquality is the §3.1 extension the paper discusses: each level
-// additionally compares for equality (no extra load — both registers are
-// already resident in SIMD registers) and terminates the descent early on
-// a hit. The paper expects no improvement for flat trees;
+// additionally tests the loaded node for equality — no extra load, both
+// results come from the same register — and terminates the descent early
+// on a hit. The paper expects no improvement for flat trees;
 // BenchmarkAblationEqualityCheck measures it. Only the breadth-first
-// layout is supported, matching the paper's discussion.
+// layout is supported, matching the paper's discussion. The cost model
+// counts the equality test as a SIMD comparison of its own, and a hit
+// level evaluates no greater-than mask.
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
-	if t.layout != BreadthFirst {
+	if t.layout != BreadthFirst || t.n == 0 || v >= t.smax {
 		return t.Search(v, ev)
 	}
-	obs.NodeVisits(1)
-	if t.n == 0 {
-		return 0
-	}
-	if v >= t.smax {
-		return t.n
-	}
-	obs.LevelsDescended(t.r)
 	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
-	search := simd.NewSearch(w, (uint64(v)^t.obias)&t.lmask)
-
-	pLevel := 0
-	base := 0
-	lvlCnt := 1
-	for R := 0; R < t.r-1; R++ {
-		keyIdx := base + pLevel*lanes
-		eqMask := search.EqMask(t.data[keyIdx*w:])
-		if eqMask != 0 {
-			// v equals key i of upper node j at level R. That key is the
-			// (t+1)-th upper key in order, with t+1 = (j·k+i+1)·k^(r−2−R),
-			// and each of the first min(t+1, m) upper keys is preceded by
-			// one full leaf.
-			j := pLevel
-			i := firstSetLane(eqMask, w)
-			t1 := (j*k + i + 1) * pow(k, t.r-2-R)
-			leaves := t1
-			if leaves > t.m {
-				leaves = t.m
-			}
-			return clamp(t1+leaves*lanes, t.n)
+	search := Prepare(v)
+	rank, keyIdx, compares, hit := 0, 0, 0, false
+	for R := 0; R < t.r; R++ {
+		if R == t.r-1 && rank >= t.m {
+			rank += t.m * lanes // missing last-level node, as in lookup
+			break
 		}
-		mask := search.GtMask(t.data[keyIdx*w:])
-		pLevel = pLevel*k + evaluate(ev, mask, w)
-		base += lvlCnt * lanes
-		lvlCnt *= k
+		d, eq := search.Rank(t.data[keyIdx*w:])
+		compares++
+		if hit = eq; hit {
+			// v is key d−1 of the node and every deeper digit is 0: an
+			// upper-level hit ends the descent on the last full level at
+			// t1 = (rank·k + d)·k^(r−2−R), and each of the first
+			// min(t1, m) upper keys is preceded by one full leaf.
+			rank = rank*k + d
+			if R < t.r-1 {
+				t1 := rank * pow(k, t.r-2-R)
+				rank = t1 + min(t1, t.m)*lanes
+			}
+			break
+		}
+		if ev != bitmask.Popcount {
+			d = t.maskDigit(search, ev, nil, R, keyIdx, false)
+		}
+		rank = rank*k + d
+		keyIdx = keyIdx*k + (d+1)*lanes
 	}
-	if pLevel >= t.m {
-		return clamp(pLevel+t.m*lanes, t.n)
+	evals := compares
+	if hit {
+		evals--
 	}
-	keyIdx := base + pLevel*lanes
-	eqMask := search.EqMask(t.data[keyIdx*w:])
-	if eqMask != 0 {
-		return clamp(pLevel*k+firstSetLane(eqMask, w)+1, t.n)
-	}
-	mask := search.GtMask(t.data[keyIdx*w:])
-	return clamp(pLevel*k+evaluate(ev, mask, w), t.n)
-}
-
-// firstSetLane returns the index of the first lane whose mask bits are set.
-//
-//simdtree:hotpath
-func firstSetLane(mask uint16, width int) int {
-	i := 0
-	for mask&1 == 0 {
-		mask >>= uint(width)
-		i++
-	}
-	return i
+	obs.NodeSearch(t.r, evals)
+	obs.SIMDComparisons(compares)
+	return clamp(rank, t.n)
 }
 
 // UpperBound is the baseline the paper compares against: classic binary

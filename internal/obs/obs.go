@@ -140,13 +140,6 @@ func SIMDComparisons(n int) {
 	}
 }
 
-// MaskEvals records n bitmask evaluations if counting is enabled.
-func MaskEvals(n int) {
-	if c := active.Load(); c != nil {
-		c.AddMaskEvals(n)
-	}
-}
-
 // NodeVisits records n node visits if counting is enabled.
 func NodeVisits(n int) {
 	if c := active.Load(); c != nil {
@@ -154,10 +147,16 @@ func NodeVisits(n int) {
 	}
 }
 
-// LevelsDescended records n k-ary levels if counting is enabled.
-func LevelsDescended(n int) {
+// NodeSearch records one k-ary node search if counting is enabled: one
+// node visit, the k-ary levels it descended, and its SIMD compares, each
+// evaluated once into a digit (§4). A node search counts once, at its
+// end, instead of once per level.
+func NodeSearch(levels, compares int) {
 	if c := active.Load(); c != nil {
-		c.AddLevelsDescended(n)
+		c.AddNodeVisits(1)
+		c.AddLevelsDescended(levels)
+		c.AddSIMDComparisons(compares)
+		c.AddMaskEvals(compares)
 	}
 }
 

@@ -41,9 +41,8 @@ func TestEnableDisableHooks(t *testing.T) {
 		t.Fatalf("Enable returned prev=%p, want nil", prev)
 	}
 	SIMDComparisons(2)
-	MaskEvals(3)
 	NodeVisits(4)
-	LevelsDescended(5)
+	NodeSearch(5, 3) // one more node: 5 levels, 3 compares and mask evaluations
 	ScalarComparisons(6)
 	if Active() != &c {
 		t.Fatal("Active() did not return the enabled Counters")
@@ -54,7 +53,7 @@ func TestEnableDisableHooks(t *testing.T) {
 	SIMDComparisons(100) // after disable: dropped
 	s := c.Read()
 	want := CounterSnapshot{
-		SIMDComparisons: 2, MaskEvaluations: 3, NodeVisits: 4,
+		SIMDComparisons: 5, MaskEvaluations: 3, NodeVisits: 5,
 		LevelsDescended: 5, ScalarComparisons: 6,
 	}
 	if s != want {

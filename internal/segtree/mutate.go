@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kary"
 	"repro/internal/keys"
+	"repro/internal/simd"
 )
 
 // setKeys replaces a node's key storage with a fresh linearization — the
@@ -17,7 +18,7 @@ func (t *Tree[K, V]) setKeys(n *node[K, V], ks []K) {
 // Put stores val under key, returning true when the key was newly inserted
 // and false when an existing value was replaced.
 func (t *Tree[K, V]) Put(key K, val V) bool {
-	sep, right, added := t.insert(t.root, key, val)
+	sep, right, added := t.insert(t.root, key, kary.Prepare(key), val)
 	if right != nil {
 		root := &node[K, V]{children: []*node[K, V]{t.root, right}}
 		t.setKeys(root, []K{sep})
@@ -31,11 +32,12 @@ func (t *Tree[K, V]) Put(key K, val V) bool {
 
 // insert descends using k-ary search, inserts at the leaf, and propagates
 // splits upward exactly like the baseline B+-Tree — the traversal and
-// split/merge machinery is unaffected by the adaption (§3.1).
-func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, V], added bool) {
+// split/merge machinery is unaffected by the adaption (§3.1). search is
+// key's prepared register (kary.Prepare), broadcast once per Put.
+func (t *Tree[K, V]) insert(n *node[K, V], key K, search simd.Search, val V) (sep K, right *node[K, V], added bool) {
 	ev := t.cfg.Evaluator
 	if n.leaf() {
-		pos, found := n.kt.Lookup(key, ev)
+		pos, found := n.kt.LookupP(key, search, ev)
 		if found {
 			n.vals[pos-1] = val
 			return sep, nil, false
@@ -60,8 +62,8 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, 
 		return ks[mid], r, true
 	}
 
-	pos := n.kt.Search(key, ev)
-	sep, right, added = t.insert(n.children[pos], key, val)
+	pos := n.kt.SearchP(key, search, ev)
+	sep, right, added = t.insert(n.children[pos], key, search, val)
 	if right == nil {
 		return sep, nil, added
 	}
@@ -88,7 +90,7 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, 
 
 // Delete removes key, reporting whether it was present.
 func (t *Tree[K, V]) Delete(key K) bool {
-	removed := t.remove(t.root, key)
+	removed := t.remove(t.root, key, kary.Prepare(key))
 	if removed {
 		t.size--
 	}
@@ -98,10 +100,10 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	return removed
 }
 
-func (t *Tree[K, V]) remove(n *node[K, V], key K) bool {
+func (t *Tree[K, V]) remove(n *node[K, V], key K, search simd.Search) bool {
 	ev := t.cfg.Evaluator
 	if n.leaf() {
-		pos, found := n.kt.Lookup(key, ev)
+		pos, found := n.kt.LookupP(key, search, ev)
 		if !found {
 			return false
 		}
@@ -109,8 +111,8 @@ func (t *Tree[K, V]) remove(n *node[K, V], key K) bool {
 		n.vals = append(n.vals[:pos-1], n.vals[pos:]...)
 		return true
 	}
-	pos := n.kt.Search(key, ev)
-	removed := t.remove(n.children[pos], key)
+	pos := n.kt.SearchP(key, search, ev)
+	removed := t.remove(n.children[pos], key, search)
 	if removed {
 		t.fixChild(n, pos)
 	}

@@ -1,5 +1,7 @@
 package simd
 
+import "math/bits"
+
 // This file implements the lane-parallel compare instructions
 // (_mm_cmpgt_epi{8,16,32,64}, _mm_cmpeq_epi{8,16,32,64}) with SWAR
 // arithmetic. A true lane sets every bit of that lane (0xFF… as in SSE2),
@@ -21,6 +23,7 @@ const (
 	low7  = 0x7F7F7F7F7F7F7F7F
 	low15 = 0x7FFF7FFF7FFF7FFF
 	low31 = 0x7FFFFFFF7FFFFFFF
+	low63 = 0x7FFFFFFFFFFFFFFF
 
 	evenBytes = 0x00FF00FF00FF00FF
 	evenWords = 0x0000FFFF0000FFFF
@@ -87,15 +90,12 @@ func CmpGtEpi32(a, b Vec) Vec {
 }
 
 // CmpGtEpi64 emulates _mm_cmpgt_epi64 (SSE4.2): two signed 64-bit compares.
+// The biased subtraction b−a borrows exactly when a > b, so the lane mask
+// is the negated borrow, with no branch on the data.
 func CmpGtEpi64(a, b Vec) Vec {
-	var lo, hi uint64
-	if a.Lo^sign64 > b.Lo^sign64 {
-		lo = ^uint64(0)
-	}
-	if a.Hi^sign64 > b.Hi^sign64 {
-		hi = ^uint64(0)
-	}
-	return Vec{lo, hi}
+	_, lo := bits.Sub64(b.Lo^sign64, a.Lo^sign64, 0)
+	_, hi := bits.Sub64(b.Hi^sign64, a.Hi^sign64, 0)
+	return Vec{-lo, -hi}
 }
 
 // eqLanes computes the per-lane equality mask (all lane bits set when the
@@ -116,10 +116,8 @@ func eqLanes(a, b uint64, w int) uint64 {
 		y := ^(((x & low31) + low31) | x | low31)
 		return (y >> 31) * 0xFFFFFFFF
 	default:
-		if x == 0 {
-			return ^uint64(0)
-		}
-		return 0
+		y := ^(((x & low63) + low63) | x | low63)
+		return -(y >> 63)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,40 @@ func TestSearchWidth(t *testing.T) {
 	for _, w := range widths {
 		if got := NewSearch(w, 0).Width(); got != w {
 			t.Fatalf("width %d: got %d", w, got)
+		}
+	}
+}
+
+// TestRankMatchesComposedSequence cross-checks the mask-free kernel: Rank
+// must return the lanes not greater than the key (lanes minus the greater
+// lanes the composed movemask shows) and whether the composed equality
+// mask is non-zero, and Mask must be the composed movemask, for every
+// width on random operands and on operands with an equal lane.
+func TestRankMatchesComposedSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	signMask := map[int]uint64{1: sign8, 2: sign16, 4: sign32, 8: sign64}
+	for _, w := range widths {
+		laneMask := ^uint64(0) >> (64 - 8*uint(w))
+		for i := 0; i < 100000; i++ {
+			var b [16]byte
+			rng.Read(b[:])
+			reg := Load(b[:])
+			signed := rng.Uint64() & laneMask
+			if i%3 == 0 {
+				signed = reg.Lo >> (8 * uint(w*rng.Intn(8/w))) & laneMask // a lane of the low half
+			}
+			s := NewSearch(w, (signed^signMask[w])&laneMask)
+			searchReg := Set1Lane(w, signed)
+			gt := MoveMaskEpi8(CmpGt(w, reg, searchReg))
+			eq := MoveMaskEpi8(CmpEq(w, reg, searchReg))
+			rank, hit := s.Rank(b[:])
+			if want := 16/w - bits.OnesCount16(gt)/w; rank != want || hit != (eq != 0) {
+				t.Fatalf("width %d: Rank = (%d, %v), want (%d, %v) (b=%x signed=%#x)",
+					w, rank, hit, want, eq != 0, b, signed)
+			}
+			if got := s.Mask(b[:]); got != gt {
+				t.Fatalf("width %d: Mask = %#04x, want %#04x", w, got, gt)
+			}
 		}
 	}
 }
