@@ -90,12 +90,14 @@ race:
 
 # Long mixed-load run over the MVCC snapshot machinery under the race
 # detector: concurrent writers rotate versions while readers pin
-# snapshots and assert isolation invariants. STRESS_OPS scales the per
-# worker operation count (the short default inside the tests is sized
-# for `make race`; CI runs this target with a much larger budget).
+# snapshots and assert isolation invariants, and goroutines interleaving
+# lookups on instrumented indexes must attribute every cost count to the
+# index that paid it. STRESS_OPS scales the per worker operation count
+# of the MVCC tests (the short default inside the tests is sized for
+# `make race`; CI runs this target with a much larger budget).
 stress:
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -count=2 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution' \
 		./internal/index/ -v
 
 # Debug build with runtime invariant checks compiled in (DESIGN.md §5c):
@@ -108,7 +110,7 @@ stress:
 invariants:
 	$(GO) test -race -tags=invariants ./...
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -tags=invariants -count=1 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution' \
 		./internal/index/
 
 fuzz:

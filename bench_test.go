@@ -207,7 +207,8 @@ func BenchmarkAblationEqualityCheck(b *testing.B) {
 	b.Run("with-equality-exit", func(b *testing.B) {
 		acc := 0
 		for i := 0; i < b.N; i++ {
-			acc += bf.SearchWithEquality(probes[i%len(probes)], bitmask.Popcount)
+			r, _ := bf.SearchWithEquality(probes[i%len(probes)], bitmask.Popcount)
+			acc += r
 		}
 		sink += acc
 	})
@@ -225,7 +226,7 @@ func BenchmarkAblationSWARvsScalar(b *testing.B) {
 		acc := 0
 		for i := 0; i < b.N; i++ {
 			buf[0] = byte(i)
-			acc += int(search.GtMask(buf[:]))
+			acc += int(search.Mask(buf[:]))
 		}
 		sink += acc
 	})

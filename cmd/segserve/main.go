@@ -1,6 +1,6 @@
 // Command segserve exposes one index structure over HTTP together with
 // its full observability surface: per-operation latency histograms and
-// the paper's cost-model counters (SIMD comparisons, node visits, ...)
+// the paper's point-lookup cost counters (SIMD comparisons, node visits, ...)
 // as Prometheus text metrics (including Go runtime metrics), expvar
 // JSON, Go's pprof profiles, and per-operation search tracing — an
 // on-demand Explain endpoint plus always-on 1-in-N sampled traces with a
@@ -513,7 +513,7 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 		// /debug/requests shows not just that this request was slow but
 		// which nodes and SIMD compares its lookup paid.
 		tr := trace.New("get", strconv.FormatUint(k, 10))
-		v, found = s.ix.GetTraced(k, tr)
+		v, found, _ = s.ix.GetTraced(k, tr)
 		tr.Finish(found)
 		sp.AttachDescent(tr)
 	} else {

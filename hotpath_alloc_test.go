@@ -11,6 +11,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/kary"
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/reqtrace"
 )
 
@@ -19,7 +20,8 @@ import (
 // single heap allocation anywhere on the point-lookup path shows up
 // here as AllocsPerRun > 0. The matrix covers every structure, every
 // k-ary layout and bitmask evaluator where they apply, and the sharded
-// wrapper, for both hit and miss lookups.
+// wrapper, for both hit and miss lookups. GetTraced with a nil trace runs
+// the same matrix, so the returned cost provably stays off the heap.
 func TestGetIsAllocationFree(t *testing.T) {
 	const n = 4096
 	keys := make([]uint32, n)
@@ -111,6 +113,13 @@ func TestGetIsAllocationFree(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("Get allocates %.1f times per hit+miss pair; the hot path must be allocation-free", allocs)
 			}
+			allocs = testing.AllocsPerRun(200, func() {
+				ix.GetTraced(hit, nil)
+				ix.GetTraced(miss, nil)
+			})
+			if allocs != 0 {
+				t.Errorf("GetTraced(k, nil) allocates %.1f times per hit+miss pair", allocs)
+			}
 			// Reads through a pinned snapshot share the same kernels and
 			// must stay allocation-free too (the pin itself happened at
 			// TakeSnapshot; Get is pure tree descent).
@@ -133,7 +142,8 @@ func TestGetIsAllocationFree(t *testing.T) {
 
 // TestNodeSearchIsAllocationFree extends the matrix below the structures:
 // the standalone k-ary node search — Search and Lookup on one Table 3
-// node — must not allocate for any key width, layout or evaluator.
+// node, and their cost-returning forms — must not allocate for any key
+// width, layout or evaluator.
 func TestNodeSearchIsAllocationFree(t *testing.T) {
 	nodeSearchAllocs[uint8](t, "8bit", 254)
 	nodeSearchAllocs[uint16](t, "16bit", 404)
@@ -153,11 +163,14 @@ func nodeSearchAllocs[K keys.Key](t *testing.T, name string, n int) {
 	for _, layout := range kary.Layouts {
 		node := kary.Build(ks, layout)
 		for _, ev := range bitmask.Evaluators {
+			var c obs.Cost
 			allocs := testing.AllocsPerRun(200, func() {
 				node.Search(hit, ev)
 				node.Search(miss, ev)
 				node.Lookup(hit, ev)
 				node.Lookup(miss, ev)
+				node.SearchPT(hit, kary.Prepare(hit), ev, nil, &c)
+				node.LookupPT(miss, kary.Prepare(miss), ev, nil, &c)
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%v/%v: node search allocates %.1f times per hit+miss pair", name, layout, ev, allocs)
@@ -201,7 +214,8 @@ func TestSpanOffDriverGetIsAllocationFree(t *testing.T) {
 // TestInstrumentedGetIsAllocationFree extends the gate over the
 // instrumentation decorator: timing a Get into the lifetime histograms —
 // and, once EnableWindows attaches the epoch ring, into the windowed
-// ones — must not add a single heap allocation per operation.
+// ones — and adding its cost to the counters must not add a single heap
+// allocation per operation.
 func TestInstrumentedGetIsAllocationFree(t *testing.T) {
 	const n = 4096
 	for _, withWindows := range []bool{false, true} {

@@ -25,13 +25,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/segtree"
 	"repro/internal/segtrie"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // Searcher is the point-lookup interface every tree in this repository
-// satisfies; the experiments time Contains calls through it.
+// satisfies; the experiments time Contains calls through it and count
+// the §4 costs its GetTraced returns.
 type Searcher[K keys.Key] interface {
 	Contains(K) bool
+	GetTraced(K, *trace.Trace) (uint64, bool, obs.Cost)
 }
 
 // Sink defeats dead-code elimination of the probe loops.
@@ -87,21 +90,16 @@ func (w *Workbench[K]) Run() float64 {
 	return float64(elapsed.Nanoseconds()) / float64(len(w.Probes))
 }
 
-// RunCounted runs one untimed probe pass with the cost-model counters
-// enabled and returns the totals. Counted passes are kept separate from
-// timed ones so the hooks' (small) cost never contaminates ns/op figures.
-func (w *Workbench[K]) RunCounted() obs.CounterSnapshot {
-	var c obs.Counters
-	prev := obs.Enable(&c)
-	defer obs.Enable(prev)
-	hits := 0
+// RunCounted runs one untimed probe pass and returns the sum of the
+// lookups' §4 costs. Counted passes are kept separate from timed ones so
+// the summing never contaminates ns/op figures.
+func (w *Workbench[K]) RunCounted() obs.Cost {
+	var c obs.Cost
 	for i, p := range w.Probes {
-		if w.Trees[w.TreePick[i]].Contains(p) {
-			hits++
-		}
+		_, _, pc := w.Trees[w.TreePick[i]].GetTraced(p, nil)
+		c.Add(pc)
 	}
-	Sink += hits
-	return c.Read()
+	return c
 }
 
 // RunBest runs the probe pass `rounds` times and returns the fastest

@@ -33,8 +33,8 @@ type Options struct {
 	// Rec, when non-nil, collects every measurement in machine-readable
 	// form alongside the formatted tables.
 	Rec *Recorder
-	// Metrics adds, per measured structure, one untimed probe pass with
-	// the cost-model counters enabled and records the per-search SIMD
+	// Metrics adds, per measured structure, one untimed probe pass that
+	// sums the lookups' returned §4 costs and records the per-search SIMD
 	// comparison / node visit / level figures into Rec. Timed passes are
 	// unaffected.
 	Metrics bool
@@ -51,7 +51,7 @@ func recordCounters[K keys.Key](o Options, wb *Workbench[K], experiment, structu
 }
 
 // recordSnapshot records counter totals as per-search averages.
-func recordSnapshot(o Options, s obs.CounterSnapshot, probes int, experiment, structure, class string) {
+func recordSnapshot(o Options, s obs.Cost, probes int, experiment, structure, class string) {
 	n := float64(probes)
 	for _, m := range []struct {
 		metric string
@@ -68,20 +68,15 @@ func recordSnapshot(o Options, s obs.CounterSnapshot, probes int, experiment, st
 	}
 }
 
-// countedProbePass runs probes against s once with the cost-model
-// counters enabled and returns the totals.
-func countedProbePass[K keys.Key](probes []K, s Searcher[K]) obs.CounterSnapshot {
-	var c obs.Counters
-	prev := obs.Enable(&c)
-	defer obs.Enable(prev)
-	hits := 0
+// countedProbePass runs probes against s once and returns the sum of the
+// lookups' §4 costs.
+func countedProbePass[K keys.Key](probes []K, s Searcher[K]) obs.Cost {
+	var c obs.Cost
 	for _, p := range probes {
-		if s.Contains(p) {
-			hits++
-		}
+		_, _, pc := s.GetTraced(p, nil)
+		c.Add(pc)
 	}
-	Sink += hits
-	return c.Read()
+	return c
 }
 
 // DefaultOptions mirrors the paper's protocol.
@@ -265,7 +260,7 @@ func figure11Row(o Options, depth, n, caps int) []string {
 	}
 
 	// counted mirrors recordCounters for the flat structure list here: one
-	// untimed probe pass per structure with the counters enabled.
+	// untimed, cost-summing probe pass per structure.
 	counted := func(structure string, s Searcher[uint64]) {
 		if !o.Metrics {
 			return

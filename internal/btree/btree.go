@@ -119,57 +119,57 @@ func (t *Tree[K, V]) Height() int {
 	return h
 }
 
-// The untraced Get descent is a zero-allocation hot path; the directive keeps the
+// The Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(Tree\.Get|lowerBound)$
+//simdtree:kernels ^(Tree\.GetTraced|lowerBound)$
 
 // Get returns the value stored under key, if present.
-//
-//simdtree:hotpath
-func (t *Tree[K, V]) Get(key K) (v V, ok bool) {
-	n := t.root
-	for !n.leaf() {
-		obs.NodeVisits(1)
-		n = n.children[kary.UpperBound(n.keys, key)]
-	}
-	obs.NodeVisits(1)
-	i := kary.UpperBound(n.keys, key)
-	if i > 0 && n.keys[i-1] == key {
-		return n.vals[i-1], true
-	}
-	return v, false
+func (t *Tree[K, V]) Get(key K) (V, bool) {
+	v, ok, _ := t.GetTraced(key, nil)
+	return v, ok
 }
 
-// GetTraced is Get additionally recording the descent into tr: one node
-// step per level and the binary-search comparison count and branch taken
-// inside it. The baseline has no SIMD compares, so its traces contain
-// only node, scalar and branch steps — the contrast the adapted trees'
-// traces are read against. A nil tr makes it exactly Get.
-func (t *Tree[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
-	if tr == nil {
-		return t.Get(key)
+// GetTraced is Get additionally returning the lookup's §4 cost — one node
+// visit per level and the binary-search comparisons inside each node —
+// and recording the descent into tr: one node step per level, the
+// comparison count and the branch taken. The baseline has no SIMD
+// compares, so its traces contain only node, scalar and branch steps —
+// the contrast the adapted trees' traces are read against. A nil tr
+// records nothing.
+//
+//simdtree:hotpath
+func (t *Tree[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
+	if tr != nil {
+		tr.SetStructure("btree")
 	}
-	tr.SetStructure("btree")
 	n := t.root
-	depth := 0
-	for !n.leaf() {
-		obs.NodeVisits(1)
-		tr.Node(depth, len(n.keys), "", "branch")
+	for depth := 0; ; depth++ {
+		leaf := n.leaf()
+		if tr != nil {
+			role := "branch"
+			if leaf {
+				role = "leaf"
+			}
+			tr.Node(depth, len(n.keys), "", role)
+		}
 		i, steps := kary.UpperBoundCount(n.keys, key)
-		tr.Scalar(steps, i)
-		tr.Branch(i)
+		c.NodeVisits++
+		c.ScalarComparisons += uint64(steps)
+		if tr != nil {
+			tr.Scalar(steps, i)
+		}
+		if leaf {
+			if i > 0 && n.keys[i-1] == key {
+				return n.vals[i-1], true, c
+			}
+			return v, false, c
+		}
+		if tr != nil {
+			tr.Branch(i)
+		}
 		n = n.children[i]
-		depth++
 	}
-	obs.NodeVisits(1)
-	tr.Node(depth, len(n.keys), "", "leaf")
-	i, steps := kary.UpperBoundCount(n.keys, key)
-	tr.Scalar(steps, i)
-	if i > 0 && n.keys[i-1] == key {
-		return n.vals[i-1], true
-	}
-	return v, false
 }
 
 // Contains reports whether key is present.

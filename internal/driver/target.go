@@ -53,7 +53,7 @@ func NewIndexTarget[K keys.Key, V any](ix index.Index[K, V]) *IndexTarget[K, V] 
 func (t *IndexTarget[K, V]) Get(ctx context.Context, k K) (V, bool, error) {
 	if sp := reqtrace.FromContext(ctx); sp != nil {
 		tr := trace.New("get", fmt.Sprint(k))
-		v, ok := t.ix.GetTraced(k, tr)
+		v, ok, _ := t.ix.GetTraced(k, tr)
 		tr.Finish(ok)
 		sp.AttachDescent(tr)
 		return v, ok, nil

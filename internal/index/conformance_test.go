@@ -91,18 +91,18 @@ func makers() []maker {
 		maker{"versioned/segtrie", versioned(newTrie(kary.BreadthFirst, pc))},
 		maker{"versioned/opt-segtrie", versioned(newOpt(kary.BreadthFirst, pc))},
 	)
-	instrumented := func(inner func() index.Index[uint32, int], counters bool) func() index.Index[uint32, int] {
+	instrumented := func(inner func() index.Index[uint32, int]) func() index.Index[uint32, int] {
 		return func() index.Index[uint32, int] {
-			return index.NewInstrumented(inner(), counters)
+			return index.NewInstrumented(inner())
 		}
 	}
 	ms = append(ms,
-		maker{"instrumented/segtree", instrumented(newSegTree(df, pc), false)},
-		maker{"instrumented/btree", instrumented(newBTree, false)},
-		maker{"instrumented+counters/segtrie", instrumented(newTrie(kary.BreadthFirst, pc), true)},
-		maker{"instrumented+counters/opt-segtrie", instrumented(newOpt(kary.BreadthFirst, pc), true)},
-		maker{"instrumented/sharded/segtree", instrumented(sharded(newSegTree(df, pc)), true)},
-		maker{"instrumented/versioned/segtree", instrumented(versioned(newSegTree(df, pc)), true)},
+		maker{"instrumented/segtree", instrumented(newSegTree(df, pc))},
+		maker{"instrumented/btree", instrumented(newBTree)},
+		maker{"instrumented/segtrie", instrumented(newTrie(kary.BreadthFirst, pc))},
+		maker{"instrumented/opt-segtrie", instrumented(newOpt(kary.BreadthFirst, pc))},
+		maker{"instrumented/sharded/segtree", instrumented(sharded(newSegTree(df, pc)))},
+		maker{"instrumented/versioned/segtree", instrumented(versioned(newSegTree(df, pc)))},
 	)
 	return ms
 }
@@ -310,53 +310,45 @@ func verifyBatchParity(t *testing.T, ix index.Index[uint32, int], ref map[uint32
 	}
 }
 
-// unwrapAll strips wrapper layers (Instrumented) down to the innermost
-// index. The counter-parity check below enables a local obs.Counters
-// around the traced call; an Instrumented wrapper with attached counters
-// would divert the process-global hook mid-operation, so parity is
-// checked against the unwrapped index.
-func unwrapAll(ix index.Index[uint32, int]) index.Index[uint32, int] {
-	for {
-		u, ok := ix.(interface {
-			Unwrap() index.Index[uint32, int]
-		})
-		if !ok {
-			return ix
-		}
-		ix = u.Unwrap()
-	}
-}
-
-// verifyExplain pins the tracing contract on every implementation: a
-// traced Get returns exactly what Get returns, the trace's totals equal
-// the obs counter deltas of the very same call (the two observability
-// layers cannot drift), and every recorded SIMD step is self-consistent —
-// its position is the popcount evaluation of its recorded mask, and
-// equals the number of recorded lanes ≤ the compared value (the traced
-// branch is the branch binary search would take).
+// verifyExplain pins the tracing and cost contract on every
+// implementation, wrappers included: a traced Get returns exactly what
+// Get returns, the returned cost equals the trace's step-derived totals
+// of the very same call (the two derivations cannot drift) and does not
+// depend on tracing, an Instrumented wrapper adds exactly that cost to
+// its counters, and every recorded SIMD step is self-consistent — its
+// position is the popcount evaluation of its recorded mask, and equals
+// the number of recorded lanes ≤ the compared value (the traced branch
+// is the branch binary search would take).
 func verifyExplain(t *testing.T, ix index.Index[uint32, int], ref map[uint32]int) {
 	t.Helper()
-	inner := unwrapAll(ix)
 	ks := sortedKeys(ref)
 	var probes []uint32
 	if len(ks) > 0 {
 		probes = append(probes, ks[0], ks[len(ks)/2], ks[len(ks)-1])
 	}
 	probes = append(probes, 1001, 2500, 4001) // mostly misses
+	in, instrumented := ix.(*index.Instrumented[uint32, int])
 	for _, k := range probes {
-		var c obs.Counters
-		prev := obs.Enable(&c)
+		var want obs.Cost
+		if instrumented {
+			want = in.Counters().Read()
+		}
 		tr := trace.New("get", fmt.Sprint(k))
-		v, ok := inner.GetTraced(k, tr)
-		obs.Enable(prev)
+		v, ok, c := ix.GetTraced(k, tr)
 		tr.Finish(ok)
+		if instrumented {
+			want.Add(c)
+			if got := in.Counters().Read(); got != want {
+				t.Fatalf("GetTraced(%d) returned cost %+v; counters read %+v, want %+v", k, c, got, want)
+			}
+		}
 
 		wantV, wantOK := ix.Get(k)
 		if ok != wantOK || (ok && v != wantV) {
 			t.Fatalf("GetTraced(%d) = (%d,%v), Get = (%d,%v)", k, v, ok, wantV, wantOK)
 		}
-		if v2, ok2 := inner.GetTraced(k, nil); ok2 != ok || (ok && v2 != v) {
-			t.Fatalf("GetTraced(%d, nil) = (%d,%v), traced = (%d,%v)", k, v2, ok2, v, ok)
+		if v2, ok2, c2 := ix.GetTraced(k, nil); ok2 != ok || (ok && v2 != v) || c2 != c {
+			t.Fatalf("GetTraced(%d, nil) = (%d,%v,%+v), traced = (%d,%v,%+v)", k, v2, ok2, c2, v, ok, c)
 		}
 		if tr.Found != ok {
 			t.Fatalf("trace(%d).Found = %v, want %v", k, tr.Found, ok)
@@ -364,13 +356,12 @@ func verifyExplain(t *testing.T, ix index.Index[uint32, int], ref map[uint32]int
 		if tr.Structure == "" {
 			t.Fatalf("trace(%d) has no structure name", k)
 		}
-		snap := c.Read()
-		if int(snap.SIMDComparisons) != tr.SIMDComparisons() ||
-			int(snap.MaskEvaluations) != tr.MaskEvaluations() ||
-			int(snap.NodeVisits) != tr.NodeVisits() ||
-			int(snap.ScalarComparisons) != tr.ScalarComparisons() {
-			t.Fatalf("trace(%d) counter parity: counters (simd=%d masks=%d nodes=%d scalar=%d), trace (simd=%d masks=%d nodes=%d scalar=%d)\n%s",
-				k, snap.SIMDComparisons, snap.MaskEvaluations, snap.NodeVisits, snap.ScalarComparisons,
+		if int(c.SIMDComparisons) != tr.SIMDComparisons() ||
+			int(c.MaskEvaluations) != tr.MaskEvaluations() ||
+			int(c.NodeVisits) != tr.NodeVisits() ||
+			int(c.ScalarComparisons) != tr.ScalarComparisons() {
+			t.Fatalf("trace(%d) cost parity: returned (simd=%d masks=%d nodes=%d scalar=%d), trace (simd=%d masks=%d nodes=%d scalar=%d)\n%s",
+				k, c.SIMDComparisons, c.MaskEvaluations, c.NodeVisits, c.ScalarComparisons,
 				tr.SIMDComparisons(), tr.MaskEvaluations(), tr.NodeVisits(), tr.ScalarComparisons(), tr)
 		}
 		verifyTraceSteps(t, tr, uint64(k))
@@ -435,7 +426,7 @@ func TestSamplingUnderMixedLoad(t *testing.T) {
 		return segtree.New[uint32, int](segtree.Config{
 			LeafCap: 6, BranchCap: 6, Layout: kary.DepthFirst, Evaluator: bitmask.Popcount,
 		})
-	}), false)
+	}))
 	sp := ix.EnableSampling(2, time.Nanosecond)
 	for i := uint32(0); i < 500; i++ {
 		ix.Put(i, int(i))

@@ -18,6 +18,7 @@ package index
 
 import (
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/shape"
 	"repro/internal/trace"
 )
@@ -65,12 +66,14 @@ type Index[K keys.Key, V any] interface {
 	// Ascend calls fn for every item in ascending key order until fn
 	// returns false.
 	Ascend(fn func(K, V) bool)
-	// GetTraced is Get additionally recording the per-level descent —
-	// node identity, SIMD compares, mask verdicts, branch taken — into tr.
-	// A nil tr must make it exactly Get: implementations share kernels
-	// between the two paths so the trace cannot drift from the real
-	// search.
-	GetTraced(key K, tr *trace.Trace) (V, bool)
+	// GetTraced is Get additionally returning the lookup's §4 cost —
+	// node visits, k-ary levels, SIMD compares, mask evaluations, scalar
+	// compares — and recording the per-level descent (node identity,
+	// SIMD compares, mask verdicts, branch taken) into tr. A nil tr
+	// records nothing. Each structure has this one descent and its Get
+	// drops the cost, so neither the cost nor the trace can drift from
+	// the real search.
+	GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost)
 	// IndexStats summarizes shape and memory in structure-independent
 	// terms: StatsOf(Shape()).
 	IndexStats() Stats

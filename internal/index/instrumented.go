@@ -52,18 +52,21 @@ func (o Op) String() string {
 var Ops = [opCount]Op{OpGet, OpContains, OpPut, OpDelete, OpGetBatch, OpContainsBatch, OpScan}
 
 // Instrumented wraps any Index with per-operation latency histograms and
-// an optional obs.Counters capturing the paper's cost-model quantities
-// (SIMD comparisons, node visits, ...) for the operations it serves.
+// an obs.Counters summing the paper's cost-model quantities (SIMD
+// comparisons, node visits, ...) of the point lookups it serves: every
+// Get, Contains and GetTraced adds the cost its descent returns, once.
+// Put, Delete, Scan and the batch operations are timed but not counted.
 //
 // Min/Max/Ascend/Len pass through untimed — they are iteration, not
 // lookup, and would only blur the histograms.
 //
 // The wrapper is as concurrency-safe as the wrapped index: the histograms
-// and counters themselves are lock-free.
+// and counters themselves are lock-free, and each index counts only its
+// own lookups, however many goroutines share it or its neighbours.
 type Instrumented[K keys.Key, V any] struct {
 	inner   Index[K, V]
 	hists   [opCount]obs.Histogram
-	counter *obs.Counters // nil when per-index counters are not attached
+	counter obs.Counters
 	// sampler, when set, traces 1-in-N Gets into its rings (always-on
 	// production tracing); nil means no sampling and zero extra cost.
 	sampler atomic.Pointer[trace.Sampler]
@@ -81,19 +84,9 @@ type opWindows struct {
 	hists [opCount]*obs.WindowedHistogram
 }
 
-// NewInstrumented wraps inner. withCounters additionally attaches a
-// dedicated obs.Counters that is enabled process-wide for the duration of
-// every timed operation (saving and restoring any previously enabled
-// counters), so the wrapper's Snapshot carries comparison and node counts
-// alongside latencies. Because the obs hook destination is process-global,
-// attaching counters to several concurrently-operated indexes interleaves
-// their attribution; latency histograms are always exact.
-func NewInstrumented[K keys.Key, V any](inner Index[K, V], withCounters bool) *Instrumented[K, V] {
-	ix := &Instrumented[K, V]{inner: inner}
-	if withCounters {
-		ix.counter = &obs.Counters{}
-	}
-	return ix
+// NewInstrumented wraps inner.
+func NewInstrumented[K keys.Key, V any](inner Index[K, V]) *Instrumented[K, V] {
+	return &Instrumented[K, V]{inner: inner}
 }
 
 // Compile-time check: Instrumented satisfies the full Index interface.
@@ -102,33 +95,20 @@ var _ Index[uint32, int] = (*Instrumented[uint32, int])(nil)
 // Unwrap returns the wrapped index.
 func (ix *Instrumented[K, V]) Unwrap() Index[K, V] { return ix.inner }
 
-// Counters returns the attached per-index counters, or nil.
-func (ix *Instrumented[K, V]) Counters() *obs.Counters { return ix.counter }
+// Counters returns the wrapper's point-lookup cost counters.
+func (ix *Instrumented[K, V]) Counters() *obs.Counters { return &ix.counter }
 
 // Histogram returns a snapshot of one operation's latency histogram.
 func (ix *Instrumented[K, V]) Histogram(op Op) obs.HistogramSnapshot {
 	return ix.hists[op].Read()
 }
 
-// begin starts timing one operation; it returns the start time and, when
-// per-index counters are attached, enables them (remembering what to
-// restore). end completes the measurement.
-func (ix *Instrumented[K, V]) begin() (time.Time, *obs.Counters) {
-	var prev *obs.Counters
-	if ix.counter != nil {
-		prev = obs.Enable(ix.counter)
-	}
-	return time.Now(), prev
-}
-
-func (ix *Instrumented[K, V]) end(op Op, start time.Time, prev *obs.Counters) {
+// observe records the latency of one op that started at start.
+func (ix *Instrumented[K, V]) observe(op Op, start time.Time) {
 	d := time.Since(start)
 	ix.hists[op].Observe(d)
 	if w := ix.windows.Load(); w != nil {
 		w.hists[op].Observe(d)
-	}
-	if ix.counter != nil {
-		obs.Enable(prev)
 	}
 }
 
@@ -181,28 +161,31 @@ func (ix *Instrumented[K, V]) WindowSnapshot(op Op, window time.Duration) (obs.H
 // selected 1-in-N calls additionally record a full descent trace into the
 // sampler's rings; unsampled calls pay one atomic load.
 func (ix *Instrumented[K, V]) Get(k K) (V, bool) {
-	start, prev := ix.begin()
-	var v V
-	var ok bool
-	if sp := ix.sampler.Load(); sp.ShouldSample() {
-		tr := trace.New("get", fmt.Sprint(k))
-		v, ok = ix.inner.GetTraced(k, tr)
-		tr.Finish(ok)
-		sp.Record(tr)
-	} else {
-		v, ok = ix.inner.Get(k)
+	sp := ix.sampler.Load()
+	if !sp.ShouldSample() {
+		v, ok, _ := ix.lookup(OpGet, k, nil)
+		return v, ok
 	}
-	ix.end(OpGet, start, prev)
+	tr := trace.New("get", fmt.Sprint(k))
+	v, ok, _ := ix.lookup(OpGet, k, tr)
+	tr.Finish(ok)
+	sp.Record(tr)
 	return v, ok
 }
 
-// GetTraced implements Index: the descent is recorded into tr and the
-// call is timed as a Get. A nil tr makes it exactly Get.
-func (ix *Instrumented[K, V]) GetTraced(k K, tr *trace.Trace) (V, bool) {
-	start, prev := ix.begin()
-	v, ok := ix.inner.GetTraced(k, tr)
-	ix.end(OpGet, start, prev)
-	return v, ok
+// GetTraced implements Index: the descent is recorded into tr, and the
+// call is timed and counted as a Get.
+func (ix *Instrumented[K, V]) GetTraced(k K, tr *trace.Trace) (V, bool, obs.Cost) {
+	return ix.lookup(OpGet, k, tr)
+}
+
+// lookup is one timed point lookup whose cost is added to the counters.
+func (ix *Instrumented[K, V]) lookup(op Op, k K, tr *trace.Trace) (V, bool, obs.Cost) {
+	start := time.Now()
+	v, ok, c := ix.inner.GetTraced(k, tr)
+	ix.counter.Add(c)
+	ix.observe(op, start)
+	return v, ok, c
 }
 
 // EnableSampling attaches (replacing any previous) a sampler tracing 1 in
@@ -218,52 +201,50 @@ func (ix *Instrumented[K, V]) EnableSampling(every int, slowThreshold time.Durat
 // enabled.
 func (ix *Instrumented[K, V]) Sampler() *trace.Sampler { return ix.sampler.Load() }
 
-// Contains implements Index.
+// Contains implements Index: a counted point lookup.
 func (ix *Instrumented[K, V]) Contains(k K) bool {
-	start, prev := ix.begin()
-	ok := ix.inner.Contains(k)
-	ix.end(OpContains, start, prev)
+	_, ok, _ := ix.lookup(OpContains, k, nil)
 	return ok
 }
 
 // Put implements Index.
 func (ix *Instrumented[K, V]) Put(k K, v V) bool {
-	start, prev := ix.begin()
+	start := time.Now()
 	fresh := ix.inner.Put(k, v)
-	ix.end(OpPut, start, prev)
+	ix.observe(OpPut, start)
 	return fresh
 }
 
 // Delete implements Index.
 func (ix *Instrumented[K, V]) Delete(k K) bool {
-	start, prev := ix.begin()
+	start := time.Now()
 	ok := ix.inner.Delete(k)
-	ix.end(OpDelete, start, prev)
+	ix.observe(OpDelete, start)
 	return ok
 }
 
 // GetBatch implements Index; the whole batch is one observation.
 func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	start, prev := ix.begin()
+	start := time.Now()
 	vs, oks := ix.inner.GetBatch(ks)
-	ix.end(OpGetBatch, start, prev)
+	ix.observe(OpGetBatch, start)
 	return vs, oks
 }
 
 // ContainsBatch implements Index; the whole batch is one observation.
 func (ix *Instrumented[K, V]) ContainsBatch(ks []K) []bool {
-	start, prev := ix.begin()
+	start := time.Now()
 	oks := ix.inner.ContainsBatch(ks)
-	ix.end(OpContainsBatch, start, prev)
+	ix.observe(OpContainsBatch, start)
 	return oks
 }
 
 // Scan implements Index; one call is one observation regardless of the
 // number of items visited.
 func (ix *Instrumented[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	start, prev := ix.begin()
+	start := time.Now()
 	ix.inner.Scan(lo, hi, fn)
-	ix.end(OpScan, start, prev)
+	ix.observe(OpScan, start)
 }
 
 // Len implements Index (untimed).
@@ -315,15 +296,14 @@ type OpSnapshot struct {
 }
 
 // MetricsSnapshot is a point-in-time view of everything an Instrumented
-// index records: per-op latency histograms, the attached cost-model
-// counters (zero-valued when none are attached) and the wrapped index's
-// shape. (The pinned copy-on-write read view of an index is the separate
-// Snapshot type — this one is metrics.)
+// index records: per-op latency histograms, the point-lookup cost
+// counters and the wrapped index's shape. (The pinned copy-on-write read
+// view of an index is the separate Snapshot type — this one is metrics.)
 type MetricsSnapshot struct {
-	Ops      []OpSnapshot        `json:"ops"`
-	Counters obs.CounterSnapshot `json:"counters"`
-	Stats    Stats               `json:"stats"`
-	Shape    shape.Report        `json:"shape"`
+	Ops      []OpSnapshot `json:"ops"`
+	Counters obs.Cost     `json:"counters"`
+	Stats    Stats        `json:"stats"`
+	Shape    shape.Report `json:"shape"`
 }
 
 // Snapshot captures the current state of all recorded metrics. The
@@ -332,30 +312,25 @@ type MetricsSnapshot struct {
 // Prometheus scrape) carries current fill and footprint figures.
 func (ix *Instrumented[K, V]) Snapshot() MetricsSnapshot {
 	sh := ix.inner.Shape()
-	s := MetricsSnapshot{Stats: StatsOf(sh), Shape: sh}
+	s := MetricsSnapshot{Counters: ix.counter.Read(), Stats: StatsOf(sh), Shape: sh}
 	for _, op := range Ops {
 		s.Ops = append(s.Ops, OpSnapshot{Op: op.String(), Histogram: ix.hists[op].Read()})
-	}
-	if ix.counter != nil {
-		s.Counters = ix.counter.Read()
 	}
 	return s
 }
 
-// Reset zeroes every histogram and the attached counters.
+// Reset zeroes every histogram and the counters.
 func (ix *Instrumented[K, V]) Reset() {
 	for i := range ix.hists {
 		ix.hists[i].Reset()
 	}
-	if ix.counter != nil {
-		ix.counter.Reset()
-	}
+	ix.counter.Reset()
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format under the given metric-name prefix: one histogram per op as
-// <prefix>_op_latency_seconds{op=...}, the cost-model counters, and the
-// index shape as gauges.
+// <prefix>_op_latency_seconds{op=...}, the point-lookup cost counters,
+// and the index shape as gauges.
 func (ix *Instrumented[K, V]) WritePrometheus(w io.Writer, prefix string) error {
 	snap := ix.Snapshot()
 	for _, op := range snap.Ops {
@@ -364,10 +339,8 @@ func (ix *Instrumented[K, V]) WritePrometheus(w io.Writer, prefix string) error 
 			return err
 		}
 	}
-	if ix.counter != nil {
-		if err := snap.Counters.CounterProm(w, prefix); err != nil {
-			return err
-		}
+	if err := snap.Counters.CounterProm(w, prefix); err != nil {
+		return err
 	}
 	type gauge struct {
 		name string

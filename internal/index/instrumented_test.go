@@ -2,13 +2,13 @@ package index_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bitmask"
 	"repro/internal/index"
 	"repro/internal/kary"
-	"repro/internal/obs"
 	"repro/internal/segtree"
 	"repro/internal/segtrie"
 )
@@ -20,7 +20,7 @@ func newSmallSegTree() index.Index[uint32, int] {
 }
 
 func TestInstrumentedRecordsPerOp(t *testing.T) {
-	ix := index.NewInstrumented(newSmallSegTree(), false)
+	ix := index.NewInstrumented(newSmallSegTree())
 	for i := uint32(0); i < 50; i++ {
 		ix.Put(i, int(i))
 	}
@@ -63,7 +63,7 @@ func TestInstrumentedRecordsPerOp(t *testing.T) {
 // in both the lifetime histogram and the current epoch, and rotating the
 // ring away drains the window while the lifetime count stays.
 func TestInstrumentedWindows(t *testing.T) {
-	ix := index.NewInstrumented(newSmallSegTree(), false)
+	ix := index.NewInstrumented(newSmallSegTree())
 	ix.Put(1, 1)
 
 	if _, ok := ix.WindowSnapshot(index.OpGet, time.Minute); ok {
@@ -113,16 +113,8 @@ func TestInstrumentedWindows(t *testing.T) {
 
 func TestInstrumentedCounters(t *testing.T) {
 	// The per-index counters must capture the wrapped structure's SIMD
-	// work and restore any previously enabled global counters afterwards.
-	var outer obs.Counters
-	prev := obs.Enable(&outer)
-	defer obs.Enable(prev)
-
-	ix := index.NewInstrumented(
-		segtrie.New[uint64, int](segtrie.DefaultConfig()), true)
-	if ix.Counters() == nil {
-		t.Fatal("Counters() = nil for counter-attached wrapper")
-	}
+	// work on point lookups.
+	ix := index.NewInstrumented(segtrie.New[uint64, int](segtrie.DefaultConfig()))
 	for i := uint64(0); i < 32; i++ {
 		ix.Put(i, int(i))
 	}
@@ -136,25 +128,77 @@ func TestInstrumentedCounters(t *testing.T) {
 	if after.NodeVisits <= before.NodeVisits {
 		t.Errorf("Get did not raise NodeVisits: %d -> %d", before.NodeVisits, after.NodeVisits)
 	}
-	if obs.Active() != &outer {
-		t.Fatal("wrapper did not restore the previously enabled counters")
+}
+
+// TestInstrumentedCountersConcurrentAttribution pins per-index cost
+// attribution under concurrency: goroutines interleave lookups on two
+// instrumented Seg-Trees and on a third, bare one, and each instrumented
+// index must count exactly its own lookups — no more, no less — while
+// the bare index's searches land nowhere.
+func TestInstrumentedCountersConcurrentAttribution(t *testing.T) {
+	const keys, goroutines, rounds = 4096, 4, 50
+	build := func() index.Index[uint64, int] {
+		tr := segtree.New[uint64, int](segtree.DefaultConfig[uint64]())
+		for i := uint64(0); i < keys; i++ {
+			tr.Put(i*7, int(i))
+		}
+		return tr
 	}
-	// The outer counters must not have absorbed the wrapper's operations.
-	if s := outer.Read(); s.NodeVisits != 0 {
-		t.Errorf("outer counters absorbed %d node visits", s.NodeVisits)
+	a, b := index.NewInstrumented(build()), index.NewInstrumented(build())
+	bare := build()
+	pass := func(ix index.Index[uint64, int]) {
+		for i := uint64(0); i < keys; i++ {
+			if _, ok := ix.Get(i * 7); !ok {
+				t.Errorf("Get(%d) missed", i*7)
+				return
+			}
+		}
+	}
+	pass(a)
+	one := a.Counters().Read()
+	if one.NodeVisits == 0 || one.SIMDComparisons == 0 {
+		t.Fatalf("single pass counted nothing: %+v", one)
+	}
+	a.Reset()
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if (g+r)%2 == 0 {
+					pass(a)
+				} else {
+					pass(b)
+				}
+				pass(bare)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	const passes = goroutines * rounds / 2
+	for name, ix := range map[string]*index.Instrumented[uint64, int]{"a": a, "b": b} {
+		got := ix.Counters().Read()
+		if got.NodeVisits != passes*one.NodeVisits || got.SIMDComparisons != passes*one.SIMDComparisons {
+			t.Errorf("index %s: node visits %d, SIMD comparisons %d; want exactly %d× a single pass: %d, %d",
+				name, got.NodeVisits, got.SIMDComparisons, passes,
+				passes*one.NodeVisits, passes*one.SIMDComparisons)
+		}
 	}
 }
 
 func TestInstrumentedUnwrap(t *testing.T) {
 	inner := newSmallSegTree()
-	ix := index.NewInstrumented(inner, false)
+	ix := index.NewInstrumented(inner)
 	if ix.Unwrap() != inner {
 		t.Fatal("Unwrap did not return the wrapped index")
 	}
 }
 
 func TestInstrumentedWritePrometheus(t *testing.T) {
-	ix := index.NewInstrumented(newSmallSegTree(), true)
+	ix := index.NewInstrumented(newSmallSegTree())
 	ix.Put(1, 10)
 	ix.Get(1)
 	var b strings.Builder

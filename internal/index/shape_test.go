@@ -256,7 +256,7 @@ func TestShardedShapeMerge(t *testing.T) {
 // The Instrumented wrapper forwards the inner shape and carries it in
 // snapshots.
 func TestInstrumentedShape(t *testing.T) {
-	ix := index.NewInstrumented[uint32, int](segtrie.NewDefault[uint32, int](), false)
+	ix := index.NewInstrumented[uint32, int](segtrie.NewDefault[uint32, int]())
 	for i := 0; i < 100; i++ {
 		ix.Put(uint32(i), i)
 	}

@@ -82,14 +82,13 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	return s.shards[s.shardOf(key)].Get(key)
 }
 
-// GetTraced is Get additionally recording the shard routed to and the
-// underlying index's descent into tr. A nil tr makes it exactly Get.
-func (s *Sharded[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool) {
-	if tr == nil {
-		return s.Get(key)
-	}
+// GetTraced is Get additionally returning the owning shard's lookup cost
+// and recording the shard routed to and its descent into tr.
+func (s *Sharded[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
 	i := s.shardOf(key)
-	tr.Shard(i)
+	if tr != nil {
+		tr.Shard(i)
+	}
 	return s.shards[i].GetTraced(key, tr)
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -42,9 +43,10 @@ func (s *Snapshot[K, V]) Get(key K) (V, bool) {
 	return s.trees[s.route(key)].Get(key)
 }
 
-// GetTraced is Get additionally recording the descent (and, for sharded
-// snapshots, the tree routed to) into tr. A nil tr makes it exactly Get.
-func (s *Snapshot[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool) {
+// GetTraced is Get additionally returning the lookup's cost and
+// recording the descent (and, for sharded snapshots, the tree routed to)
+// into tr.
+func (s *Snapshot[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
 	if s.route == nil {
 		return s.trees[0].GetTraced(key, tr)
 	}

@@ -210,16 +210,13 @@ func (x *Versioned[K, V]) Get(key K) (V, bool) {
 	return val, ok
 }
 
-// GetTraced is Get additionally recording the pinned descent into tr. A
-// nil tr makes it exactly Get.
-func (x *Versioned[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool) {
-	if tr == nil {
-		return x.Get(key)
-	}
+// GetTraced is Get additionally returning the pinned lookup's cost and
+// recording its descent into tr.
+func (x *Versioned[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
 	v, s := x.pin()
-	val, ok := v.tree.GetTraced(key, tr)
+	val, ok, c := v.tree.GetTraced(key, tr)
 	s.epoch.Store(0)
-	return val, ok
+	return val, ok, c
 }
 
 // Contains reports whether key is present in the published version.

@@ -140,7 +140,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			if rep := snap.Shape(); rep.Keys != 200 {
 				t.Errorf("snapshot Shape.Keys = %d, want 200", rep.Keys)
 			}
-			if v, ok := snap.GetTraced(10, nil); !ok || v != 10 {
+			if v, ok, _ := snap.GetTraced(10, nil); !ok || v != 10 {
 				t.Errorf("snapshot GetTraced(10,nil) = (%d,%v), want (10,true)", v, ok)
 			}
 
@@ -354,7 +354,7 @@ func stressOps(t *testing.T) int {
 // SIMDTREE_STRESS_OPS (see make stress).
 func TestMVCCStressMixedLoad(t *testing.T) {
 	ops := stressOps(t)
-	ix := index.NewInstrumented[uint32, int](newShardedBTree(5), false)
+	ix := index.NewInstrumented[uint32, int](newShardedBTree(5))
 	for i := uint32(0); i < 1000; i++ {
 		ix.Put(i, 0)
 	}

@@ -94,7 +94,7 @@ func checkNodeSearch[K keys.Key](t *testing.T, raw []byte, probe uint64, layout 
 			if smax, ok := tree.Max(); layout == DepthFirst && ok && v < smax && tr.SIMDComparisons() != tree.Levels() {
 				t.Fatalf("n=%d: depth-first SearchT(%v) compared %d of %d levels", len(sorted), v, tr.SIMDComparisons(), tree.Levels())
 			}
-			if got := tree.SearchWithEquality(v, ev); got != want {
+			if got, _ := tree.SearchWithEquality(v, ev); got != want {
 				t.Fatalf("%v %v n=%d: SearchWithEquality(%v) = %d, want %d", layout, ev, len(sorted), v, got, want)
 			}
 		}

@@ -165,7 +165,7 @@ func checkEquivalence[K keys.Key](t *testing.T, rng *rand.Rand, sizes []int) {
 							layout, n, ev, v, got, want)
 					}
 				}
-				if got := tree.SearchWithEquality(v, bitmask.Popcount); got != want {
+				if got, _ := tree.SearchWithEquality(v, bitmask.Popcount); got != want {
 					t.Fatalf("%v n=%d eq-search(%v): got %d want %d", layout, n, v, got, want)
 				}
 			}
@@ -218,7 +218,7 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.Search(5, bitmask.Popcount); got != 0 {
 		t.Fatalf("empty search: got %d", got)
 	}
-	if got := tree.SearchWithEquality(5, bitmask.Popcount); got != 0 {
+	if got, _ := tree.SearchWithEquality(5, bitmask.Popcount); got != 0 {
 		t.Fatalf("empty eq-search: got %d", got)
 	}
 	if _, ok := tree.Max(); ok {
@@ -298,8 +298,8 @@ func TestSearchQuick(t *testing.T) {
 		}
 		tree := Build(sorted, layout)
 		want := UpperBound(sorted, probe)
-		return tree.Search(probe, bitmask.Popcount) == want &&
-			tree.SearchWithEquality(probe, bitmask.Popcount) == want
+		eqRank, _ := tree.SearchWithEquality(probe, bitmask.Popcount)
+		return tree.Search(probe, bitmask.Popcount) == want && eqRank == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // Algorithms 4 and 5; the directive keeps its //simdtree:hotpath
 // annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|lookup|maskDigit|SearchWithEquality)|clamp)$
+//simdtree:kernels ^(Tree\.(SearchPT|LookupPT|lookup|maskDigit|SearchWithEquality)|clamp|count)$
 
 // Search returns the index, in the original sorted order, of the first key
 // strictly greater than v — the same value binary search on the sorted list
@@ -29,7 +29,8 @@ func (t *Tree[K]) Search(v K, ev bitmask.Evaluator) int {
 // SearchP is Search with a caller-prepared search register (see Prepare),
 // so one tree descent broadcasts the key only once.
 func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
-	return t.SearchPT(v, search, ev, nil)
+	rank, _ := t.lookup(v, search, ev, nil, false, nil)
+	return rank
 }
 
 // SearchT is Search additionally recording every level's loaded lanes,
@@ -37,16 +38,17 @@ func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
 // untraced paths share one kernel, so a trace shows exactly what the
 // search executed.
 func (t *Tree[K]) SearchT(v K, ev bitmask.Evaluator, tr *trace.Trace) int {
-	return t.SearchPT(v, Prepare(v), ev, tr)
+	return t.SearchPT(v, Prepare(v), ev, tr, nil)
 }
 
 // SearchPT is SearchP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level). It is the rank of
-// the same descent LookupPT runs.
+// nothing and costs one pointer comparison per level) that adds the
+// search's §4 cost to c (nil adds nothing). It is the rank of the same
+// descent LookupPT runs.
 //
 //simdtree:hotpath
-func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) int {
-	rank, _ := t.lookup(v, search, ev, tr, false)
+func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) int {
+	rank, _ := t.lookup(v, search, ev, tr, false, c)
 	return rank
 }
 
@@ -62,30 +64,39 @@ func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
 
 // LookupP is Lookup with a caller-prepared search register (see Prepare).
 func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupPT(v, search, ev, nil)
-}
-
-// LookupT is Lookup with per-level trace recording into tr (nil records
-// nothing).
-func (t *Tree[K]) LookupT(v K, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	return t.LookupPT(v, Prepare(v), ev, tr)
+	return t.lookup(v, search, ev, nil, true, nil)
 }
 
 // LookupPT is LookupP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level).
+// nothing and costs one pointer comparison per level) that adds the
+// search's §4 cost to c (nil adds nothing).
 //
 //simdtree:hotpath
-func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace) (rank int, found bool) {
-	return t.lookup(v, search, ev, tr, true)
+func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) (rank int, found bool) {
+	return t.lookup(v, search, ev, tr, true, c)
+}
+
+// count adds one node search to c, when non-nil: a node visit, the k-ary
+// levels it descended and its SIMD compares, each evaluated once into a
+// digit (§4).
+//
+//simdtree:hotpath
+func count(c *obs.Cost, levels, compares int) {
+	if c != nil {
+		c.NodeVisits++
+		c.LevelsDescended += uint64(levels)
+		c.SIMDComparisons += uint64(compares)
+		c.MaskEvaluations += uint64(compares)
+	}
 }
 
 // lookup is the one node search behind Search and Lookup: the §3.3 fast
-// paths, then the layout's descent, then one cost record for the node.
-// The paper's Algorithms 4 (depth-first) and 5 (breadth-first) share the
-// loop and differ only in where the chosen child lies. wantEq asks for
-// the membership bit: each level then also tests the loaded node for an
-// equal lane. A Search skips that test, and its trace shows no equality
-// hits.
+// paths, then the layout's descent, then one count of the node's §4 cost
+// into c (nil counts nothing). The paper's Algorithms 4 (depth-first)
+// and 5 (breadth-first) share the loop and differ only in where the
+// chosen child lies. wantEq asks for the membership bit: each level then
+// also tests the loaded node for an equal lane. A Search skips that
+// test, and its trace shows no equality hits.
 //
 // Each level computes its digit — how many keys of the loaded node are
 // ≤ v, the child to descend to — with the lane width's Rank kernel of
@@ -95,22 +106,22 @@ func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *tr
 // takes maskDigit behind one well-predicted branch.
 //
 //simdtree:hotpath
-func (t *Tree[K]) lookup(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, wantEq bool) (rank int, found bool) {
+func (t *Tree[K]) lookup(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, wantEq bool, c *obs.Cost) (rank int, found bool) {
 	if t.n == 0 {
-		obs.NodeSearch(0, 0)
 		if tr != nil {
 			tr.FastPath("empty-node", 0)
 		}
+		count(c, 0, 0)
 		return 0, false
 	}
 	// §3.3: replenishment check. If v is not smaller than S_max, no key is
 	// greater; this also guarantees the descent never reads pad-only
 	// regions outside the truncated storage. S_max is always a real key.
 	if v >= t.smax {
-		obs.NodeSearch(0, 0)
 		if tr != nil {
 			tr.FastPath("smax-short-circuit", t.n)
 		}
+		count(c, 0, 0)
 		return t.n, v == t.smax
 	}
 	w, k, lanes := keys.Width[K](), keys.K[K](), keys.Lanes[K]()
@@ -163,7 +174,7 @@ func (t *Tree[K]) lookup(v K, search simd.Search, ev bitmask.Evaluator, tr *trac
 			tr.Skip(R, "missing-leaf-node")
 		}
 	}
-	obs.NodeSearch(t.r, R)
+	count(c, t.r, R)
 	return clamp(rank, t.n), found
 }
 
@@ -206,14 +217,15 @@ func clamp(x, hi int) int {
 // results come from the same register — and terminates the descent early
 // on a hit. The paper expects no improvement for flat trees;
 // BenchmarkAblationEqualityCheck measures it. Only the breadth-first
-// layout is supported, matching the paper's discussion. The cost model
+// layout is supported, matching the paper's discussion. The returned cost
 // counts the equality test as a SIMD comparison of its own, and a hit
 // level evaluates no greater-than mask.
 //
 //simdtree:hotpath
-func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
+func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) (int, obs.Cost) {
 	if t.layout != BreadthFirst || t.n == 0 || v >= t.smax {
-		return t.Search(v, ev)
+		var c obs.Cost
+		return t.SearchPT(v, Prepare(v), ev, nil, &c), c
 	}
 	w, k, lanes := int(t.w), int(t.k), int(t.lanes)
 	search := Prepare(v)
@@ -247,9 +259,8 @@ func (t *Tree[K]) SearchWithEquality(v K, ev bitmask.Evaluator) int {
 	if hit {
 		evals--
 	}
-	obs.NodeSearch(t.r, evals)
-	obs.SIMDComparisons(compares)
-	return clamp(rank, t.n)
+	return clamp(rank, t.n), obs.Cost{NodeVisits: 1, LevelsDescended: uint64(t.r),
+		SIMDComparisons: uint64(compares + evals), MaskEvaluations: uint64(evals)}
 }
 
 // UpperBound is the baseline the paper compares against: classic binary
@@ -272,7 +283,6 @@ func UpperBoundCount[K keys.Key](xs []K, v K) (pos, steps int) {
 			hi = mid
 		}
 	}
-	obs.ScalarComparisons(steps)
 	return lo, steps
 }
 
@@ -281,10 +291,8 @@ func UpperBoundCount[K keys.Key](xs []K, v K) (pos, steps int) {
 func SequentialUpperBound[K keys.Key](xs []K, v K) int {
 	for i, x := range xs {
 		if x > v {
-			obs.ScalarComparisons(i + 1)
 			return i
 		}
 	}
-	obs.ScalarComparisons(len(xs))
 	return len(xs)
 }

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/bitmask"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // TestTracedSearchMatchesUntraced pins that the traced kernels are the
-// untraced kernels: for both layouts and all evaluators, SearchT/LookupT
+// untraced kernels: for both layouts and all evaluators, SearchT/LookupPT
 // with a live trace return exactly what Search/Lookup return, and the
 // recorded per-level evidence reproduces the result.
 func TestTracedSearchMatchesUntraced(t *testing.T) {
@@ -33,10 +34,11 @@ func TestTracedSearchMatchesUntraced(t *testing.T) {
 					}
 					verifySIMDSteps(t, tr, uint64(probe), name)
 					ltr := trace.New("lookup", fmt.Sprint(probe))
-					r1, f1 := tree.LookupT(probe, ev, ltr)
+					var c obs.Cost
+					r1, f1 := tree.LookupPT(probe, Prepare(probe), ev, ltr, &c)
 					r2, f2 := tree.Lookup(probe, ev)
 					if r1 != r2 || f1 != f2 {
-						t.Fatalf("%s: LookupT(%d) = (%d,%v), Lookup = (%d,%v)", name, probe, r1, f1, r2, f2)
+						t.Fatalf("%s: LookupPT(%d) = (%d,%v), Lookup = (%d,%v)", name, probe, r1, f1, r2, f2)
 					}
 					verifySIMDSteps(t, ltr, uint64(probe), name)
 				}

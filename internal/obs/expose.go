@@ -51,20 +51,20 @@ func WriteCounterProm(w io.Writer, name, labels, help string, value uint64) erro
 	return err
 }
 
-// CounterProm writes the five cost-model counters of a snapshot under the
+// CounterProm writes the five cost-model counters of a Cost under the
 // given name prefix (e.g. prefix "segserve" yields
 // segserve_simd_comparisons_total, ...).
-func (s CounterSnapshot) CounterProm(w io.Writer, prefix string) error {
+func (s Cost) CounterProm(w io.Writer, prefix string) error {
 	type row struct {
 		name, help string
 		value      uint64
 	}
 	rows := []row{
-		{"simd_comparisons_total", "128-bit SIMD compare kernels executed", s.SIMDComparisons},
-		{"mask_evaluations_total", "comparison bitmask evaluations", s.MaskEvaluations},
-		{"node_visits_total", "tree nodes visited", s.NodeVisits},
-		{"levels_descended_total", "k-ary tree levels descended", s.LevelsDescended},
-		{"scalar_comparisons_total", "scalar key comparisons", s.ScalarComparisons},
+		{"simd_comparisons_total", "128-bit SIMD compare kernels executed by point lookups", s.SIMDComparisons},
+		{"mask_evaluations_total", "comparison bitmask evaluations of point lookups", s.MaskEvaluations},
+		{"node_visits_total", "tree nodes visited by point lookups", s.NodeVisits},
+		{"levels_descended_total", "k-ary tree levels descended by point lookups", s.LevelsDescended},
+		{"scalar_comparisons_total", "scalar key comparisons of point lookups", s.ScalarComparisons},
 	}
 	for _, r := range rows {
 		name := r.name

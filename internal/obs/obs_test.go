@@ -11,71 +11,25 @@ import (
 
 func TestCountersAccumulateAndReset(t *testing.T) {
 	var c Counters
-	c.AddSIMDComparisons(3)
-	c.AddSIMDComparisons(2)
-	c.AddMaskEvals(7)
-	c.AddNodeVisits(1)
-	c.AddLevelsDescended(4)
-	c.AddScalarComparisons(9)
+	c.Add(Cost{SIMDComparisons: 3, MaskEvaluations: 7, NodeVisits: 1})
+	c.Add(Cost{SIMDComparisons: 2, LevelsDescended: 4, ScalarComparisons: 9})
 	s := c.Read()
-	want := CounterSnapshot{
+	want := Cost{
 		SIMDComparisons: 5, MaskEvaluations: 7, NodeVisits: 1,
 		LevelsDescended: 4, ScalarComparisons: 9,
 	}
 	if s != want {
 		t.Fatalf("Read() = %+v, want %+v", s, want)
 	}
+	var sum Cost
+	sum.Add(Cost{SIMDComparisons: 3, MaskEvaluations: 7, NodeVisits: 1})
+	sum.Add(Cost{SIMDComparisons: 2, LevelsDescended: 4, ScalarComparisons: 9})
+	if sum != want {
+		t.Fatalf("Cost.Add sum = %+v, want %+v", sum, want)
+	}
 	c.Reset()
-	if s := c.Read(); s != (CounterSnapshot{}) {
+	if s := c.Read(); s != (Cost{}) {
 		t.Fatalf("after Reset, Read() = %+v, want zero", s)
-	}
-}
-
-func TestEnableDisableHooks(t *testing.T) {
-	defer Enable(Disable()) // restore whatever was active
-
-	Disable()
-	SIMDComparisons(10) // must not crash or count anywhere
-	var c Counters
-	if prev := Enable(&c); prev != nil {
-		t.Fatalf("Enable returned prev=%p, want nil", prev)
-	}
-	SIMDComparisons(2)
-	NodeVisits(4)
-	NodeSearch(5, 3) // one more node: 5 levels, 3 compares and mask evaluations
-	ScalarComparisons(6)
-	if Active() != &c {
-		t.Fatal("Active() did not return the enabled Counters")
-	}
-	if prev := Disable(); prev != &c {
-		t.Fatalf("Disable returned %p, want %p", prev, &c)
-	}
-	SIMDComparisons(100) // after disable: dropped
-	s := c.Read()
-	want := CounterSnapshot{
-		SIMDComparisons: 5, MaskEvaluations: 3, NodeVisits: 5,
-		LevelsDescended: 5, ScalarComparisons: 6,
-	}
-	if s != want {
-		t.Fatalf("Read() = %+v, want %+v", s, want)
-	}
-}
-
-// TestHooksDoNotAllocate pins the hot-path property the hooks rely on: the
-// stack-address shard trick must not force an allocation, enabled or not.
-func TestHooksDoNotAllocate(t *testing.T) {
-	defer Enable(Disable())
-	Disable()
-	if n := testing.AllocsPerRun(100, func() { SIMDComparisons(1) }); n != 0 {
-		t.Errorf("disabled hook allocates %v per call", n)
-	}
-	var c Counters
-	Enable(&c)
-	if n := testing.AllocsPerRun(100, func() {
-		SIMDComparisons(1)
-		NodeVisits(1)
-	}); n != 0 {
-		t.Errorf("enabled hook allocates %v per call", n)
 	}
 }
 
@@ -88,8 +42,7 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.AddSIMDComparisons(1)
-				c.AddNodeVisits(2)
+				c.Add(Cost{SIMDComparisons: 1, NodeVisits: 2})
 			}
 		}()
 	}
@@ -154,7 +107,7 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 }
 
 func TestCounterPromFormat(t *testing.T) {
-	s := CounterSnapshot{SIMDComparisons: 16, NodeVisits: 8}
+	s := Cost{SIMDComparisons: 16, NodeVisits: 8}
 	var b strings.Builder
 	if err := s.CounterProm(&b, "seg"); err != nil {
 		t.Fatal(err)

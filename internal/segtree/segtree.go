@@ -17,6 +17,7 @@ import (
 	"repro/internal/bitmask"
 	"repro/internal/kary"
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -131,56 +132,53 @@ func (t *Tree[K, V]) Height() int {
 	return h
 }
 
-// The untraced Get descent is a zero-allocation hot path; the directive keeps the
+// The Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^Tree\.Get$
+//simdtree:kernels ^Tree\.GetTraced$
 
 // Get returns the value stored under key, if present. Navigation uses the
 // SIMD k-ary search in every node.
-//
-//simdtree:hotpath
-func (t *Tree[K, V]) Get(key K) (v V, ok bool) {
-	ev := t.cfg.Evaluator
-	search := kary.Prepare(key)
-	n := t.root
-	for !n.leaf() {
-		n = n.children[n.kt.SearchP(key, search, ev)]
-	}
-	i, found := n.kt.LookupP(key, search, ev)
-	if found {
-		return n.vals[i-1], true
-	}
-	return v, false
+func (t *Tree[K, V]) Get(key K) (V, bool) {
+	v, ok, _ := t.GetTraced(key, nil)
+	return v, ok
 }
 
-// GetTraced is Get additionally recording the descent into tr: one node
-// step per B+-Tree level with the node's layout, the per-level SIMD
+// GetTraced is Get additionally returning the lookup's §4 cost — one node
+// visit per B+-Tree level, and the k-ary levels, SIMD compares and mask
+// evaluations of each node's search — and recording the descent into tr:
+// one node step per level with the node's layout, the per-level SIMD
 // compares of its k-ary search (loaded lanes, movemask, verdict) and the
-// branch taken. A nil tr makes it exactly Get — the kernels are shared.
-func (t *Tree[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
-	if tr == nil {
-		return t.Get(key)
+// branch taken. A nil tr records nothing.
+//
+//simdtree:hotpath
+func (t *Tree[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
+	if tr != nil {
+		tr.SetStructure("segtree")
 	}
-	tr.SetStructure("segtree")
-	layout := t.cfg.Layout.String()
 	ev := t.cfg.Evaluator
 	search := kary.Prepare(key)
 	n := t.root
 	depth := 0
 	for !n.leaf() {
-		tr.Node(depth, n.kt.Len(), layout, "branch")
-		i := n.kt.SearchPT(key, search, ev, tr)
-		tr.Branch(i)
+		if tr != nil {
+			tr.Node(depth, n.kt.Len(), t.cfg.Layout.String(), "branch")
+		}
+		i := n.kt.SearchPT(key, search, ev, tr, &c)
+		if tr != nil {
+			tr.Branch(i)
+		}
 		n = n.children[i]
 		depth++
 	}
-	tr.Node(depth, n.kt.Len(), layout, "leaf")
-	i, found := n.kt.LookupPT(key, search, ev, tr)
-	if found {
-		return n.vals[i-1], true
+	if tr != nil {
+		tr.Node(depth, n.kt.Len(), t.cfg.Layout.String(), "leaf")
 	}
-	return v, false
+	i, found := n.kt.LookupPT(key, search, ev, tr, &c)
+	if found {
+		return n.vals[i-1], true, c
+	}
+	return v, false, c
 }
 
 // Contains reports whether key is present.

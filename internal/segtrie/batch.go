@@ -39,14 +39,14 @@ func (t *Trie[K, V]) GetBatch(ks []K) ([]V, []bool) {
 	return index.LevelWise[K, V](ks, trieCur[V]{t.root, 0},
 		func(c trieCur[V]) bool { return int(c.level) == last },
 		func(c trieCur[V], i int) trieCur[V] {
-			idx, hit := find(&c.n.kt, t.segment(us[i], int(c.level)), t.cfg.Evaluator, nil)
+			idx, hit := find(&c.n.kt, t.segment(us[i], int(c.level)), t.cfg.Evaluator, nil, nil)
 			if !hit {
 				return trieCur[V]{}
 			}
 			return trieCur[V]{c.n.children[idx], c.level + 1}
 		},
 		func(c trieCur[V], i int) (v V, ok bool) {
-			if idx, hit := find(&c.n.kt, t.segment(us[i], last), t.cfg.Evaluator, nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(us[i], last), t.cfg.Evaluator, nil, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false
@@ -100,7 +100,7 @@ func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
 			if !ok {
 				return optCur[V]{}
 			}
-			idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil)
+			idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil, nil)
 			if !hit {
 				return optCur[V]{}
 			}
@@ -111,7 +111,7 @@ func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
 			if !match {
 				return v, false
 			}
-			if idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false

@@ -3,6 +3,7 @@ package segtrie
 import (
 	"repro/internal/kary"
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -60,55 +61,35 @@ func (t *Optimized[K, V]) segment(u uint64, level int) uint8 {
 	return uint8(u >> (8 * uint(t.levels-1-level)))
 }
 
-// The untraced Get descent is a zero-allocation hot path; the directive keeps the
+// The Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^Optimized\.(Get|segment)$
+//simdtree:kernels ^Optimized\.(GetTraced|segment)$
 
 // Get returns the value stored under key, if present.
-//
-//simdtree:hotpath
-func (t *Optimized[K, V]) Get(key K) (v V, ok bool) {
-	if t.root == nil {
-		return v, false
-	}
-	u := keys.OrderedBits(key)
-	n := t.root
-	level := 0
-	for {
-		for _, p := range n.prefix {
-			if t.segment(u, level) != p {
-				return v, false
-			}
-			level++
-		}
-		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
-		if !hit {
-			return v, false
-		}
-		if n.last() {
-			return n.vals[idx], true
-		}
-		n = n.children[idx]
-		level++
-	}
+func (t *Optimized[K, V]) Get(key K) (V, bool) {
+	v, ok, _ := t.GetTraced(key, nil)
+	return v, ok
 }
 
-// GetTraced is Get additionally recording the descent into tr: the
-// compressed-prefix byte comparisons of each node (lazy expansion, §4),
-// the segment byte and node of every materialized level, the fast path or
-// SIMD compares resolving it, and the branch taken. A nil tr makes it
-// exactly Get — the kernels are shared.
-func (t *Optimized[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
-	if tr == nil {
-		return t.Get(key)
+// GetTraced is Get additionally returning the lookup's §4 cost — the node
+// searches of the materialized levels; the compressed-prefix byte
+// compares are not counted — and recording the descent into tr: the
+// prefix comparisons of each node (lazy expansion, §4), the segment byte
+// and node of every materialized level, the fast path or SIMD compares
+// resolving it, and the branch taken. A nil tr records nothing.
+//
+//simdtree:hotpath
+func (t *Optimized[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
+	if tr != nil {
+		tr.SetStructure("opt-segtrie")
 	}
-	tr.SetStructure("opt-segtrie")
 	if t.root == nil {
-		tr.FastPath("empty-trie", 0)
-		return v, false
+		if tr != nil {
+			tr.FastPath("empty-trie", 0)
+		}
+		return v, false, c
 	}
-	layout := t.cfg.Layout.String()
 	u := keys.OrderedBits(key)
 	n := t.root
 	level := 0
@@ -116,26 +97,32 @@ func (t *Optimized[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
 		matched := 0
 		for _, p := range n.prefix {
 			if t.segment(u, level) != p {
-				tr.PrefixSkip(level-matched, matched, false)
-				return v, false
+				if tr != nil {
+					tr.PrefixSkip(level-matched, matched, false)
+				}
+				return v, false, c
 			}
 			matched++
 			level++
 		}
-		if matched > 0 {
-			tr.PrefixSkip(level-matched, matched, true)
-		}
 		pk := t.segment(u, level)
-		tr.Segment(level, pk)
-		tr.Node(level, n.kt.Len(), layout, "trie")
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr)
+		if tr != nil {
+			if matched > 0 {
+				tr.PrefixSkip(level-matched, matched, true)
+			}
+			tr.Segment(level, pk)
+			tr.Node(level, n.kt.Len(), t.cfg.Layout.String(), "trie")
+		}
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr, &c)
 		if !hit {
-			return v, false
+			return v, false, c
 		}
 		if n.last() {
-			return n.vals[idx], true
+			return n.vals[idx], true, c
 		}
-		tr.Branch(idx)
+		if tr != nil {
+			tr.Branch(idx)
+		}
 		n = n.children[idx]
 		level++
 	}
@@ -202,7 +189,7 @@ func (t *Optimized[K, V]) Put(key K, val V) bool {
 			return true
 		}
 		pk := t.segment(u, level)
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil, nil)
 		if hit {
 			if n.last() {
 				n.vals[idx] = val
@@ -247,7 +234,7 @@ func (t *Optimized[K, V]) Delete(key K) bool {
 			}
 			level++
 		}
-		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
+		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil, nil)
 		if !hit {
 			return false
 		}

@@ -86,10 +86,10 @@ func (t *Trie[K, V]) Levels() int { return t.levels }
 // Config returns the trie's configuration.
 func (t *Trie[K, V]) Config() Config { return t.cfg }
 
-// The untraced Get descent is a zero-allocation hot path; the directive keeps the
+// The Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(Trie\.(Get|segment)|find)$
+//simdtree:kernels ^(Trie\.(GetTraced|segment)|find)$
 
 // segment extracts the 8-bit partial key of level from the
 // order-preserving bit pattern u.
@@ -100,26 +100,29 @@ func (t *Trie[K, V]) segment(u uint64, level int) uint8 {
 }
 
 // find locates pk inside a node's partial keys kt — of either trie
-// variant — recording into tr when non-nil. On a hit, idx is the
-// position of pk's child or value; on a miss, idx is the insertion
-// position. It applies the §4 fast paths: a single-key node is compared
-// directly and a full node is indexed without any search.
+// variant — recording into tr and adding the node search's §4 cost to c,
+// each when non-nil. On a hit, idx is the position of pk's child or
+// value; on a miss, idx is the insertion position. It applies the §4
+// fast paths: a single-key node is compared directly and a full node is
+// indexed without any search.
 //
 //simdtree:hotpath
-func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace) (idx int, ok bool) {
-	// The general path's node visit is counted inside kt.Lookup; the fast
-	// paths below bypass the k-ary search, so they record the visit here.
+func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) (idx int, ok bool) {
+	var discard obs.Cost
+	if c == nil {
+		c = &discard
+	}
 	switch kt.Len() {
 	case 0:
-		obs.NodeVisits(1)
+		c.NodeVisits++
 		if tr != nil {
 			tr.FastPath("empty-node", 0)
 		}
 		return 0, false
 	case 1:
 		// A single-key node holds exactly its maximum.
-		obs.NodeVisits(1)
-		obs.ScalarComparisons(1)
+		c.NodeVisits++
+		c.ScalarComparisons++
 		at, _ := kt.Max()
 		switch {
 		case at == pk:
@@ -136,13 +139,13 @@ func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace)
 		return idx, ok
 	case 256:
 		// Full node: direct index, zero comparisons of any kind (§4).
-		obs.NodeVisits(1)
+		c.NodeVisits++
 		if tr != nil {
 			tr.FastPath("full-node", int(pk))
 		}
 		return int(pk), true
 	}
-	pos, found := kt.LookupT(pk, ev, tr)
+	pos, found := kt.LookupPT(pk, kary.Prepare(pk), ev, tr, c)
 	if found {
 		return pos - 1, true
 	}
@@ -152,47 +155,41 @@ func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace)
 // Get returns the value stored under key, if present. A missing partial
 // key terminates the search above leaf level — the trie's comparison-
 // saving advantage over tree structures (§4).
-//
-//simdtree:hotpath
-func (t *Trie[K, V]) Get(key K) (v V, ok bool) {
-	u := keys.OrderedBits(key)
-	n := t.root
-	for level := 0; ; level++ {
-		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil)
-		if !hit {
-			return v, false
-		}
-		if level == t.levels-1 {
-			return n.vals[idx], true
-		}
-		n = n.children[idx]
-	}
+func (t *Trie[K, V]) Get(key K) (V, bool) {
+	v, ok, _ := t.GetTraced(key, nil)
+	return v, ok
 }
 
-// GetTraced is Get additionally recording the descent into tr: per trie
-// level the extracted segment byte, the node entered, the fast path taken
-// or the two SIMD compares of its 17-ary search, and the branch followed.
-// A nil tr makes it exactly Get — the kernels are shared.
-func (t *Trie[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool) {
-	if tr == nil {
-		return t.Get(key)
+// GetTraced is Get additionally returning the lookup's §4 cost — per trie
+// level one node visit plus the fast path's scalar compare or the two
+// SIMD compares of its 17-ary search — and recording the descent into
+// tr: per level the extracted segment byte, the node entered, the fast
+// path or SIMD compares resolving it, and the branch followed. A nil tr
+// records nothing.
+//
+//simdtree:hotpath
+func (t *Trie[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
+	if tr != nil {
+		tr.SetStructure("segtrie")
 	}
-	tr.SetStructure("segtrie")
-	layout := t.cfg.Layout.String()
 	u := keys.OrderedBits(key)
 	n := t.root
 	for level := 0; ; level++ {
 		pk := t.segment(u, level)
-		tr.Segment(level, pk)
-		tr.Node(level, n.kt.Len(), layout, "trie")
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr)
+		if tr != nil {
+			tr.Segment(level, pk)
+			tr.Node(level, n.kt.Len(), t.cfg.Layout.String(), "trie")
+		}
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, tr, &c)
 		if !hit {
-			return v, false
+			return v, false, c
 		}
 		if level == t.levels-1 {
-			return n.vals[idx], true
+			return n.vals[idx], true, c
 		}
-		tr.Branch(idx)
+		if tr != nil {
+			tr.Branch(idx)
+		}
 		n = n.children[idx]
 	}
 }
@@ -210,7 +207,7 @@ func (t *Trie[K, V]) Put(key K, val V) bool {
 	n := t.root
 	for level := 0; ; level++ {
 		pk := t.segment(u, level)
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil, nil)
 		last := level == t.levels-1
 		if hit {
 			if last {
@@ -250,7 +247,7 @@ func (t *Trie[K, V]) Delete(key K) bool {
 	n := t.root
 	for level := 0; ; level++ {
 		pk := t.segment(u, level)
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil)
+		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil, nil)
 		if !hit {
 			return false
 		}

@@ -3,8 +3,6 @@ package simd
 import (
 	"encoding/binary"
 	"math/bits"
-
-	"repro/internal/obs"
 )
 
 // Fused forms of the paper's per-node instruction sequence (load → compare
@@ -21,15 +19,14 @@ import (
 // Mask produces exactly the _mm_movemask_epi8 result: one bit per byte,
 // i.e. width bits per true lane. The Rank kernels skip the movemask
 // altogether and return the k-ary digit Algorithm 3 would compute from
-// it. Neither records cost counts: the k-ary node search that calls them
-// counts once per node. The per-compare kernels GtMask, EqMask, GtMaskEq
-// and EqAny each count one SIMD comparison.
+// it. No kernel records cost counts: the searches that call them return
+// their own §4 cost.
 
 // Every fused kernel below runs once per visited node and is a
 // zero-allocation hot path; the directive keeps the //simdtree:hotpath
 // annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^(NewSearch|carries(8|16|32)|gtMask(8|16|32)|Search\.(Rank(8|16|32|64)?|Eq|Mask|GtMask|GtMaskEq|EqAny|EqMask))$
+//simdtree:kernels ^(NewSearch|carries(8|16|32)|gtMask(8|16|32)|Search\.(Rank(8|16|32|64)?|Eq|Mask|EqMask))$
 
 // Search is a prepared search register for repeated greater-than compares
 // of one search key against packed nodes.
@@ -227,40 +224,10 @@ func (s Search) Mask(b []byte) uint16 {
 	}
 }
 
-// GtMask is Mask counted as one SIMD comparison, for searches that probe
-// register by register (the Zhou–Ross flat-list baselines).
-//
-//simdtree:hotpath
-func (s Search) GtMask(b []byte) uint16 {
-	obs.SIMDComparisons(1)
-	return s.Mask(b)
-}
-
-// EqAny reports whether any lane of the 16-byte node at b equals the
-// prepared search key, counted as one SIMD comparison.
-//
-//simdtree:hotpath
-func (s Search) EqAny(b []byte) bool {
-	obs.SIMDComparisons(1)
-	return s.Eq(binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]))
-}
-
-// GtMaskEq combines GtMask and EqAny on one node. In the §4 cost model a
-// fused visit is still one SIMD comparison — both results come from the
-// same register pair — so it counts once.
-//
-//simdtree:hotpath
-func (s Search) GtMaskEq(b []byte) (mask uint16, eq bool) {
-	obs.SIMDComparisons(1)
-	return s.Mask(b), s.Eq(binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]))
-}
-
-// EqMask is GtMask for lane equality: _mm_cmpeq followed by the
-// movemask.
+// EqMask is Mask for lane equality: _mm_cmpeq followed by the movemask.
 //
 //simdtree:hotpath
 func (s Search) EqMask(b []byte) uint16 {
-	obs.SIMDComparisons(1)
 	lo, hi := s.load(b)
 	w := s.width
 	return uint16(moveMask64(eqLanes(lo, s.lo, w)) | moveMask64(eqLanes(hi, s.lo, w))<<8)

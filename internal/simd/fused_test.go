@@ -32,7 +32,7 @@ func TestFusedGtMaskMatchesComposedSequence(t *testing.T) {
 				ordered &= laneMask[w]
 			}
 			s := NewSearch(w, ordered)
-			got := s.GtMask(b[:])
+			got := s.Mask(b[:])
 			gotEq := s.EqMask(b[:])
 
 			// Composed reference: signed lanes; the stored bytes already

@@ -1,6 +1,9 @@
 package simd
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzCompareKernels cross-checks the SWAR kernels and the fused search
 // kernels against the scalar reference on fuzzed register contents.
@@ -34,18 +37,14 @@ func FuzzCompareKernels(f *testing.F) {
 		searchReg := Set1Lane(w, signedSearch)
 		wantGt := MoveMaskEpi8(CmpGt(w, reg, searchReg))
 		wantEq := MoveMaskEpi8(CmpEq(w, reg, searchReg))
-		if got := s.GtMask(buf[:]); got != wantGt {
+		if got := s.Mask(buf[:]); got != wantGt {
 			t.Fatalf("fused gt w=%d: %#x want %#x", w, got, wantGt)
 		}
 		if got := s.EqMask(buf[:]); got != wantEq {
 			t.Fatalf("fused eq w=%d: %#x want %#x", w, got, wantEq)
 		}
-		gm, eq := s.GtMaskEq(buf[:])
-		if gm != wantGt || eq != (wantEq != 0) {
-			t.Fatalf("fused gt+eq w=%d", w)
-		}
-		if got := s.EqAny(buf[:]); got != (wantEq != 0) {
-			t.Fatalf("eqany w=%d: %v want %v", w, got, wantEq != 0)
+		if got := s.Eq(binary.LittleEndian.Uint64(buf[:]), binary.LittleEndian.Uint64(buf[8:])); got != (wantEq != 0) {
+			t.Fatalf("eq w=%d: %v want %v", w, got, wantEq != 0)
 		}
 	})
 }

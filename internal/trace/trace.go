@@ -10,12 +10,12 @@
 // movemask and the evaluator's verdict, so a trace replays Algorithms 4/5
 // exactly as the kernels executed them.
 //
-// Unlike the obs counters, which hang off a process-global atomic pointer,
-// traces are threaded explicitly: every traced search path takes a
-// *Trace parameter and records nothing when it is nil. A global sink would
-// interleave the steps of concurrent operations; the explicit parameter
-// keeps one operation's descent in one Trace and keeps the disabled path
-// at literally zero cost — a nil comparison per level, no allocation.
+// Like the obs.Cost each descent returns, traces are threaded
+// explicitly: every traced search path takes a *Trace parameter and
+// records nothing when it is nil. A global sink would interleave the
+// steps of concurrent operations; the explicit parameter keeps one
+// operation's descent in one Trace and keeps the disabled path at
+// literally zero cost — a nil comparison per level, no allocation.
 package trace
 
 import (

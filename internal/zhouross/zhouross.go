@@ -159,7 +159,7 @@ func (l *List[K]) sequentialSearch(v K, tr *trace.Trace) int {
 	search := l.prepare(v)
 	step := l.lanes
 	for off := 0; ; off += step {
-		mask := search.GtMask(l.packed[off*l.w:])
+		mask := search.Mask(l.packed[off*l.w:])
 		l.probe(tr, off, mask)
 		if mask != 0 {
 			pos := off + bitmask.PopcountEval(mask, l.w)
@@ -210,7 +210,7 @@ func (l *List[K]) binarySearch(v K, tr *trace.Trace) int {
 	lo, hi := 0, (len(l.packed)/l.w)/step // register-granular range
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		mask := search.GtMask(l.packed[mid*step*l.w:])
+		mask := search.Mask(l.packed[mid*step*l.w:])
 		l.probe(tr, mid*step, mask)
 		switch {
 		case mask == 0:
@@ -274,7 +274,7 @@ func (l *List[K]) hybridSearch(v K, tr *trace.Trace) int {
 	lo, hi := 0, (len(l.packed)/l.w)/step
 	for hi-lo > crossover {
 		mid := int(uint(lo+hi) >> 1)
-		mask := search.GtMask(l.packed[mid*step*l.w:])
+		mask := search.Mask(l.packed[mid*step*l.w:])
 		l.probe(tr, mid*step, mask)
 		switch {
 		case mask == 0:
@@ -293,7 +293,7 @@ func (l *List[K]) hybridSearch(v K, tr *trace.Trace) int {
 		if off*l.w >= len(l.packed) {
 			break
 		}
-		mask := search.GtMask(l.packed[off*l.w:])
+		mask := search.Mask(l.packed[off*l.w:])
 		l.probe(tr, off, mask)
 		if mask != 0 {
 			pos := off + bitmask.PopcountEval(mask, l.w)

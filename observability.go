@@ -14,39 +14,25 @@ import (
 // both, including Prometheus text rendering (see cmd/segserve for a
 // complete /metrics server).
 
-// Counters accumulates the paper's cost-model quantities while enabled:
-// SIMD comparisons, bitmask evaluations, node visits, k-ary levels
-// descended and scalar comparisons. The zero value is ready to use; all
-// methods are safe for concurrent use.
-type Counters = obs.Counters
+// Cost is the paper's §4 cost of one or more lookups: SIMD comparisons,
+// bitmask evaluations, node visits, k-ary levels descended and scalar
+// comparisons. Every Index's GetTraced returns the cost of its lookup:
+//
+//	_, _, c := tree.GetTraced(42, nil)
+//	fmt.Println(c.SIMDComparisons)
+type Cost = obs.Cost
 
-// CounterSnapshot is one read of a Counters.
-type CounterSnapshot = obs.CounterSnapshot
+// Counters sums Costs; InstrumentedIndex.Counters holds the total of
+// the index's point lookups. The zero value is ready to use; all methods
+// are safe for concurrent use.
+type Counters = obs.Counters
 
 // HistogramSnapshot is one read of a latency histogram: power-of-two
 // nanosecond buckets, total count and sum.
 type HistogramSnapshot = obs.HistogramSnapshot
 
-// EnableCounters directs every structure's search-path hooks into c and
-// returns the previously enabled Counters (nil if none) for restoring:
-//
-//	var c simdtree.Counters
-//	prev := simdtree.EnableCounters(&c)
-//	defer simdtree.EnableCounters(prev)
-//	tree.Get(42)
-//	fmt.Println(c.Read().SIMDComparisons)
-//
-// While no Counters is enabled the hooks cost one atomic load.
-func EnableCounters(c *Counters) (prev *Counters) { return obs.Enable(c) }
-
-// DisableCounters detaches and returns the enabled Counters, if any.
-func DisableCounters() (prev *Counters) { return obs.Disable() }
-
-// ActiveCounters returns the currently enabled Counters, or nil.
-func ActiveCounters() *Counters { return obs.Active() }
-
 // InstrumentedIndex wraps any Index with per-operation latency histograms
-// and optional cost-model counters; it satisfies Index itself. Construct
+// and the cost counters of its point lookups; it satisfies Index itself. Construct
 // with NewInstrumentedIndex, or wrap an existing index with
 // WrapInstrumented.
 type InstrumentedIndex[K Key, V any] = index.Instrumented[K, V]
@@ -87,11 +73,9 @@ func NewWindowedHistogram(tick time.Duration, epochs int) *WindowedHistogram {
 	return obs.NewWindowedHistogram(tick, epochs)
 }
 
-// WrapInstrumented wraps an existing index with instrumentation;
-// withCounters attaches dedicated cost-model Counters scoped to the
-// wrapper's operations.
-func WrapInstrumented[K Key, V any](ix Index[K, V], withCounters bool) *InstrumentedIndex[K, V] {
-	return index.NewInstrumented(ix, withCounters)
+// WrapInstrumented wraps an existing index with instrumentation.
+func WrapInstrumented[K Key, V any](ix Index[K, V]) *InstrumentedIndex[K, V] {
+	return index.NewInstrumented(ix)
 }
 
 // ShapeReport is the structural-health summary every Index produces via

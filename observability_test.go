@@ -2,7 +2,7 @@ package simdtree_test
 
 // Black-box checks of the observability layer against the paper's §4
 // comparison model, driven entirely through the public facade: the
-// runtime counters must reproduce the comparison counts the paper derives
+// returned lookup costs must reproduce the comparison counts the paper derives
 // analytically, on real structures built through the public API.
 
 import (
@@ -13,16 +13,14 @@ import (
 	simdtree "repro"
 )
 
-// countGet runs one Get through fresh counters and returns the snapshot.
-func countGet[K simdtree.Key, V any](t *testing.T, ix simdtree.Index[K, V], k K) simdtree.CounterSnapshot {
+// countGet runs one lookup and returns the cost it reports.
+func countGet[K simdtree.Key, V any](t *testing.T, ix simdtree.Index[K, V], k K) simdtree.Cost {
 	t.Helper()
-	var c simdtree.Counters
-	prev := simdtree.EnableCounters(&c)
-	defer simdtree.EnableCounters(prev)
-	if _, ok := ix.Get(k); !ok {
+	_, ok, c := ix.GetTraced(k, nil)
+	if !ok {
 		t.Fatalf("Get(%v) missed", k)
 	}
-	return c.Read()
+	return c
 }
 
 // TestComparisonModelFullTrieNode pins the paper's §4 claim that one full

@@ -230,12 +230,11 @@ func NewIndex[K Key, V any](opts ...Option) Index[K, V] {
 	}
 }
 
-// NewInstrumentedIndex is NewIndex wrapped in an InstrumentedIndex with
-// cost-model counters attached, returned as the concrete type so callers
-// reach Snapshot and WritePrometheus without assertions. The wrapper
-// sits outside any sharding, so its histograms cover whole sharded
-// operations. For latency histograms only, use
-// WrapInstrumented(NewIndex(opts...), false).
+// NewInstrumentedIndex is NewIndex wrapped in an InstrumentedIndex,
+// returned as the concrete type so callers reach Snapshot and
+// WritePrometheus without assertions. The wrapper sits outside any
+// sharding, so its histograms and point-lookup counters cover whole
+// sharded operations.
 func NewInstrumentedIndex[K Key, V any](opts ...Option) *InstrumentedIndex[K, V] {
-	return index.NewInstrumented(NewIndex[K, V](opts...), true)
+	return index.NewInstrumented(NewIndex[K, V](opts...))
 }

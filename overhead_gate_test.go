@@ -44,8 +44,8 @@ func bestNsPerOp(f func(b *testing.B)) float64 {
 func TestTracerOffOverheadGate(t *testing.T) {
 	probes := traceBenchProbes()
 	bare := traceBenchTree()
-	noSampler := simdtree.WrapInstrumented(traceBenchTree(), false)
-	samplerOff := simdtree.WrapInstrumented(traceBenchTree(), false)
+	noSampler := simdtree.WrapInstrumented(traceBenchTree())
+	samplerOff := simdtree.WrapInstrumented(traceBenchTree())
 	samplerOff.EnableSampling(0, 0) // attached but idle
 
 	// Windowed metrics run on BOTH compared indexes, so the gate still

@@ -61,7 +61,7 @@ type SamplerStats = trace.SamplerStats
 // InstrumentedIndex wrappers.
 func Explain[K Key, V any](ix Index[K, V], key K) *Trace {
 	tr := trace.New("get", fmt.Sprint(key))
-	_, ok := ix.GetTraced(key, tr)
+	_, ok, _ := ix.GetTraced(key, tr)
 	tr.Finish(ok)
 	return tr
 }

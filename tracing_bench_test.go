@@ -1,10 +1,10 @@
 package simdtree_test
 
 // Cost of always-on sampled tracing at the rates that matter: no sampler
-// attached (histograms only — the sweep's baseline), sampler attached
-// but off (adds one atomic pointer load + modulo per Get), the
-// recommended production rate of 1-in-1024, and always-on (rate 1, every
-// Get allocates and records a full trace). BenchmarkGet is the
+// attached (histograms and counters only — the sweep's baseline),
+// sampler attached but off (adds one atomic pointer load + modulo per
+// Get), the recommended production rate of 1-in-1024, and always-on
+// (rate 1, every Get allocates and records a full trace). BenchmarkGet is the
 // bare-structure reference. Run with:
 //
 //	go test -run=^$ -bench='BenchmarkGet$|BenchmarkTraceSampling' -benchtime=2s .
@@ -60,8 +60,9 @@ func BenchmarkTraceSampling(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			// Instrumentation stays on (sampling rides on it); the sweep
-			// reads against the no-sampler case, which pays histograms only.
-			ix := simdtree.WrapInstrumented(traceBenchTree(), false)
+			// reads against the no-sampler case, which pays histograms and
+			// counters only.
+			ix := simdtree.WrapInstrumented(traceBenchTree())
 			if bc.rate >= 0 {
 				ix.EnableSampling(bc.rate, 0)
 			}
