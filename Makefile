@@ -48,6 +48,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # Every fuzz target in the module, as "package:Target" pairs — go test
 # allows only one -fuzz pattern per invocation.
 FUZZ_TARGETS = \
+	./internal/index:FuzzGetBatch \
 	./internal/kary:FuzzNodeSearchKernels \
 	./internal/kary:FuzzInsertDelete \
 	./internal/segtree:FuzzTreeOps \
@@ -90,14 +91,15 @@ race:
 
 # Long mixed-load run over the MVCC snapshot machinery under the race
 # detector: concurrent writers rotate versions while readers pin
-# snapshots and assert isolation invariants, and goroutines interleaving
+# snapshots and assert isolation invariants, goroutines interleaving
 # lookups on instrumented indexes must attribute every cost count to the
-# index that paid it. STRESS_OPS scales the per worker operation count
+# index that paid it, and a batch racing a writer must read each shard
+# from one pinned version. STRESS_OPS scales the per worker operation count
 # of the MVCC tests (the short default inside the tests is sized for
 # `make race`; CI runs this target with a much larger budget).
 stress:
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -count=2 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce' \
 		./internal/index/ -v
 
 # Debug build with runtime invariant checks compiled in (DESIGN.md §5c):
@@ -110,7 +112,7 @@ stress:
 invariants:
 	$(GO) test -race -tags=invariants ./...
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -tags=invariants -count=1 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce' \
 		./internal/index/
 
 fuzz:
@@ -243,7 +245,7 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%7d  total\n", t }'
 
-# BENCH_baseline.json is committed — the benchdiff reference — and must
-# survive a clean.
+# BENCH_baseline.json (the benchdiff reference) and the per-PR
+# BENCH_pr*.json runs are committed and must survive a clean.
 clean:
-	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_baseline.json' -delete
+	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_baseline.json' ! -name 'BENCH_pr*.json' -delete

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	simdtree "repro"
 	"repro/internal/bench"
 	"repro/internal/bitmask"
 	"repro/internal/btree"
@@ -542,15 +543,20 @@ func BenchmarkRangeScan(b *testing.B) {
 	run("opt-segtrie", opt.Scan)
 }
 
-// BenchmarkGetBatchLevelWise measures the level-wise batch search engine
-// against per-probe Get for all four structures on the 5 MB and 100 MB
-// classes (64-bit keys, batches of 256 probes drawn with replacement).
-// The engine sorts each batch, deduplicates equal keys and descends all
-// group cursors level-synchronously; on the out-of-cache 100 MB class
-// that converts dependent pointer chases into grouped, locality-friendly
-// node visits.
+// BenchmarkGetBatchLevelWise measures batched lookups against per-probe
+// Get for all four structures on the 5 MB and 100 MB classes (64-bit
+// keys, probes drawn with replacement). get-batch is GetBatch on
+// batches of 256, which picks the level-wise descent only where it pays;
+// level-wise/b=N forces that descent at batch size N — the sweep that
+// fixes the crossover constants in internal/index. The descent sorts each
+// batch, deduplicates equal keys and moves all group cursors one level
+// at a time; on the out-of-cache 100 MB class that converts dependent
+// pointer chases into grouped, overlapping node visits.
 func BenchmarkGetBatchLevelWise(b *testing.B) {
-	const batch = 256
+	type levelWiser interface {
+		index.Index[uint64, uint64]
+		index.LevelWiser[uint64, uint64]
+	}
 	for _, class := range []workload.Class{workload.FiveMB, workload.HundredMB} {
 		n := workload.KeysFor[uint64](class)
 		ks := workload.Ascending[uint64](n)
@@ -566,12 +572,26 @@ func BenchmarkGetBatchLevelWise(b *testing.B) {
 		}
 		targets := []struct {
 			name string
-			ix   index.Index[uint64, uint64]
+			ix   levelWiser
 		}{
 			{"btree", btree.BulkLoad[uint64, uint64](btree.DefaultConfig[uint64](), ks, vs)},
 			{"segtree", segtree.BulkLoad[uint64, uint64](segtree.DefaultConfig[uint64](), ks, vs)},
 			{"segtrie", trie},
 			{"opt-segtrie", opt},
+		}
+		vals, found := make([]uint64, 256), make([]bool, 256)
+		batched := func(b *testing.B, batch int, get func([]uint64, []uint64, []bool)) {
+			hits := 0
+			for i := 0; i < b.N; i += batch {
+				off := i % (len(probes) - batch)
+				get(probes[off:off+batch], vals, found)
+				for _, f := range found[:batch] {
+					if f {
+						hits++
+					}
+				}
+			}
+			sink += hits
 		}
 		for _, tg := range targets {
 			b.Run(fmt.Sprintf("%s/%s/get-serial", class, tg.name), func(b *testing.B) {
@@ -584,6 +604,7 @@ func BenchmarkGetBatchLevelWise(b *testing.B) {
 				sink += hits
 			})
 			b.Run(fmt.Sprintf("%s/%s/get-batch", class, tg.name), func(b *testing.B) {
+				const batch = 256
 				hits := 0
 				for i := 0; i < b.N; i += batch {
 					off := i % (len(probes) - batch)
@@ -596,8 +617,72 @@ func BenchmarkGetBatchLevelWise(b *testing.B) {
 				}
 				sink += hits
 			})
+			for _, batch := range []int{2, 4, 8, 16, 64, 256} {
+				b.Run(fmt.Sprintf("%s/%s/level-wise/b=%d", class, tg.name, batch), func(b *testing.B) {
+					batched(b, batch, tg.ix.GetBatchLevelWise)
+				})
+			}
 		}
 	}
+}
+
+// BenchmarkShardedGetBatch prices one 16-key batch against the 16 Gets
+// it replaces on the composition perfbench's lookup workload serves: a
+// Seg-Tree in each of 16 MVCC-versioned key-range shards holding 32,768
+// random 64-bit keys. Every op is 16 keys; "into" reuses its output
+// buffers, "batch" allocates them.
+func BenchmarkShardedGetBatch(b *testing.B) {
+	const n, batch = 32_768, 16
+	rng := rand.New(rand.NewSource(1))
+	ks := workload.UniformRandom[uint64](rng, n)
+	ix := simdtree.NewIndex[uint64, uint64](
+		simdtree.WithStructure(simdtree.StructureSegTree), simdtree.WithShards(16))
+	for i, k := range ks {
+		ix.Put(k, uint64(i))
+	}
+	probes := workload.Probes(rng, ks, 1<<14)
+	vals, found := make([]uint64, batch), make([]bool, batch)
+	b.Run("gets", func(b *testing.B) {
+		b.ReportAllocs()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			off := i * batch % (len(probes) - batch)
+			for _, k := range probes[off : off+batch] {
+				if _, ok := ix.Get(k); ok {
+					hits++
+				}
+			}
+		}
+		sink += hits
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			off := i * batch % (len(probes) - batch)
+			_, found := ix.GetBatch(probes[off : off+batch])
+			for _, f := range found {
+				if f {
+					hits++
+				}
+			}
+		}
+		sink += hits
+	})
+	b.Run("into", func(b *testing.B) {
+		b.ReportAllocs()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			off := i * batch % (len(probes) - batch)
+			ix.GetBatchInto(probes[off:off+batch], vals, found)
+			for _, f := range found {
+				if f {
+					hits++
+				}
+			}
+		}
+		sink += hits
+	})
 }
 
 // BenchmarkShardedPut compares concurrent Put throughput of the

@@ -63,6 +63,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -547,21 +548,53 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// maxBatchKeys bounds one /getbatch request's keys= list. A longer list
+// is refused with 413 from a comma count, before any key is parsed.
+const maxBatchKeys = 1024
+
+// batchBufs is the reusable key list and answer buffers of one /getbatch
+// request, sized for the largest accepted batch.
+type batchBufs struct {
+	ks    []uint64
+	vals  []string
+	found []bool
+}
+
+var batchPool = sync.Pool{New: func() any {
+	return &batchBufs{
+		ks:    make([]uint64, 0, maxBatchKeys),
+		vals:  make([]string, maxBatchKeys),
+		found: make([]bool, maxBatchKeys),
+	}
+}}
+
 func (s *server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(r.URL.Query().Get("keys"), ",")
-	ks := make([]uint64, 0, len(parts))
-	for _, p := range parts {
-		k, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
+	list := r.URL.Query().Get("keys")
+	if n := strings.Count(list, ",") + 1; n > maxBatchKeys {
+		http.Error(w, fmt.Sprintf("too many keys: %d, at most %d per batch", n, maxBatchKeys),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	b := batchPool.Get().(*batchBufs)
+	defer func() {
+		clear(b.vals) // the pool must not keep values alive
+		batchPool.Put(b)
+	}()
+	ks := b.ks[:0]
+	for rest, more := list, true; more; {
+		var item string
+		item, rest, more = strings.Cut(rest, ",")
+		k, err := strconv.ParseUint(strings.TrimSpace(item), 10, 64)
 		if err != nil {
 			http.Error(w, "bad keys parameter: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		ks = append(ks, k)
 	}
-	vs, found := s.ix.GetBatch(ks)
+	s.ix.GetBatchInto(ks, b.vals, b.found)
 	for i, k := range ks {
-		if found[i] {
-			fmt.Fprintf(w, "%d %s\n", k, vs[i])
+		if b.found[i] {
+			fmt.Fprintf(w, "%d %s\n", k, b.vals[i])
 		} else {
 			fmt.Fprintf(w, "%d MISSING\n", k)
 		}

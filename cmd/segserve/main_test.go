@@ -85,6 +85,41 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestGetBatchKeyLimit covers the /getbatch bound: a list at the limit
+// is answered in full, one key over it is refused with 413 before any
+// parsing, and an empty list is a bad request.
+func TestGetBatchKeyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	list := func(n int) string {
+		ks := make([]string, n)
+		for i := range ks {
+			ks[i] = strconv.Itoa(i)
+		}
+		return strings.Join(ks, ",")
+	}
+	code, body := get(t, ts.URL+"/getbatch?keys="+list(maxBatchKeys))
+	if code != 200 {
+		t.Fatalf("/getbatch with %d keys = %d, want 200", maxBatchKeys, code)
+	}
+	if lines := strings.Count(body, "\n"); lines != maxBatchKeys {
+		t.Errorf("/getbatch with %d keys answered %d lines", maxBatchKeys, lines)
+	}
+	if !strings.HasPrefix(body, "0 0\n1 1\n") {
+		t.Errorf("/getbatch body starts %q", body[:min(len(body), 40)])
+	}
+	// The over-limit list ends in a key that does not parse: the comma
+	// count alone must refuse it.
+	if code, body := get(t, ts.URL+"/getbatch?keys="+list(maxBatchKeys)+",x"); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("/getbatch with %d keys = %d %q, want 413", maxBatchKeys+1, code, body)
+	}
+	if code, _ := get(t, ts.URL+"/getbatch?keys="); code != http.StatusBadRequest {
+		t.Errorf("/getbatch with empty keys= = %d, want 400", code)
+	}
+	if code, _ := get(t, ts.URL+"/getbatch"); code != http.StatusBadRequest {
+		t.Errorf("/getbatch without keys = %d, want 400", code)
+	}
+}
+
 // TestVersionObservability covers the write-progress surface: the MVCC
 // version number in /healthz and /stats advances with writes, and
 // /debug/snapshot reports the full publication state.

@@ -9,6 +9,7 @@ import (
 	simdtree "repro"
 	"repro/internal/bitmask"
 	"repro/internal/driver"
+	"repro/internal/index"
 	"repro/internal/kary"
 	"repro/internal/keys"
 	"repro/internal/obs"
@@ -137,6 +138,129 @@ func TestGetIsAllocationFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGetBatchIntoIsAllocationFree is the batch counterpart of the Get
+// gate: a 16-key GetBatchInto into reused buffers must not allocate on
+// any structure, bare or behind Versioned, Sharded(16), a Snapshot or
+// Instrumented, and GetBatch must allocate exactly its two results. The
+// level-wise descent, which GetBatchInto only picks for large trees,
+// takes its scratch from pools and must not allocate either.
+func TestGetBatchIntoIsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items; this gate runs without -race")
+	}
+	const n, batch = 4096, 16
+	// Keys spread across the whole key space reach every shard.
+	spread := uint32(1<<32/n) + 1
+	structures := []simdtree.Structure{
+		simdtree.StructureSegTree,
+		simdtree.StructureSegTrie,
+		simdtree.StructureOptimizedSegTrie,
+		simdtree.StructureBPlusTree,
+	}
+	for _, s := range structures {
+		wrappings := []struct {
+			name string
+			ix   simdtree.Index[uint32, int]
+		}{
+			{"bare", simdtree.NewIndex[uint32, int](simdtree.WithStructure(s))},
+			{"versioned", simdtree.NewIndex[uint32, int](simdtree.WithStructure(s), simdtree.WithSnapshots())},
+			{"sharded", simdtree.NewIndex[uint32, int](simdtree.WithStructure(s), simdtree.WithShards(16))},
+			{"instrumented", simdtree.NewInstrumentedIndex[uint32, int](simdtree.WithStructure(s), simdtree.WithShards(16))},
+		}
+		for _, w := range wrappings {
+			for i := uint32(0); i < n; i++ {
+				w.ix.Put(i*spread, int(i))
+			}
+			probes := make([]uint32, batch)
+			for i := range probes {
+				probes[i] = uint32(i*97%n) * spread
+				if i%4 == 3 {
+					probes[i]++ // a miss
+				}
+			}
+			vals, found := make([]int, batch), make([]bool, batch)
+			check := func(name string, b interface {
+				GetBatchInto([]uint32, []int, []bool)
+				GetBatch([]uint32) ([]int, []bool)
+			}) {
+				b.GetBatchInto(probes, vals, found)
+				if !found[0] || found[3] {
+					t.Fatalf("%s/%s: found = %v", s, name, found)
+				}
+				if a := testing.AllocsPerRun(200, func() { b.GetBatchInto(probes, vals, found) }); a != 0 {
+					t.Errorf("%s/%s: GetBatchInto allocates %.1f times per %d-key batch", s, name, a, batch)
+				}
+				if a := testing.AllocsPerRun(200, func() { b.GetBatch(probes) }); a != 2 {
+					t.Errorf("%s/%s: GetBatch allocates %.1f times per batch, want 2 (values and found mask)", s, name, a)
+				}
+			}
+			check(w.name, w.ix)
+			if snap, ok := simdtree.TakeSnapshot(w.ix); ok {
+				check(w.name+"/snapshot", snap)
+				snap.Release()
+			}
+			if lw, ok := w.ix.(index.LevelWiser[uint32, int]); ok {
+				all := make([]uint32, 256)
+				for i := range all {
+					all[i] = uint32(i*31%n) * spread
+				}
+				lv, lf := make([]int, len(all)), make([]bool, len(all))
+				if a := testing.AllocsPerRun(200, func() { lw.GetBatchLevelWise(all, lv, lf) }); a != 0 {
+					t.Errorf("%s/%s: GetBatchLevelWise allocates %.1f times per %d-key batch", s, w.name, a, len(all))
+				}
+			}
+		}
+	}
+	verifyShardShareIsAllocationFree(t)
+}
+
+// verifyShardShareIsAllocationFree sends all 16 keys of a batch to one
+// shard, live and through a fresh Snapshot: once on a small shard, whose
+// keys take Gets in place, and once on a shard of more than 4 MB of keys,
+// whose keys are gathered for the level-wise descent. Neither may
+// allocate; a fresh Snapshot's batch allocates nothing beyond taking the
+// Snapshot.
+func verifyShardShareIsAllocationFree(t *testing.T) {
+	const batch = 16
+	for _, n := range []int{4096, 600_000} {
+		// Keys below 2^32 all route to shard 0 of 2.
+		ix := simdtree.NewIndex[uint64, int](
+			simdtree.WithStructure(simdtree.StructureSegTree), simdtree.WithShards(2))
+		for i := 0; i < n; i++ {
+			ix.Put(uint64(2*i), i)
+		}
+		probes := make([]uint64, batch)
+		for i := range probes {
+			probes[i] = uint64(2 * (i * 7919 % n))
+		}
+		vals, found := make([]int, batch), make([]bool, batch)
+		ix.GetBatchInto(probes, vals, found)
+		if !found[batch-1] || vals[1] != 7919%n {
+			t.Fatalf("%d keys: GetBatchInto = %v,%v", n, vals, found)
+		}
+		if a := testing.AllocsPerRun(200, func() { ix.GetBatchInto(probes, vals, found) }); a != 0 {
+			t.Errorf("%d keys: GetBatchInto into one shard allocates %.1f times per %d-key batch", n, a, batch)
+		}
+		take := func() *simdtree.IndexSnapshotView[uint64, int] {
+			snap, ok := simdtree.TakeSnapshot(ix)
+			if !ok {
+				t.Fatal("sharded index has no Snapshot")
+			}
+			return snap
+		}
+		bare := testing.AllocsPerRun(50, func() { take().Release() })
+		withBatch := testing.AllocsPerRun(50, func() {
+			snap := take()
+			snap.GetBatchInto(probes, vals, found)
+			snap.Release()
+		})
+		if withBatch != bare {
+			t.Errorf("%d keys: a fresh Snapshot's GetBatchInto allocates %.1f times beyond taking the Snapshot",
+				n, withBatch-bare)
+		}
 	}
 }
 

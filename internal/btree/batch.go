@@ -6,15 +6,21 @@ import (
 )
 
 // The baseline B+-Tree satisfies the module-wide index contract; batched
-// lookups run on the shared level-wise engine.
+// lookups run on the shared batch core.
 var _ index.Index[uint32, int] = (*Tree[uint32, int])(nil)
 
-// GetBatch looks up many keys through the shared level-wise batch engine
+// GetBatchInto looks up ks into vals and found, in input order: the
+// level-wise descent for batches and trees large enough to gain from it
+// (index.Batch), serial Gets otherwise.
+func (t *Tree[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
+	index.Batch[K, V](t, ks, vals, found)
+}
+
+// GetBatchLevelWise answers ks with the shared level-wise descent
 // (index.LevelWise) — the binary-search counterpart of the Seg-Tree's
-// batched lookup, used as the baseline in batched benchmarks. It returns
-// the values and a parallel found mask, in input order.
-func (t *Tree[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	return index.LevelWise[K, V](ks, t.root,
+// batched lookup, used as the baseline in batched benchmarks.
+func (t *Tree[K, V]) GetBatchLevelWise(ks []K, vals []V, found []bool) {
+	index.LevelWise(ks, vals, found, t.root,
 		func(n *node[K, V]) bool { return n.leaf() },
 		func(n *node[K, V], i int) *node[K, V] {
 			return n.children[kary.UpperBound(n.keys, ks[i])]
@@ -27,11 +33,11 @@ func (t *Tree[K, V]) GetBatch(ks []K) ([]V, []bool) {
 		})
 }
 
+// GetBatch looks up many keys at once: GetBatchInto into fresh slices.
+func (t *Tree[K, V]) GetBatch(ks []K) ([]V, []bool) { return index.GetBatch[K, V](t, ks) }
+
 // ContainsBatch reports presence for many keys at once, in input order.
-func (t *Tree[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := t.GetBatch(ks)
-	return found
-}
+func (t *Tree[K, V]) ContainsBatch(ks []K) []bool { return index.ContainsBatch[K, V](t, ks) }
 
 // IndexStats summarizes the tree in the structure-independent terms of
 // the index layer, projected from Shape.

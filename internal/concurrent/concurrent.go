@@ -61,30 +61,27 @@ func (l *Locked[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// GetBatch looks up many keys under a single read-lock acquisition. When
-// the wrapped map implements the index layer's batched lookup the
-// level-wise engine runs; otherwise the keys are probed one by one, still
-// under the one lock. Results are in input order.
-func (l *Locked[K, V]) GetBatch(ks []K) ([]V, []bool) {
+// GetBatchInto looks up ks into vals and found, in input order, under a
+// single read-lock acquisition. When the wrapped map implements the index
+// layer's batched lookup its GetBatchInto runs; otherwise the keys are
+// probed one by one (index.GetEach), still under the one lock.
+func (l *Locked[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if b, ok := l.m.(index.Batcher[K, V]); ok {
-		return b.GetBatch(ks)
+		b.GetBatchInto(ks, vals, found)
+		return
 	}
-	vals := make([]V, len(ks))
-	found := make([]bool, len(ks))
-	for i, k := range ks {
-		vals[i], found[i] = l.m.Get(k)
-	}
-	return vals, found
+	index.GetEach[K, V](l.m, ks, vals, found)
 }
+
+// GetBatch looks up many keys under a single read-lock acquisition:
+// GetBatchInto into fresh slices.
+func (l *Locked[K, V]) GetBatch(ks []K) ([]V, []bool) { return index.GetBatch[K, V](l, ks) }
 
 // ContainsBatch reports presence for many keys under a single read-lock
 // acquisition, in input order.
-func (l *Locked[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := l.GetBatch(ks)
-	return found
-}
+func (l *Locked[K, V]) ContainsBatch(ks []K) []bool { return index.ContainsBatch[K, V](l, ks) }
 
 // Put stores val under key, returning true when the key was new.
 func (l *Locked[K, V]) Put(key K, val V) bool {
@@ -126,9 +123,7 @@ func (l *Locked[K, V]) Update(fn func(m Map[K, V])) {
 }
 
 // Getter is the read-only face of an index.
-type Getter[K keys.Key, V any] interface {
-	Get(K) (V, bool)
-}
+type Getter[K keys.Key, V any] = index.Getter[K, V]
 
 // ParallelSearch probes a read-only index from `workers` goroutines
 // (0 = GOMAXPROCS) and returns the number of hits. The index must not be

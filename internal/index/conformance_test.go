@@ -276,36 +276,86 @@ func verifyIteration(t *testing.T, ix index.Index[uint32, int], ref map[uint32]i
 	ix.Scan(10, 5, func(uint32, int) bool { t.Fatal("Scan(10,5) call"); return false })
 }
 
-// verifyBatchParity is the acceptance property: GetBatch must return
-// results identical to per-probe Get, for probe mixes with hits, misses
-// and duplicates.
+// verifyBatchParity is the acceptance property: GetBatchInto, GetBatch
+// and ContainsBatch must answer exactly what per-probe Get does, at batch
+// sizes on both sides of the serial/level-wise crossover, for probe
+// mixes with hits, misses (some routed to other shards) and duplicates.
 func verifyBatchParity(t *testing.T, ix index.Index[uint32, int], ref map[uint32]int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ks := sortedKeys(ref)
-	probes := make([]uint32, 600)
-	for i := range probes {
-		switch {
-		case len(ks) > 0 && i%3 != 2:
-			probes[i] = ks[rng.Intn(len(ks))] // hit, with replacement: duplicates
-		default:
-			probes[i] = uint32(rng.Intn(4000)) // ~half misses
+	c := index.LevelWiseMin
+	for _, n := range []int{0, 1, c - 1, c, c + 1, 64, 65, 256} {
+		probes := make([]uint32, n)
+		for i := range probes {
+			switch {
+			case len(ks) > 0 && i%3 != 2:
+				probes[i] = ks[rng.Intn(len(ks))] // hit, with replacement: duplicates
+			case i%2 == 0:
+				probes[i] = uint32(rng.Intn(4000)) // ~half misses
+			default:
+				probes[i] = rng.Uint32() // misses across the key space
+			}
+		}
+		checkBatch(t, fmt.Sprintf("%d probes", n), ix, probes)
+	}
+	same := make([]uint32, c+1) // one group for the level-wise descent
+	if len(ks) > 0 {
+		for i := range same {
+			same[i] = ks[len(ks)/2]
 		}
 	}
-	vals, found := ix.GetBatch(probes)
-	if len(vals) != len(probes) || len(found) != len(probes) {
-		t.Fatalf("batch sizes %d/%d", len(vals), len(found))
+	checkBatch(t, "one key repeated", ix, same)
+}
+
+// checkBatch runs one batch through GetBatchInto — into buffers longer
+// than the batch and pre-filled with junk, so a missing write or a write
+// past len(probes) shows — through GetBatch and ContainsBatch, and, on a
+// structure with one, through its level-wise descent, and compares every
+// answer with serial Get.
+func checkBatch(t *testing.T, what string, ix index.Index[uint32, int], probes []uint32) {
+	t.Helper()
+	const junk = -7
+	vals := make([]int, len(probes)+3)
+	found := make([]bool, len(probes)+3)
+	for i := range vals {
+		vals[i], found[i] = junk, true
+	}
+	ix.GetBatchInto(probes, vals, found)
+	// A structure's level-wise descent answers the same at every size,
+	// though GetBatchInto only picks it for large trees.
+	lw, hasLW := ix.(index.LevelWiser[uint32, int])
+	lwVals := make([]int, len(probes))
+	lwFound := make([]bool, len(probes))
+	if hasLW {
+		for i := range lwVals {
+			lwVals[i], lwFound[i] = junk, true
+		}
+		lw.GetBatchLevelWise(probes, lwVals, lwFound)
+	}
+	gv, gf := ix.GetBatch(probes)
+	cb := ix.ContainsBatch(probes)
+	if len(gv) != len(probes) || len(gf) != len(probes) || len(cb) != len(probes) {
+		t.Fatalf("%s: GetBatch sizes %d/%d, ContainsBatch %d", what, len(gv), len(gf), len(cb))
 	}
 	for i, p := range probes {
 		wv, wok := ix.Get(p)
-		if found[i] != wok || (wok && vals[i] != wv) {
-			t.Fatalf("batch[%d] key %d: got (%d,%v), want (%d,%v)", i, p, vals[i], found[i], wv, wok)
+		if found[i] != wok || vals[i] != wv {
+			t.Fatalf("%s: GetBatchInto[%d] key %d: got (%d,%v), want (%d,%v)", what, i, p, vals[i], found[i], wv, wok)
+		}
+		if gf[i] != wok || gv[i] != wv {
+			t.Fatalf("%s: GetBatch[%d] key %d: got (%d,%v), want (%d,%v)", what, i, p, gv[i], gf[i], wv, wok)
+		}
+		if cb[i] != wok {
+			t.Fatalf("%s: ContainsBatch[%d] key %d = %v, want %v", what, i, p, cb[i], wok)
+		}
+		if hasLW && (lwFound[i] != wok || lwVals[i] != wv) {
+			t.Fatalf("%s: GetBatchLevelWise[%d] key %d: got (%d,%v), want (%d,%v)", what, i, p, lwVals[i], lwFound[i], wv, wok)
 		}
 	}
-	cb := ix.ContainsBatch(probes)
-	for i := range probes {
-		if cb[i] != found[i] {
-			t.Fatalf("ContainsBatch[%d] = %v, GetBatch found %v", i, cb[i], found[i])
+	for i := len(probes); i < len(vals); i++ {
+		if vals[i] != junk || !found[i] {
+			t.Fatalf("%s: GetBatchInto wrote entry %d past the %d probes", what, i, len(probes))
 		}
 	}
 }

@@ -6,9 +6,11 @@
 //
 //   - the common Index interface every structure satisfies (and the
 //     conformance suite that pins its semantics, see conformance_test.go),
-//   - the level-wise batch search engine (batch.go) behind every
-//     GetBatch/ContainsBatch, after the level-wise B+-Tree traversal of
-//     Tzschoppe et al. and the single-node-layout reuse of the B^S-tree,
+//   - the batched-lookup core (batch.go): the allocation-free
+//     GetBatchInto contract, one serial loop for small batches, and the
+//     level-wise batch descent — after the level-wise B+-Tree traversal
+//     of Tzschoppe et al. — that a structure runs only once a tree gets
+//     enough probes to share nodes, as the B^S-tree batches,
 //   - the key-range sharded concurrent index (sharded.go), the scalable
 //     write path the single-lock concurrent.Locked cannot provide.
 //
@@ -36,11 +38,19 @@ type Basic[K keys.Key, V any] interface {
 	Len() int
 }
 
-// Batcher is the batched-lookup face of an index. All four structures
-// implement it through the level-wise engine in this package.
+// Batcher is the batched-lookup face of an index. Every implementation
+// answers GetBatchInto through the shared core in batch.go: serial Gets
+// for small batches and small trees, the level-wise descent for large
+// ones where the structure has one.
 type Batcher[K keys.Key, V any] interface {
+	// GetBatchInto looks up ks[i] into vals[i] and found[i] for the first
+	// len(ks) entries — the zero value and false for a miss — so a caller
+	// can reuse the same buffers. vals and found must hold at least
+	// len(ks) entries. It allocates nothing.
+	GetBatchInto(ks []K, vals []V, found []bool)
 	// GetBatch looks up many keys at once and returns values and a
-	// parallel found mask, both in input order.
+	// parallel found mask, both in input order: GetBatchInto into two
+	// fresh slices.
 	GetBatch([]K) ([]V, []bool)
 	// ContainsBatch reports presence for many keys at once, in input
 	// order.

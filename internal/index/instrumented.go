@@ -223,18 +223,21 @@ func (ix *Instrumented[K, V]) Delete(k K) bool {
 	return ok
 }
 
-// GetBatch implements Index; the whole batch is one observation.
-func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) {
+// GetBatchInto implements Index; the whole batch is one GetBatch
+// observation.
+func (ix *Instrumented[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
 	start := time.Now()
-	vs, oks := ix.inner.GetBatch(ks)
+	ix.inner.GetBatchInto(ks, vals, found)
 	ix.observe(OpGetBatch, start)
-	return vs, oks
 }
+
+// GetBatch implements Index: GetBatchInto into fresh slices.
+func (ix *Instrumented[K, V]) GetBatch(ks []K) ([]V, []bool) { return GetBatch[K, V](ix, ks) }
 
 // ContainsBatch implements Index; the whole batch is one observation.
 func (ix *Instrumented[K, V]) ContainsBatch(ks []K) []bool {
 	start := time.Now()
-	oks := ix.inner.ContainsBatch(ks)
+	oks := ContainsBatch[K, V](ix.inner, ks)
 	ix.observe(OpContainsBatch, start)
 	return oks
 }

@@ -1,6 +1,9 @@
 package index
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/keys"
 	"repro/internal/shape"
 )
@@ -14,9 +17,33 @@ import (
 // pinned once at acquisition.
 type parts[K keys.Key, V any] struct {
 	trees []Index[K, V]
-	// route maps a key to its part; nil when a single part serves all
-	// keys (the Snapshot of a Versioned index).
-	route func(K) int
+	// Routing (partOf): the top (up to) 32 bits of OrderedBits, scaled by
+	// the part count. left/right pre-resolve the key-width-dependent
+	// shift; a single part takes every key.
+	right uint
+	left  uint
+	// sharded marks key-range shards; false for the one tree of a
+	// Versioned index's Snapshot.
+	sharded bool
+	// live holds Sharded's publishers (trees[i] == live[i]), so a batch
+	// can pin each touched shard once; nil for a Snapshot's pinned trees.
+	live []*Versioned[K, V]
+	// gathers pools the batch scratch of gatherBatch; a Sharded index and
+	// its Snapshots share one pool.
+	gathers *sync.Pool
+}
+
+// newParts composes trees: key-range shards in key order when sharded,
+// else the one tree of a Versioned index's Snapshot. The routing shift
+// follows K's width, so partOf stays inside trees for every key.
+func newParts[K keys.Key, V any](trees []Index[K, V], sharded bool) parts[K, V] {
+	p := parts[K, V]{trees: trees, sharded: sharded}
+	if bits := uint(8 * keys.Width[K]()); bits >= 32 {
+		p.right = bits - 32
+	} else {
+		p.left = 32 - bits
+	}
+	return p
 }
 
 // Len reports the number of items across all parts. Over live shards
@@ -66,11 +93,7 @@ func (p *parts[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
 	if lo > hi {
 		return
 	}
-	first, last := 0, len(p.trees)-1
-	if p.route != nil {
-		first, last = p.route(lo), p.route(hi)
-	}
-	p.walk(first, last, fn, func(t Index[K, V], f func(K, V) bool) { t.Scan(lo, hi, f) })
+	p.walk(p.partOf(lo), p.partOf(hi), fn, func(t Index[K, V], f func(K, V) bool) { t.Scan(lo, hi, f) })
 }
 
 // walk runs visit over parts first..last in key order, ending the whole
@@ -86,48 +109,137 @@ func (p *parts[K, V]) walk(first, last int, fn func(K, V) bool, visit func(Index
 	}
 }
 
-// GetBatch looks up many keys at once, results in input order. Probes
-// are bucketed per part for one level-wise batch descent each, so every
-// involved part (for Sharded: every involved shard's published version)
-// is pinned exactly once.
-func (p *parts[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	if p.route == nil {
-		return p.trees[0].GetBatch(ks)
-	}
-	n := len(ks)
-	vals := make([]V, n)
-	found := make([]bool, n)
-	if n == 0 {
-		return vals, found
-	}
-	buckets := make([][]int32, len(p.trees))
-	for i, k := range ks {
-		t := p.route(k)
-		buckets[t] = append(buckets[t], int32(i))
-	}
-	sub := make([]K, 0, n)
-	for t, idxs := range buckets {
-		if len(idxs) == 0 {
-			continue
-		}
-		sub = sub[:0]
-		for _, i := range idxs {
-			sub = append(sub, ks[i])
-		}
-		sv, sf := p.trees[t].GetBatch(sub)
-		for j, i := range idxs {
-			vals[i] = sv[j]
-			found[i] = sf[j]
-		}
-	}
-	return vals, found
+// The batch routing is a zero-allocation hot path; the directive keeps
+// its //simdtree:hotpath annotation checked by cmd/simdvet.
+//
+//simdtree:kernels ^parts\.(partOf|routeBatch)$
+
+// partOf routes a key to its part: the top 32 bits of the
+// order-preserving key pattern scaled into [0, len(trees)). Monotone in
+// key order, so part ranges partition the key space into ordered slabs.
+//
+//simdtree:hotpath
+func (p *parts[K, V]) partOf(key K) int {
+	t := keys.OrderedBits(key) >> p.right << p.left
+	return int(t * uint64(len(p.trees)) >> 32)
 }
 
-// ContainsBatch reports presence for many keys at once, in input order.
-func (p *parts[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := p.GetBatch(ks)
-	return found
+// routing is the pooled scratch of one batch's routing: each probe's
+// part, the probe indexes grouped by part, and where each part's group
+// ends.
+type routing struct {
+	part  []int32
+	order []int32
+	ends  []int32
 }
+
+var routingPool = sync.Pool{New: func() any { return new(routing) }}
+
+// GetBatchInto looks up ks into vals and found, in input order. Every
+// touched part is pinned once (for Sharded: the shard's published
+// version) and answers all of its keys from that one version, so two
+// keys of one shard never straddle a concurrent write. A part whose
+// share takes the level-wise descent (levelWise) has its keys gathered
+// for one descent; every other part answers with Gets on the pinned tree,
+// in place.
+func (p *parts[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
+	if !p.sharded {
+		p.trees[0].GetBatchInto(ks, vals, found)
+		return
+	}
+	n := len(ks)
+	vals, found = vals[:n], found[:n]
+	r := routingPool.Get().(*routing)
+	r.part = slices.Grow(r.part[:0], n)[:n]
+	r.order = slices.Grow(r.order[:0], n)[:n]
+	r.ends = slices.Grow(r.ends[:0], len(p.trees))[:len(p.trees)]
+	p.routeBatch(ks, r.part, r.order, r.ends)
+	lo := int32(0)
+	for part, hi := range r.ends {
+		if hi == lo {
+			continue
+		}
+		tree, slot := p.trees[part], (*epochSlot)(nil)
+		if p.live != nil {
+			var v *version[K, V]
+			v, slot = p.live[part].pin()
+			tree = v.tree
+		}
+		if lw, ok := tree.(LevelWiser[K, V]); ok && levelWise[K](lw, int(hi-lo)) {
+			p.gatherBatch(lw, ks, r.order[lo:hi], vals, found)
+		} else {
+			for _, i := range r.order[lo:hi] {
+				vals[i], found[i] = tree.Get(ks[i])
+			}
+		}
+		if slot != nil {
+			slot.epoch.Store(0)
+		}
+		lo = hi
+	}
+	routingPool.Put(r)
+}
+
+// routeBatch counting-sorts the probe indexes by part: order lists them
+// grouped by part in key-range order, in input order within a part, and
+// part t's group is order[ends[t-1]:ends[t]] (from 0 for t = 0).
+//
+//simdtree:hotpath
+func (p *parts[K, V]) routeBatch(ks []K, part, order, ends []int32) {
+	part = part[:len(ks)]
+	clear(ends)
+	for i, k := range ks {
+		t := int32(p.partOf(k))
+		part[i] = t
+		ends[t]++
+	}
+	sum := int32(0)
+	for t, c := range ends {
+		ends[t] = sum // the group's start, advanced to its end below
+		sum += c
+	}
+	for i, t := range part {
+		order[ends[t]] = int32(i)
+		ends[t]++
+	}
+}
+
+// gather is the pooled scratch of one part's batched descent: the part's
+// keys, contiguous, and their answers.
+type gather[K keys.Key, V any] struct {
+	ks    []K
+	vals  []V
+	found []bool
+}
+
+// gatherBatch answers the probes sel lists with one level-wise descent
+// of tree.
+func (p *parts[K, V]) gatherBatch(tree LevelWiser[K, V], ks []K, sel []int32, vals []V, found []bool) {
+	g, _ := p.gathers.Get().(*gather[K, V])
+	if g == nil {
+		g = new(gather[K, V])
+	}
+	m := len(sel)
+	g.ks = slices.Grow(g.ks[:0], m)[:m]
+	g.vals = slices.Grow(g.vals[:0], m)[:m]
+	g.found = slices.Grow(g.found[:0], m)[:m]
+	for j, i := range sel {
+		g.ks[j] = ks[i]
+	}
+	tree.GetBatchLevelWise(g.ks, g.vals, g.found)
+	for j, i := range sel {
+		vals[i], found[i] = g.vals[j], g.found[j]
+	}
+	clear(g.vals) // the pool must not keep values alive
+	p.gathers.Put(g)
+}
+
+// GetBatch looks up many keys at once, values and found mask in input
+// order.
+func (p *parts[K, V]) GetBatch(ks []K) ([]V, []bool) { return GetBatch[K, V](p, ks) }
+
+// ContainsBatch reports presence for many keys at once, in input order.
+func (p *parts[K, V]) ContainsBatch(ks []K) []bool { return ContainsBatch[K, V](p, ks) }
 
 // IndexStats projects the merged report: counts and bytes sum, height is
 // the deepest part.
@@ -140,7 +252,7 @@ func (p *parts[K, V]) IndexStats() Stats { return StatsOf(p.Shape()) }
 // against its shard's own pinned version (a per-shard-consistent
 // composite); over a Snapshot the composite is exactly consistent.
 func (p *parts[K, V]) Shape() shape.Report {
-	if p.route == nil {
+	if !p.sharded {
 		return p.trees[0].Shape()
 	}
 	var rep shape.Report

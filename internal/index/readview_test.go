@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/segtree"
 	"repro/internal/shape"
 )
 
@@ -224,5 +225,68 @@ func TestSnapshotMatchesLiveIndex(t *testing.T) {
 				t.Errorf("Shape differs:\nlive     %+v\nsnapshot %+v", lr, sr)
 			}
 		})
+	}
+}
+
+// TestSnapshotRoutesWideKeys reads pinned views over 64-bit keys: keys
+// above 2^32, and signed keys on both sides of zero, must route into the
+// view's trees for Get, Contains, GetTraced, Scan and GetBatch — for the
+// single tree of a Versioned index as for the shards of a Sharded one.
+func TestSnapshotRoutesWideKeys(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		verifyWideSnapshots(t, []uint64{0, 2, 1<<32 - 2, 1 << 32, 1<<40 + 7, 1 << 63, math.MaxUint64 - 1})
+	})
+	t.Run("int64", func(t *testing.T) {
+		verifyWideSnapshots(t, []int64{math.MinInt64, -1 << 40, -2, 0, 2, 1 << 40, math.MaxInt64 - 1})
+	})
+}
+
+// verifyWideSnapshots checks snapshots of an index holding the ascending
+// keys present (present[i] stores i), each one below an absent key.
+func verifyWideSnapshots[K uint64 | int64](t *testing.T, present []K) {
+	t.Helper()
+	newTree := func() index.Index[K, int] { return segtree.New[K, int](segtree.DefaultConfig[K]()) }
+	views := []struct {
+		name string
+		live interface {
+			index.Index[K, int]
+			index.Snapshotter[K, int]
+		}
+	}{
+		{"versioned", index.NewVersioned(newTree)},
+		{"sharded-16", index.NewSharded(16, newTree)},
+	}
+	for _, view := range views {
+		for i, k := range present {
+			view.live.Put(k, i)
+		}
+		snap := view.live.Snapshot()
+		for i, k := range present {
+			if v, ok := snap.Get(k); !ok || v != i {
+				t.Errorf("%s: Get(%d) = %d,%v, want %d,true", view.name, k, v, ok, i)
+			}
+			if !snap.Contains(k) {
+				t.Errorf("%s: Contains(%d) = false", view.name, k)
+			}
+			if v, ok, _ := snap.GetTraced(k, nil); !ok || v != i {
+				t.Errorf("%s: GetTraced(%d) = %d,%v, want %d,true", view.name, k, v, ok, i)
+			}
+			if _, ok := snap.Get(k + 1); ok {
+				t.Errorf("%s: Get(%d) found an absent key", view.name, k+1)
+			}
+		}
+		var got []K
+		snap.Scan(present[0], present[len(present)-1], func(k K, _ int) bool {
+			got = append(got, k)
+			return true
+		})
+		if !slices.Equal(got, present) {
+			t.Errorf("%s: Scan visited %v, want %v", view.name, got, present)
+		}
+		if vals, found := snap.GetBatch(present); !slices.Equal(found, slices.Repeat([]bool{true}, len(present))) ||
+			vals[len(vals)-1] != len(present)-1 {
+			t.Errorf("%s: GetBatch = %v,%v", view.name, vals, found)
+		}
+		snap.Release()
 	}
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/keys"
 	"repro/internal/obs"
@@ -23,13 +24,9 @@ import (
 // ordered overall. Sharded itself satisfies Index.
 type Sharded[K keys.Key, V any] struct {
 	shards []*Versioned[K, V]
-	// Routing: the top (up to) 32 bits of OrderedBits, scaled by the
-	// shard count. left/right pre-resolve the key-width-dependent shift.
-	right uint
-	left  uint
-	// parts serves the multi-shard reads (Len, Min, Max, Ascend, Scan,
-	// GetBatch, ContainsBatch, IndexStats, Shape) over the same shards,
-	// routed by shardOf.
+	// parts routes keys to shards (partOf) and serves the multi-shard
+	// reads (Len, Min, Max, Ascend, Scan, GetBatchInto, GetBatch,
+	// ContainsBatch, IndexStats, Shape) over the same shards.
 	parts[K, V]
 }
 
@@ -40,19 +37,16 @@ func NewSharded[K keys.Key, V any](shardCount int, newIndex func() Index[K, V]) 
 	if shardCount < 1 {
 		panic(fmt.Sprintf("index: shard count %d < 1", shardCount)) //simdtree:allowpanic configuration contract, documented above
 	}
-	s := &Sharded[K, V]{shards: make([]*Versioned[K, V], shardCount)}
-	bits := uint(8 * keys.Width[K]())
-	if bits >= 32 {
-		s.right = bits - 32
-	} else {
-		s.left = 32 - bits
+	s := &Sharded[K, V]{
+		shards: make([]*Versioned[K, V], shardCount),
+		parts:  newParts(make([]Index[K, V], shardCount), true),
 	}
-	s.trees = make([]Index[K, V], shardCount)
 	for i := range s.shards {
 		s.shards[i] = NewVersioned(newIndex)
 		s.trees[i] = s.shards[i]
 	}
-	s.route = s.shardOf
+	s.live = s.shards
+	s.gathers = new(sync.Pool)
 	return s
 }
 
@@ -62,30 +56,20 @@ func (s *Sharded[K, V]) Shards() int { return len(s.shards) }
 // The untraced sharded Get is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
 //
-//simdtree:kernels ^Sharded\.(Get|shardOf)$
-
-// shardOf routes a key to its shard: the top 32 bits of the
-// order-preserving key pattern scaled into [0, len(shards)). Monotone in
-// key order, so shard ranges partition the key space into ordered slabs.
-//
-//simdtree:hotpath
-func (s *Sharded[K, V]) shardOf(key K) int {
-	t := keys.OrderedBits(key) >> s.right << s.left
-	return int(t * uint64(len(s.shards)) >> 32)
-}
+//simdtree:kernels ^Sharded\.Get$
 
 // Get returns the value stored under key, if present — lock-free against
 // the owning shard's published version.
 //
 //simdtree:hotpath
 func (s *Sharded[K, V]) Get(key K) (V, bool) {
-	return s.shards[s.shardOf(key)].Get(key)
+	return s.shards[s.partOf(key)].Get(key)
 }
 
 // GetTraced is Get additionally returning the owning shard's lookup cost
 // and recording the shard routed to and its descent into tr.
 func (s *Sharded[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
-	i := s.shardOf(key)
+	i := s.partOf(key)
 	if tr != nil {
 		tr.Shard(i)
 	}
@@ -94,19 +78,19 @@ func (s *Sharded[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
 
 // Contains reports whether key is present.
 func (s *Sharded[K, V]) Contains(key K) bool {
-	return s.shards[s.shardOf(key)].Contains(key)
+	return s.shards[s.partOf(key)].Contains(key)
 }
 
 // Put stores val under key, returning true when the key was new. Only
 // the owning shard's writer is serialized; readers everywhere continue
 // on published versions.
 func (s *Sharded[K, V]) Put(key K, val V) bool {
-	return s.shards[s.shardOf(key)].Put(key, val)
+	return s.shards[s.partOf(key)].Put(key, val)
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Sharded[K, V]) Delete(key K) bool {
-	return s.shards[s.shardOf(key)].Delete(key)
+	return s.shards[s.partOf(key)].Delete(key)
 }
 
 // Snapshot returns a pinned read view spanning every shard: each shard's
@@ -116,10 +100,11 @@ func (s *Sharded[K, V]) Delete(key K) bool {
 // global instant). The caller must Release it.
 func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 	snap := &Snapshot[K, V]{
-		parts: parts[K, V]{trees: make([]Index[K, V], len(s.shards)), route: s.route},
+		parts: newParts(make([]Index[K, V], len(s.shards)), true),
 		seqs:  make([]uint64, len(s.shards)),
 		slots: make([]*epochSlot, len(s.shards)),
 	}
+	snap.gathers = s.gathers
 	for i, sh := range s.shards {
 		v, sl := sh.pin()
 		snap.trees[i] = v.tree

@@ -37,21 +37,15 @@ type Snapshot[K keys.Key, V any] struct {
 //
 //simdtree:hotpath
 func (s *Snapshot[K, V]) Get(key K) (V, bool) {
-	if s.route == nil {
-		return s.trees[0].Get(key)
-	}
-	return s.trees[s.route(key)].Get(key)
+	return s.trees[s.partOf(key)].Get(key)
 }
 
 // GetTraced is Get additionally returning the lookup's cost and
 // recording the descent (and, for sharded snapshots, the tree routed to)
 // into tr.
 func (s *Snapshot[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
-	if s.route == nil {
-		return s.trees[0].GetTraced(key, tr)
-	}
-	i := s.route(key)
-	if tr != nil {
+	i := s.partOf(key)
+	if tr != nil && s.sharded {
 		tr.Shard(i)
 	}
 	return s.trees[i].GetTraced(key, tr)
@@ -59,10 +53,7 @@ func (s *Snapshot[K, V]) GetTraced(key K, tr *trace.Trace) (V, bool, obs.Cost) {
 
 // Contains reports whether key is present in the pinned version.
 func (s *Snapshot[K, V]) Contains(key K) bool {
-	if s.route == nil {
-		return s.trees[0].Contains(key)
-	}
-	return s.trees[s.route(key)].Contains(key)
+	return s.trees[s.partOf(key)].Contains(key)
 }
 
 // Seq reports the snapshot's version: the highest pinned sequence number

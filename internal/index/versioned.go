@@ -227,23 +227,20 @@ func (x *Versioned[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// GetBatch looks up many keys at once against one pinned version — the
-// whole batch observes a single consistent tree state.
-func (x *Versioned[K, V]) GetBatch(ks []K) ([]V, []bool) {
+// GetBatchInto looks up many keys at once against one pinned version —
+// the whole batch observes a single consistent tree state.
+func (x *Versioned[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
 	v, s := x.pin()
-	vals, found := v.tree.GetBatch(ks)
+	v.tree.GetBatchInto(ks, vals, found)
 	s.epoch.Store(0)
-	return vals, found
 }
+
+// GetBatch is GetBatchInto into fresh slices.
+func (x *Versioned[K, V]) GetBatch(ks []K) ([]V, []bool) { return GetBatch[K, V](x, ks) }
 
 // ContainsBatch reports presence for many keys at once against one
 // pinned version.
-func (x *Versioned[K, V]) ContainsBatch(ks []K) []bool {
-	v, s := x.pin()
-	found := v.tree.ContainsBatch(ks)
-	s.epoch.Store(0)
-	return found
-}
+func (x *Versioned[K, V]) ContainsBatch(ks []K) []bool { return ContainsBatch[K, V](x, ks) }
 
 // Len reports the number of items in the published version.
 func (x *Versioned[K, V]) Len() int {
@@ -317,7 +314,7 @@ func (x *Versioned[K, V]) Shape() shape.Report {
 func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 	v, s := x.pin()
 	return &Snapshot[K, V]{
-		parts: parts[K, V]{trees: []Index[K, V]{v.tree}},
+		parts: newParts([]Index[K, V]{v.tree}, false),
 		seqs:  []uint64{v.seq},
 		slots: []*epochSlot{s},
 	}

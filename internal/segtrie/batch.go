@@ -24,40 +24,42 @@ type trieCur[V any] struct {
 	level int32
 }
 
-// GetBatch looks up many keys with the shared level-wise batch descent:
+// GetBatchInto looks up ks into vals and found, in input order: the
+// level-wise descent for batches and tries large enough to gain from it
+// (index.Batch), serial Gets otherwise.
+func (t *Trie[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
+	index.Batch[K, V](t, ks, vals, found)
+}
+
+// GetBatchLevelWise answers ks with the shared level-wise batch descent:
 // probes are sorted, duplicates share one descent, and every 17-ary node
 // search runs once per probe group. A missing partial key terminates the
 // group's descent above leaf level — the trie's comparison-saving early
-// exit (§4) carries over to the batched path. It returns the values and a
-// parallel found mask, in input order.
-func (t *Trie[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	us := make([]uint64, len(ks))
-	for i, k := range ks {
-		us[i] = keys.OrderedBits(k)
-	}
+// exit (§4) carries over to the batched path.
+func (t *Trie[K, V]) GetBatchLevelWise(ks []K, vals []V, found []bool) {
 	last := t.levels - 1
-	return index.LevelWise[K, V](ks, trieCur[V]{t.root, 0},
+	index.LevelWise(ks, vals, found, trieCur[V]{t.root, 0},
 		func(c trieCur[V]) bool { return int(c.level) == last },
 		func(c trieCur[V], i int) trieCur[V] {
-			idx, hit := find(&c.n.kt, t.segment(us[i], int(c.level)), t.cfg.Evaluator, nil, nil)
+			idx, hit := find(&c.n.kt, t.segment(keys.OrderedBits(ks[i]), int(c.level)), t.cfg.Evaluator, nil, nil)
 			if !hit {
 				return trieCur[V]{}
 			}
 			return trieCur[V]{c.n.children[idx], c.level + 1}
 		},
 		func(c trieCur[V], i int) (v V, ok bool) {
-			if idx, hit := find(&c.n.kt, t.segment(us[i], last), t.cfg.Evaluator, nil, nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(keys.OrderedBits(ks[i]), last), t.cfg.Evaluator, nil, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false
 		})
 }
 
+// GetBatch looks up many keys at once: GetBatchInto into fresh slices.
+func (t *Trie[K, V]) GetBatch(ks []K) ([]V, []bool) { return index.GetBatch[K, V](t, ks) }
+
 // ContainsBatch reports presence for many keys at once, in input order.
-func (t *Trie[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := t.GetBatch(ks)
-	return found
-}
+func (t *Trie[K, V]) ContainsBatch(ks []K) []bool { return index.ContainsBatch[K, V](t, ks) }
 
 // IndexStats summarizes the trie in the structure-independent terms of
 // the index layer, projected from Shape. Height is the fixed level count
@@ -70,17 +72,19 @@ type optCur[V any] struct {
 	level int32
 }
 
-// GetBatch is the optimized-trie batched lookup on the shared level-wise
-// engine. One engine step consumes a node's whole compressed prefix plus
-// its 17-ary search, so groups advance node by node (not trie level by
-// trie level) — value nodes sit at different depths after lazy expansion
-// and each group resolves as soon as it reaches one. It returns the
-// values and a parallel found mask, in input order.
-func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
-	us := make([]uint64, len(ks))
-	for i, k := range ks {
-		us[i] = keys.OrderedBits(k)
-	}
+// GetBatchInto looks up ks into vals and found, in input order: the
+// level-wise descent for batches and tries large enough to gain from it
+// (index.Batch), serial Gets otherwise.
+func (t *Optimized[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
+	index.Batch[K, V](t, ks, vals, found)
+}
+
+// GetBatchLevelWise is the optimized-trie batched lookup on the shared
+// level-wise engine. One engine step consumes a node's whole compressed
+// prefix plus its 17-ary search, so groups advance node by node (not
+// trie level by trie level) — value nodes sit at different depths after
+// lazy expansion and each group resolves as soon as it reaches one.
+func (t *Optimized[K, V]) GetBatchLevelWise(ks []K, vals []V, found []bool) {
 	// matchPrefix compares the omitted-level segments; level returns the
 	// node's own search level, ok reports a full prefix match.
 	matchPrefix := func(c optCur[V], u uint64) (level int, ok bool) {
@@ -93,36 +97,38 @@ func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) {
 		}
 		return level, true
 	}
-	return index.LevelWise[K, V](ks, optCur[V]{t.root, 0},
+	index.LevelWise(ks, vals, found, optCur[V]{t.root, 0},
 		func(c optCur[V]) bool { return c.n.last() },
 		func(c optCur[V], i int) optCur[V] {
-			level, ok := matchPrefix(c, us[i])
+			u := keys.OrderedBits(ks[i])
+			level, ok := matchPrefix(c, u)
 			if !ok {
 				return optCur[V]{}
 			}
-			idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil, nil)
+			idx, hit := find(&c.n.kt, t.segment(u, level), t.cfg.Evaluator, nil, nil)
 			if !hit {
 				return optCur[V]{}
 			}
 			return optCur[V]{c.n.children[idx], int32(level + 1)}
 		},
 		func(c optCur[V], i int) (v V, ok bool) {
-			level, match := matchPrefix(c, us[i])
+			u := keys.OrderedBits(ks[i])
+			level, match := matchPrefix(c, u)
 			if !match {
 				return v, false
 			}
-			if idx, hit := find(&c.n.kt, t.segment(us[i], level), t.cfg.Evaluator, nil, nil); hit {
+			if idx, hit := find(&c.n.kt, t.segment(u, level), t.cfg.Evaluator, nil, nil); hit {
 				return c.n.vals[idx], true
 			}
 			return v, false
 		})
 }
 
+// GetBatch looks up many keys at once: GetBatchInto into fresh slices.
+func (t *Optimized[K, V]) GetBatch(ks []K) ([]V, []bool) { return index.GetBatch[K, V](t, ks) }
+
 // ContainsBatch reports presence for many keys at once, in input order.
-func (t *Optimized[K, V]) ContainsBatch(ks []K) []bool {
-	_, found := t.GetBatch(ks)
-	return found
-}
+func (t *Optimized[K, V]) ContainsBatch(ks []K) []bool { return index.ContainsBatch[K, V](t, ks) }
 
 // IndexStats summarizes the optimized trie in the structure-independent
 // terms of the index layer, projected from Shape (which also reports the
