@@ -23,7 +23,7 @@
 #                      -vettool, then govulncheck
 #   make invariants  - full test suite with -race and -tags=invariants:
 #                      the debug-build assertions in internal/invariants
-#                      (version-seq monotonicity, epoch-pin validation,
+#                      (MVCC writer reuse, epoch-pin validation,
 #                      single-owner rotation) are compiled in and armed,
 #                      plus an assertion-armed MVCC stress run
 #   make staticcheck - staticcheck ./... (skips when the tool is absent)
@@ -49,6 +49,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # allows only one -fuzz pattern per invocation.
 FUZZ_TARGETS = \
 	./internal/index:FuzzGetBatch \
+	./internal/index:FuzzVersionedOps \
 	./internal/kary:FuzzNodeSearchKernels \
 	./internal/kary:FuzzInsertDelete \
 	./internal/segtree:FuzzTreeOps \
@@ -93,26 +94,29 @@ race:
 # detector: concurrent writers rotate versions while readers pin
 # snapshots and assert isolation invariants, goroutines interleaving
 # lookups on instrumented indexes must attribute every cost count to the
-# index that paid it, and a batch racing a writer must read each shard
-# from one pinned version. STRESS_OPS scales the per worker operation count
-# of the MVCC tests (the short default inside the tests is sized for
-# `make race`; CI runs this target with a much larger budget).
+# index that paid it, a batch racing a writer must read each shard from
+# one pinned version, and the seed scripts of the MVCC model check
+# (FuzzVersionedOps) replay against a map model. STRESS_OPS scales the
+# per worker operation count of the MVCC tests (the short default inside
+# the tests is sized for `make race`; CI runs this target with a much
+# larger budget).
 stress:
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -count=2 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps' \
 		./internal/index/ -v
 
 # Debug build with runtime invariant checks compiled in (DESIGN.md §5c):
 # the -tags=invariants build arms the assertions in internal/invariants —
-# MVCC publish-sequence monotonicity, announce-then-validate epoch
-# pinning, single-owner window rotation — across the full suite under
-# the race detector, then re-runs the MVCC stress tests with the same
-# assertions armed. SIMDTREE_STRESS_OPS scales the stress budget the
+# the MVCC writer reusing only the version one op behind the published
+# one and catching it up to the published content, announce-then-validate
+# epoch pinning, single-owner window rotation — across the full suite
+# under the race detector, then re-runs the MVCC stress tests and the
+# MVCC model check with the same assertions armed. SIMDTREE_STRESS_OPS scales the stress budget the
 # same way `make stress` does.
 invariants:
 	$(GO) test -race -tags=invariants ./...
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -tags=invariants -count=1 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce' \
+		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps' \
 		./internal/index/
 
 fuzz:

@@ -72,8 +72,9 @@ type IndexSnapshotView[K Key, V any] = index.Snapshot[K, V]
 type Snapshotter[K Key, V any] = index.Snapshotter[K, V]
 
 // MVCCStats is the point-in-time health of an index's snapshot
-// publication: current versions, pinned readers, retired versions, and
-// the publish/reclaim/clone counters with publish latency.
+// publication: current versions, pinned readers, superseded versions
+// held for reuse (0 or 1 per shard), and the publish/reclaim/clone
+// counters with publish latency.
 type MVCCStats = obs.MVCCSnapshot
 
 // TakeSnapshot returns a pinned read view of ix when it publishes

@@ -9,11 +9,10 @@
 // A "ring" is detected structurally: a struct with a slice field, an
 // integer field whose name contains "mask", and at least one
 // sync/atomic-typed field (the lock-free cursor). Plain lookup tables
-// that happen to have a mask are not constrained. A mask named with a
-// prefix (slotMask) guards only the slice fields sharing that prefix
-// (slots), so other slices of the same struct stay unconstrained; a
-// bare mask guards every slice field. Generic rings are matched through
-// their declaration, so Ring[T] methods are checked like any other.
+// that happen to have a mask are not constrained. The mask guards every
+// slice field of its struct, whatever the names: a ring keeps no other
+// slices. Generic rings are matched through their declaration, so
+// Ring[T] methods are checked like any other.
 //
 // For each ring type the analyzer checks, package-wide:
 //
@@ -105,14 +104,13 @@ func detectRings(pkg *types.Package) []*ring {
 			continue
 		}
 		r := &ring{name: tn, slices: make(map[*types.Var]bool)}
-		var slices []*types.Var
 		hasAtomic := false
 		for i := 0; i < st.NumFields(); i++ {
 			fld := st.Field(i)
 			t := fld.Type()
 			switch {
 			case isSlice(t):
-				slices = append(slices, fld)
+				r.slices[fld] = true
 			case isMaskName(fld.Name()) && isInteger(t):
 				if r.mask == nil {
 					r.mask = fld
@@ -122,17 +120,7 @@ func detectRings(pkg *types.Package) []*ring {
 				hasAtomic = true
 			}
 		}
-		if r.mask == nil || !hasAtomic {
-			continue
-		}
-		prefix := strings.ToLower(r.mask.Name())
-		prefix = prefix[:strings.Index(prefix, "mask")]
-		for _, fld := range slices {
-			if strings.HasPrefix(strings.ToLower(fld.Name()), prefix) {
-				r.slices[fld] = true
-			}
-		}
-		if len(r.slices) > 0 {
+		if r.mask != nil && hasAtomic && len(r.slices) > 0 {
 			out = append(out, r)
 		}
 	}

@@ -36,9 +36,9 @@ func (r *Ring[T]) resize(n int) {
 	r.mask = uint64(n) // want `ring Ring mask assigned a value not provably capacity-1`
 }
 
-// slotTable is the Versioned epoch-slot shape: a prefixed mask guards
-// the slices sharing its prefix, so slots must be masked while the
-// unrelated retired list is not a ring slice.
+// slotTable is the Versioned epoch-slot shape with a second slice: the
+// mask guards every slice field of its struct, whatever its name, so
+// retired must be masked like slots.
 type slotTable[T any] struct {
 	slots    []atomic.Pointer[T]
 	slotMask uint32
@@ -51,5 +51,5 @@ func (s *slotTable[T]) pin(h uint32) *T {
 }
 
 func (s *slotTable[T]) oldest() *T {
-	return s.retired[len(s.retired)-1] // fine: retired is not guarded by slotMask
+	return s.retired[len(s.retired)-1] // want `index into ring slotTable slice retired is not masked`
 }

@@ -1,6 +1,7 @@
 // Package d is the clean generic fixture: a Ring[T any] sized with
 // pow2.CeilCap and indexed only through its mask, the way trace.Ring
-// is written.
+// is written. Only slotTable's second slice is flagged: the mask guards
+// it as well.
 package d
 
 import (
@@ -39,7 +40,9 @@ func (r *Ring[T]) Snapshot() []*T {
 	return out
 }
 
-// slotTable is the Versioned epoch-slot shape, written correctly.
+// slotTable is the Versioned epoch-slot shape, written correctly, plus
+// a retired list: the mask guards it too, so its unproven sizes are
+// flagged.
 type slotTable[T any] struct {
 	slots    []atomic.Pointer[T]
 	slotMask uint32
@@ -52,7 +55,7 @@ func newSlotTable[T any](n int) *slotTable[T] {
 	s := &slotTable[T]{}
 	s.slots = make([]atomic.Pointer[T], size)
 	s.slotMask = uint32(size - 1)
-	s.retired = make([]*T, 0, n) // not a ring slice: any capacity
+	s.retired = make([]*T, 0, n) // want `ring slotTable slice assigned without a proven power-of-two capacity`
 	return s
 }
 
@@ -65,6 +68,6 @@ func (s *slotTable[T]) pin(h uint32) *T {
 }
 
 func (s *slotTable[T]) retire(x *T) {
-	s.retired = append(s.retired, x)
+	s.retired = append(s.retired, x) // want `ring slotTable slice assigned without a proven power-of-two capacity`
 	s.retired[0] = x
 }

@@ -20,24 +20,21 @@ import (
 // never take a lock and never observe a torn tree, while one writer at a
 // time builds and publishes the next version.
 //
-// The scheme leans on the property that makes the paper's structures
-// naturally persistent: linearized k-ary nodes are rebuilt wholesale on
-// mutation (§3.2), so a published tree is never patched in place — the
-// writer applies each mutation to a private mutable tree and publishes
-// it with one atomic pointer swap. Readers pin the current version in a
-// per-reader epoch slot (announce the version's sequence number,
-// re-validate the pointer, read, release); the writer retires superseded
-// versions and reclaims their trees only once no slot still announces
-// their sequence.
+// Nodes are shifted in place on insert and delete (§3.2), so a
+// published tree must never be the one the writer mutates: the writer
+// applies each mutation to a private tree and publishes it with one
+// atomic pointer swap. Readers pin the current version in a per-reader
+// epoch slot (announce the version's sequence number, re-validate the
+// pointer, read, release); the writer mutates a superseded version's
+// tree only once no slot still announces its sequence.
 //
-// Reclamation is what keeps copy-on-write cheap. The writer rotates
-// between (at least) two physical trees: the one currently published and
-// the most recently drained retiree, which is caught up by replaying the
-// short operation log of everything published since it was current —
-// each mutation is applied exactly twice, never to a tree a reader can
-// see. A long-pinned Snapshot merely parks its version's tree on the
-// retired list: the writer clones the current tree once (counted in the
-// MVCC health block) and rotation resumes with the copy.
+// The writer keeps two trees. After a publish, the version just
+// superseded (prev) is one op behind the published content: the next
+// write adopts prev's tree once it drains and replays that op, so each
+// mutation is applied exactly twice and nothing is copied. A Snapshot
+// still holding prev at that point makes the writer clone the published
+// tree instead (counted in the MVCC health block) and drop prev to the
+// collector; rotation resumes with the copy.
 //
 // Get/GetBatch/Contains/Scan/Ascend/Min/Max/Len/IndexStats/Shape all run
 // against a pinned immutable version: no mutex, no torn reads, and —
@@ -49,18 +46,17 @@ type Versioned[K keys.Key, V any] struct {
 	slots    []epochSlot
 	slotMask uint32
 
-	// Writer state, guarded by mu. spare is the mutable tree the next
-	// mutation will be applied to: its content equals version spareSeq,
-	// and replaying log entries (spareSeq, current.seq] onto it yields
-	// the published content. It is nil directly after a publish, until
-	// the next write adopts a drained retiree (or clones).
+	// Writer state, guarded by mu. spare is a mutable tree holding the
+	// published content — left by construction or by a Delete miss —
+	// and nil after every publish. prev is the version current
+	// superseded and last the op that turned prev into current; prev is
+	// non-nil whenever spare is nil, until the next write adopts or
+	// drops it.
 	mu       sync.Mutex
 	newIndex func() Index[K, V]
 	spare    Index[K, V]
-	spareSeq uint64
-	retired  []*version[K, V]
-	log      []logOp[K, V] // ops that produced versions logBase+1 .. current.seq
-	logBase  uint64
+	prev     *version[K, V]
+	last     writeOp[K, V]
 
 	health obs.MVCC
 }
@@ -91,23 +87,26 @@ type epochSlot struct {
 	_     [15]uint64
 }
 
-// logOp is one logged mutation, replayed to catch a reclaimed tree up to
-// the published state.
-type logOp[K keys.Key, V any] struct {
+// writeOp is one mutation, kept to catch prev's tree up to the
+// published content.
+type writeOp[K keys.Key, V any] struct {
 	key K
 	val V
 	del bool
 }
 
-// maxReplayLog bounds the operation log while a pinned snapshot holds an
-// old version open. Past the cap the oldest retired versions become
-// non-adoptable — their trees go to the garbage collector when they
-// drain — rather than the log growing without limit.
-const maxReplayLog = 8192
+// apply performs the mutation on t.
+func (op writeOp[K, V]) apply(t Index[K, V]) {
+	if op.del {
+		t.Delete(op.key)
+	} else {
+		t.Put(op.key, op.val)
+	}
+}
 
 // NewVersioned wraps an index built by newIndex in MVCC snapshot
 // publication. newIndex is called for the initial version, once for the
-// writer's shadow tree, and again only if a clone is ever forced; every
+// writer's spare tree, and again only if a clone is ever forced; every
 // tree it returns must start empty. It panics on a nil constructor.
 func NewVersioned[K keys.Key, V any](newIndex func() Index[K, V]) *Versioned[K, V] {
 	if newIndex == nil {
@@ -118,8 +117,6 @@ func NewVersioned[K keys.Key, V any](newIndex func() Index[K, V]) *Versioned[K, 
 	x.slots = make([]epochSlot, size)
 	x.slotMask = uint32(size - 1)
 	x.spare = newIndex()
-	x.spareSeq = 1
-	x.logBase = 1
 	x.current.Store(&version[K, V]{tree: newIndex(), seq: 1})
 	return x
 }
@@ -163,7 +160,7 @@ func readerSlotHint() uint32 {
 // version it safely pinned. The protocol is announce-then-validate:
 // store the current version's sequence into an owned slot, then re-load
 // the current pointer — if it still names the same version, the writer's
-// retire scan (which runs after its publish) is guaranteed to see the
+// drain check (which runs after its publish) is guaranteed to see the
 // announcement, so the version's tree cannot be reclaimed while pinned.
 // If the pointer moved, re-announce the newer version and check again.
 // No lock is taken and no step blocks on the writer.
@@ -308,8 +305,8 @@ func (x *Versioned[K, V]) Shape() shape.Report {
 // Snapshot returns a pinned read view of the currently published
 // version. The view stays frozen — concurrent writers keep publishing
 // new versions, none of which it observes — until Release, which must be
-// called to free the view's epoch slot. A long-held snapshot costs the
-// writer at most one full tree copy; see the package notes on
+// called to free the view's epoch slot. A snapshot held across two
+// writes costs the writer one full tree copy; see the package notes on
 // reclamation.
 func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 	v, s := x.pin()
@@ -326,8 +323,9 @@ func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 func (x *Versioned[K, V]) Version() uint64 { return x.current.Load().seq }
 
 // MVCCInfo reports the health of the snapshot publication: the current
-// version, how many readers are pinned right now, how many superseded
-// versions await draining, and the publication/reclamation counters.
+// version, how many readers are pinned right now, whether the writer
+// holds a superseded version for reuse, and the publication/reclamation
+// counters.
 func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 	snap := x.health.Read()
 	snap.Versions = []uint64{x.current.Load().seq}
@@ -337,7 +335,9 @@ func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 		}
 	}
 	x.mu.Lock()
-	snap.RetiredVersions = len(x.retired)
+	if x.prev != nil {
+		snap.RetiredVersions = 1
+	}
 	x.mu.Unlock()
 	return snap
 }
@@ -351,7 +351,7 @@ func (x *Versioned[K, V]) Put(key K, val V) bool {
 	start := time.Now()
 	t := x.writable()
 	added := t.Put(key, val)
-	x.publish(t, logOp[K, V]{key: key, val: val}, start)
+	x.publish(t, writeOp[K, V]{key: key, val: val}, start)
 	x.mu.Unlock()
 	return added
 }
@@ -364,108 +364,62 @@ func (x *Versioned[K, V]) Delete(key K) bool {
 	t := x.writable()
 	removed := t.Delete(key)
 	if removed {
-		x.publish(t, logOp[K, V]{key: key, del: true}, start)
+		x.publish(t, writeOp[K, V]{key: key, del: true}, start)
 	}
 	x.mu.Unlock()
 	return removed
 }
 
-// writable returns the writer's private mutable tree, caught up to the
-// currently published content: a retired version's tree replayed
-// forward through the operation log, or — when every retiree is still
-// pinned — a fresh clone. Callers hold mu.
+// writable returns the writer's private mutable tree, holding the
+// currently published content: the spare if one is left, else prev's
+// tree with the last op replayed onto it, else — when a reader still
+// pins prev — a fresh clone. Callers hold mu.
 func (x *Versioned[K, V]) writable() Index[K, V] {
+	if x.spare != nil {
+		return x.spare
+	}
 	cur := x.current.Load()
-	if x.spare == nil {
-		x.adoptOrClone(cur)
-	}
-	if invariants.Enabled {
-		invariants.Assertf(x.spareSeq >= x.logBase && x.spareSeq <= cur.seq,
-			"spare at seq %d outside replayable range [%d, %d]", x.spareSeq, x.logBase, cur.seq)
-	}
-	for _, op := range x.log[x.spareSeq-x.logBase:] {
-		if op.del {
-			x.spare.Delete(op.key)
-		} else {
-			x.spare.Put(op.key, op.val)
+	if x.drained(x.prev) {
+		if invariants.Enabled {
+			invariants.Assertf(x.prev.seq+1 == cur.seq, "prev at seq %d is not one op behind current %d", x.prev.seq, cur.seq)
 		}
+		x.spare = x.prev.tree
+		x.last.apply(x.spare)
+		x.health.RecordReclaim()
+	} else {
+		x.spare = x.cloneTree(cur.tree)
+		x.health.RecordClone()
 	}
-	x.spareSeq = cur.seq
+	x.prev = nil
+	if invariants.Enabled {
+		invariants.Assertf(x.spare.Len() == cur.tree.Len(), "writable tree holds %d keys, published %d", x.spare.Len(), cur.tree.Len())
+	}
 	return x.spare
 }
 
-// adoptOrClone obtains a mutable tree: preferably the newest drained
-// retiree (rotation — each mutation then costs two applications and no
-// copying), falling back to a full copy of the published tree when every
-// retired version is still pinned by a reader. The brief yield loop
-// covers the common race where the just-retired version still carries a
-// mid-flight Get.
-func (x *Versioned[K, V]) adoptOrClone(cur *version[K, V]) {
+// drained reports whether no reader slot pins v — the condition under
+// which v's tree may be mutated — within a brief yield loop that covers
+// the common race where v still carries a mid-flight Get. A slot
+// protects exactly the version whose sequence it announces (a reader
+// only ever dereferences the tree it successfully validated), so the
+// check is for v's own sequence; the announce-then-validate pin protocol
+// guarantees that any reader that validated v as current is visible
+// here.
+func (x *Versioned[K, V]) drained(v *version[K, V]) bool {
 	for attempt := 0; attempt < 64; attempt++ {
-		if x.reclaim() {
-			return
+		pinned := false
+		for i := range x.slots {
+			if x.slots[i].epoch.Load() == v.seq {
+				pinned = true
+				break
+			}
 		}
-		if len(x.retired) == 0 {
-			break
+		if !pinned {
+			return true
 		}
 		runtime.Gosched()
 	}
-	x.spare = x.cloneTree(cur.tree)
-	x.spareSeq = cur.seq
-	x.health.RecordClone()
-}
-
-// reclaim scans the retired list: the newest drained version whose seq
-// the log still covers is adopted as the writer's spare; other drained
-// versions are released to the collector. It reports whether a spare was
-// adopted. Callers hold mu.
-func (x *Versioned[K, V]) reclaim() bool {
-	var adopt *version[K, V]
-	kept := x.retired[:0]
-	released := 0
-	for _, r := range x.retired {
-		switch {
-		case !x.drained(r):
-			kept = append(kept, r)
-		case r.seq >= x.logBase && (adopt == nil || r.seq > adopt.seq):
-			if adopt != nil {
-				released++
-			}
-			adopt = r
-		default:
-			released++
-		}
-	}
-	// Zero the tail so dropped versions do not linger via the backing
-	// array.
-	for i := len(kept); i < len(x.retired); i++ {
-		x.retired[i] = nil
-	}
-	x.retired = kept
-	if adopt != nil {
-		x.spare = adopt.tree
-		x.spareSeq = adopt.seq
-		released++
-	}
-	if released > 0 {
-		x.health.RecordReclaim(released)
-	}
-	return adopt != nil
-}
-
-// drained reports whether no reader slot still pins v — the condition
-// under which v's tree may be mutated or dropped. A slot protects
-// exactly the version whose sequence it announces (a reader only ever
-// dereferences the tree it successfully validated), so the check is for
-// v's own sequence; the announce-then-validate pin protocol guarantees
-// that any reader that validated v as current is visible here.
-func (x *Versioned[K, V]) drained(v *version[K, V]) bool {
-	for i := range x.slots {
-		if x.slots[i].epoch.Load() == v.seq {
-			return false
-		}
-	}
-	return true
+	return false
 }
 
 // cloneTree builds a fresh tree with the same content as src. Ascending
@@ -479,46 +433,15 @@ func (x *Versioned[K, V]) cloneTree(src Index[K, V]) Index[K, V] {
 	return t
 }
 
-// publish swaps t in as the next version, retires the previous one,
-// appends the producing op to the replay log and trims what no retiree
-// can need anymore. Callers hold mu.
-func (x *Versioned[K, V]) publish(t Index[K, V], op logOp[K, V], start time.Time) {
+// publish swaps t in as the next version and keeps the superseded one,
+// with op, as prev. Callers hold mu.
+func (x *Versioned[K, V]) publish(t Index[K, V], op writeOp[K, V], start time.Time) {
 	cur := x.current.Load()
 	next := &version[K, V]{tree: t, seq: cur.seq + 1}
-	if invariants.Enabled {
-		invariants.Assertf(next.seq == cur.seq+1, "publish seq not monotone: %d -> %d", cur.seq, next.seq)
-		invariants.Assertf(x.spareSeq == cur.seq, "publishing a tree not caught up: spare at seq %d, current %d", x.spareSeq, cur.seq)
-		invariants.Assertf(x.logBase <= cur.seq, "replay log base %d beyond current seq %d", x.logBase, cur.seq)
-	}
 	x.current.Store(next)
-	x.retired = append(x.retired, cur)
+	x.prev, x.last = cur, op
 	x.spare = nil
-	x.log = append(x.log, op)
-	x.trimLog(next.seq)
 	x.health.RecordPublish(time.Since(start))
-}
-
-// trimLog drops log entries no retired version can need: everything at
-// or below the oldest retired sequence, and — past maxReplayLog —
-// everything older than the cap, sacrificing the adoptability of
-// long-pinned versions instead of growing without bound. Callers hold
-// mu, with spare == nil (publish) so only retired versions constrain the
-// floor.
-func (x *Versioned[K, V]) trimLog(curSeq uint64) {
-	floor := curSeq - 1
-	for _, r := range x.retired {
-		if r.seq < floor {
-			floor = r.seq
-		}
-	}
-	if curSeq-floor > maxReplayLog {
-		floor = curSeq - maxReplayLog
-	}
-	if floor > x.logBase {
-		n := floor - x.logBase
-		x.log = x.log[n:]
-		x.logBase = floor
-	}
 }
 
 // Compile-time check: Versioned satisfies the full Index interface and

@@ -3,7 +3,8 @@ package index_test
 // Tests of the MVCC layer: snapshot isolation (a pinned reader keeps a
 // frozen version while writers advance the live index), version
 // rotation and reclamation accounting, the forced-clone path under a
-// long-lived pin, and race-run concurrent mixed loads. Everything here
+// long-lived pin, a map-model check of the writer's two-tree rotation,
+// and race-run concurrent mixed loads. Everything here
 // drives the public API; the internal epoch protocol is observed through
 // MVCCInfo counters.
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/kary"
+	"repro/internal/obs"
 	"repro/internal/segtree"
 )
 
@@ -152,9 +154,9 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestVersionedRotation verifies the steady-state write path: with no
-// long pins the writer ping-pongs between two trees — versions publish
-// one per mutation, superseded versions are reclaimed promptly, and no
-// clone is ever forced.
+// pins the writer ping-pongs between two trees — versions publish one
+// per mutation, every write after the first reuses the version it
+// superseded, and no clone is ever forced.
 func TestVersionedRotation(t *testing.T) {
 	ix := newVersionedSegTree()
 	const writes = 1000
@@ -171,16 +173,14 @@ func TestVersionedRotation(t *testing.T) {
 	if mv.Cloned != 0 {
 		t.Errorf("Cloned = %d, want 0: rotation must never copy without a pinned snapshot", mv.Cloned)
 	}
-	if mv.RetiredVersions > 2 {
-		t.Errorf("RetiredVersions = %d, want <= 2 at rest", mv.RetiredVersions)
+	if mv.RetiredVersions > 1 {
+		t.Errorf("RetiredVersions = %d, want <= 1", mv.RetiredVersions)
 	}
 	if mv.ActiveSnapshots != 0 {
 		t.Errorf("ActiveSnapshots = %d, want 0 with no readers", mv.ActiveSnapshots)
 	}
-	// Every retirement is eventually a reclaim: all but the still-retired
-	// tail have been handed back.
-	if want := mv.Published - uint64(mv.RetiredVersions); mv.Reclaimed < want {
-		t.Errorf("Reclaimed = %d, want >= %d", mv.Reclaimed, want)
+	if want := mv.Published - 1; mv.Reclaimed != want {
+		t.Errorf("Reclaimed = %d, want %d: every write but the first reuses the superseded tree", mv.Reclaimed, want)
 	}
 	if mv.PublishLatency.Count != writes {
 		t.Errorf("publish latency observations = %d, want %d", mv.PublishLatency.Count, writes)
@@ -195,9 +195,8 @@ func TestVersionedRotation(t *testing.T) {
 }
 
 // TestVersionedClonePath verifies the long-pin fallback: a held snapshot
-// parks its tree, the writer clones exactly once to regain a mutable
-// tree, and after Release the parked version is reclaimed and rotation
-// resumes copy-free.
+// pins its tree, the writer clones exactly once to regain a mutable
+// tree, and after Release rotation resumes copy-free.
 func TestVersionedClonePath(t *testing.T) {
 	ix := newVersionedSegTree()
 	for i := uint32(0); i < 100; i++ {
@@ -225,9 +224,179 @@ func TestVersionedClonePath(t *testing.T) {
 	if mv.Cloned != 1 {
 		t.Errorf("Cloned after release = %d, want still 1", mv.Cloned)
 	}
-	if mv.ActiveSnapshots != 0 || mv.RetiredVersions > 2 {
-		t.Errorf("post-release state: active=%d retired=%d, want 0/<=2",
+	if want := mv.Published - 1 - mv.Cloned; mv.Reclaimed != want {
+		t.Errorf("Reclaimed = %d, want %d: every write but the first and the clone reuses the superseded tree", mv.Reclaimed, want)
+	}
+	if mv.ActiveSnapshots != 0 || mv.RetiredVersions > 1 {
+		t.Errorf("post-release state: active=%d retired=%d, want 0/<=1",
 			mv.ActiveSnapshots, mv.RetiredVersions)
+	}
+}
+
+// FuzzVersionedOps checks Versioned against a map model on all four
+// structures. The script is a list of (op, key) byte pairs: Put, Delete
+// (hit or miss), Snapshot and Release, run in one goroutine. After every
+// step the live index must answer like the model, every held snapshot
+// like the model did when it was taken, and the MVCC counters must match
+// the writer's rotation exactly: the first write after a publish clones
+// when a held snapshot pins the superseded version, and reuses it
+// otherwise.
+func FuzzVersionedOps(f *testing.F) {
+	const (
+		put, del, snapshot, release = 0, 1, 2, 3
+	)
+	// Two overlapping snapshots, the older released first: the writer
+	// keeps only the version the published one superseded, so the write
+	// after the release finds it pinned by the younger snapshot and
+	// clones a second time instead of reusing the released tree.
+	f.Add([]byte{
+		put, 1, snapshot, 0, put, 2, snapshot, 0, put, 3,
+		release, 0, put, 4,
+	})
+	// A Delete miss leaves the writer a tree holding the published
+	// content, which the next write uses without reuse or clone.
+	f.Add([]byte{put, 1, put, 2, del, 9, put, 3, snapshot, 0, del, 9, put, 4, put, 5, release, 0, put, 6})
+	rng := rand.New(rand.NewSource(19))
+	for range 4 {
+		script := make([]byte, 400)
+		rng.Read(script)
+		f.Add(script)
+	}
+	var makers []maker
+	for _, m := range fuzzMakers() {
+		if m.name != "sharded/segtree" {
+			makers = append(makers, m)
+		}
+	}
+	if len(makers) != 4 {
+		f.Fatalf("model runs on %d structures, want 4", len(makers))
+	}
+	type held struct {
+		snap  *index.Snapshot[uint32, int]
+		seq   uint64
+		model map[uint32]int
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 400 {
+			script = script[:400]
+		}
+		for _, m := range makers {
+			ix := index.NewVersioned[uint32, int](m.new)
+			model := map[uint32]int{}
+			var snaps []held
+			// The writer's expected state: whether it holds a tree with
+			// the published content, and the superseded version's seq.
+			spare, seq, prev := true, uint64(1), uint64(0)
+			var want obs.MVCCSnapshot
+			write := func(publishes bool) {
+				if !spare {
+					pinned := false
+					for _, h := range snaps {
+						pinned = pinned || h.seq == prev
+					}
+					if pinned {
+						want.Cloned++
+					} else {
+						want.Reclaimed++
+					}
+				}
+				spare, prev = true, 0
+				if publishes {
+					want.Published++
+					spare, prev = false, seq
+					seq++
+				}
+			}
+			for i := 0; i+1 < len(script); i += 2 {
+				op, k := script[i]%4, uint32(script[i+1]%48)
+				switch op {
+				case put:
+					_, had := model[k]
+					if added := ix.Put(k, i); added == had {
+						t.Fatalf("%s step %d: Put(%d) added=%v, model had=%v", m.name, i/2, k, added, had)
+					}
+					model[k] = i
+					write(true)
+				case del:
+					_, had := model[k]
+					if removed := ix.Delete(k); removed != had {
+						t.Fatalf("%s step %d: Delete(%d) = %v, model had=%v", m.name, i/2, k, removed, had)
+					}
+					delete(model, k)
+					write(had)
+				case snapshot:
+					if len(snaps) == 8 {
+						continue
+					}
+					frozen := make(map[uint32]int, len(model))
+					for k, v := range model {
+						frozen[k] = v
+					}
+					snaps = append(snaps, held{ix.Snapshot(), seq, frozen})
+				case release:
+					if len(snaps) == 0 {
+						continue
+					}
+					j := int(k) % len(snaps)
+					snaps[j].snap.Release()
+					snaps = append(snaps[:j], snaps[j+1:]...)
+				}
+				checkModel(t, fmt.Sprintf("%s step %d: live", m.name, i/2), ix, model)
+				for _, h := range snaps {
+					if got := h.snap.Seq(); got != h.seq {
+						t.Fatalf("%s step %d: snapshot Seq moved %d -> %d", m.name, i/2, h.seq, got)
+					}
+					checkModel(t, fmt.Sprintf("%s step %d: snapshot at seq %d", m.name, i/2, h.seq), h.snap, h.model)
+				}
+				mv := ix.MVCCInfo()
+				retired := 0
+				if prev != 0 {
+					retired = 1
+				}
+				if mv.Published != want.Published || mv.Cloned != want.Cloned || mv.Reclaimed != want.Reclaimed ||
+					mv.Versions[0] != seq || mv.ActiveSnapshots != len(snaps) || mv.RetiredVersions != retired {
+					t.Fatalf("%s step %d: MVCCInfo published=%d cloned=%d reclaimed=%d version=%d active=%d retired=%d, "+
+						"want %d %d %d %d %d %d", m.name, i/2,
+						mv.Published, mv.Cloned, mv.Reclaimed, mv.Versions[0], mv.ActiveSnapshots, mv.RetiredVersions,
+						want.Published, want.Cloned, want.Reclaimed, seq, len(snaps), retired)
+				}
+			}
+			for _, h := range snaps {
+				h.snap.Release()
+			}
+		}
+	})
+}
+
+// checkModel requires r to hold exactly model's items over the fuzz key
+// range: Len, every Get, and ascending iteration.
+func checkModel(t *testing.T, what string, r interface {
+	Get(uint32) (int, bool)
+	Len() int
+	Ascend(func(uint32, int) bool)
+}, model map[uint32]int) {
+	t.Helper()
+	if n := r.Len(); n != len(model) {
+		t.Fatalf("%s: Len = %d, want %d", what, n, len(model))
+	}
+	for k := uint32(0); k < 48; k++ {
+		v, ok := r.Get(k)
+		mv, mok := model[k]
+		if ok != mok || v != mv {
+			t.Fatalf("%s: Get(%d) = (%d,%v), want (%d,%v)", what, k, v, ok, mv, mok)
+		}
+	}
+	prev, n := -1, 0
+	r.Ascend(func(k uint32, v int) bool {
+		if int(k) <= prev || model[k] != v {
+			t.Fatalf("%s: Ascend yielded (%d,%d) after key %d", what, k, v, prev)
+		}
+		prev = int(k)
+		n++
+		return true
+	})
+	if n != len(model) {
+		t.Fatalf("%s: Ascend visited %d items, want %d", what, n, len(model))
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 // (internal/index.Versioned): lock-free counters for version publication
 // and reclamation plus the writer-publish latency histogram. The index
 // layer owns the live state (current version numbers, pinned readers,
-// retired versions) and reports it at read time through MVCCSnapshot, so
-// the hot paths carry no extra gauges — point-in-time quantities are
-// computed from the epoch slots when someone actually looks.
+// the superseded version it holds) and reports it at read time through
+// MVCCSnapshot, so the hot paths carry no extra gauges — point-in-time
+// quantities are computed from the epoch slots when someone actually
+// looks.
 
 // MVCC accumulates the publication-side counters of one copy-on-write
 // snapshot publisher. The zero value is ready to use; all methods are
@@ -32,13 +33,12 @@ func (m *MVCC) RecordPublish(d time.Duration) {
 	m.latency.Observe(d)
 }
 
-// RecordReclaim counts n superseded versions whose trees were handed
-// back to the writer or released to the collector after their last
-// pinned reader left.
-func (m *MVCC) RecordReclaim(n int) { m.reclaimed.Add(uint64(n)) }
+// RecordReclaim counts one superseded version whose tree was handed
+// back to the writer after its last pinned reader left.
+func (m *MVCC) RecordReclaim() { m.reclaimed.Add(1) }
 
 // RecordClone counts one full copy-on-write rebuild — the writer needed
-// a mutable tree while every retired version was still pinned.
+// a mutable tree while a reader still pinned the superseded version.
 func (m *MVCC) RecordClone() { m.cloned.Add(1) }
 
 // Read returns the counter and latency state. The index layer fills in
@@ -63,12 +63,13 @@ type MVCCSnapshot struct {
 	// slots holding a version open, whether a mid-flight Get or a
 	// long-lived Snapshot handle.
 	ActiveSnapshots int `json:"active_snapshots"`
-	// RetiredVersions counts superseded versions still held for pinned
-	// readers and not yet reclaimed.
+	// RetiredVersions counts superseded versions the writers hold for
+	// reuse: 0 or 1 per publisher.
 	RetiredVersions int `json:"retired_versions"`
 	// Published counts versions published since construction.
 	Published uint64 `json:"published_versions_total"`
-	// Reclaimed counts superseded versions reclaimed after draining.
+	// Reclaimed counts superseded versions whose trees the writers
+	// reused after draining.
 	Reclaimed uint64 `json:"reclaimed_versions_total"`
 	// Cloned counts full tree copies forced by long-pinned snapshots.
 	Cloned uint64 `json:"cloned_versions_total"`
@@ -126,7 +127,7 @@ func (s MVCCSnapshot) WriteProm(w io.Writer, prefix string) error {
 		v          uint64
 	}{
 		{"published_versions_total", "tree versions published by writers", s.Published},
-		{"reclaimed_versions_total", "superseded versions reclaimed after draining", s.Reclaimed},
+		{"reclaimed_versions_total", "superseded versions reused by writers after draining", s.Reclaimed},
 		{"cloned_versions_total", "full tree copies forced by pinned snapshots", s.Cloned},
 	} {
 		if err := WriteCounterProm(w, prefix+"_"+c.name, "", c.help, c.v); err != nil {
