@@ -1,7 +1,8 @@
 // Command segserve exposes one index structure over HTTP together with
 // its full observability surface: per-operation latency histograms and
-// the paper's point-lookup cost counters (SIMD comparisons, node visits, ...)
-// as Prometheus text metrics (including Go runtime metrics), expvar
+// the paper's point-lookup cost counters (SIMD comparisons, node visits,
+// ...) in one metric table that /stats renders as "key value" lines and
+// /metrics as Prometheus text (with Go runtime metrics), expvar
 // JSON, Go's pprof profiles, and per-operation search tracing — an
 // on-demand Explain endpoint plus always-on 1-in-N sampled traces with a
 // slow-op log. With -slo it also runs a burn-rate SLO engine over
@@ -24,8 +25,8 @@
 //	curl 'localhost:8080/get?key=42'
 //	curl 'localhost:8080/getbatch?keys=1,2,42'
 //	curl 'localhost:8080/scan?lo=10&hi=20&limit=5'
-//	curl 'localhost:8080/stats'
-//	curl 'localhost:8080/metrics'          # Prometheus 0.0.4 + runtime metrics
+//	curl 'localhost:8080/stats'            # the metric table as "key value" lines
+//	curl 'localhost:8080/metrics'          # the same table, Prometheus 0.0.4
 //	curl 'localhost:8080/debug/vars'       # expvar JSON
 //	curl 'localhost:8080/debug/snapshot'   # MVCC state: versions, pinned readers, reclamation
 //	curl 'localhost:8080/debug/shape'      # structural-health report (?format=json)
@@ -64,6 +65,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -223,6 +225,9 @@ type server struct {
 	// window whose buckets carry the sampled spans as exemplars.
 	tracer *reqtrace.Tracer
 	reqLat *obs.WindowedHistogram
+	// shedBatch counts /getbatch requests refused for carrying more than
+	// maxBatchKeys keys.
+	shedBatch atomic.Uint64
 	// engine and flight are nil unless cfg.slo is set.
 	engine *health.Engine
 	flight *health.Recorder
@@ -571,6 +576,7 @@ var batchPool = sync.Pool{New: func() any {
 func (s *server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 	list := r.URL.Query().Get("keys")
 	if n := strings.Count(list, ",") + 1; n > maxBatchKeys {
+		s.shedBatch.Add(1)
 		http.Error(w, fmt.Sprintf("too many keys: %d, at most %d per batch", n, maxBatchKeys),
 			http.StatusRequestEntityTooLarge)
 		return
@@ -630,89 +636,71 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.ix.Snapshot()
-	st := snap.Stats
-	fmt.Fprintf(w, "keys %d\nheight %d\nnodes %d\nmemory_bytes %d\nkey_memory_bytes %d\n",
-		st.Keys, st.Height, st.Nodes, st.MemoryBytes, st.KeyMemoryBytes)
+// metrics builds the server's metric table, the one source both /stats
+// and /metrics render: the instrumented index's rows, MVCC publication,
+// the Go runtime, sampler and span counts, the fast-window request
+// figures and per-op windows, sheds, and the SLO engine and flight
+// recorder when configured.
+func (s *server) metrics() []obs.Metric {
+	rows := s.ix.Snapshot().Metrics()
 	if mv, ok := s.ix.MVCCInfo(); ok {
-		fmt.Fprintf(w, "version %d\nversions_published %d\nactive_snapshots %d\n",
-			mv.CurrentVersion(), mv.Published, mv.ActiveSnapshots)
+		rows = append(rows, mv.Metrics()...)
 	}
-	c := snap.Counters
-	fmt.Fprintf(w, "simd_comparisons %d\nmask_evaluations %d\nnode_visits %d\nlevels_descended %d\nscalar_comparisons %d\n",
-		c.SIMDComparisons, c.MaskEvaluations, c.NodeVisits, c.LevelsDescended, c.ScalarComparisons)
-	for _, op := range snap.Ops {
-		if op.Histogram.Count > 0 {
-			fmt.Fprintf(w, "op_%s_count %d\nop_%s_mean_ns %d\n",
-				op.Op, op.Histogram.Count, op.Op, op.Histogram.Mean().Nanoseconds())
-			// The same interpolated quantiles the workload driver reports,
-			// so server-side and client-side latency line up by name.
-			fmt.Fprintf(w, "op_%s_p50_ns %g\nop_%s_p99_ns %g\nop_%s_p999_ns %g\n",
-				op.Op, op.Histogram.QuantileNanos(0.50),
-				op.Op, op.Histogram.QuantileNanos(0.99),
-				op.Op, op.Histogram.QuantileNanos(0.999))
-		}
-	}
-	// The recent-window counterparts next to the lifetime figures: the
+	rows = append(rows, obs.RuntimeMetrics()...)
+	win := s.cfg.fastWindow
+	sampler, spans := s.ix.Sampler().Stats(), s.tracer.Stats()
+	// The whole-request latency window carries per-bucket exemplars: a
+	// bucket whose latency worries a dashboard reader names the trace_id of
+	// the last sampled request that paid it, the /debug/requests?trace= key.
+	reqLat, exemplars := s.reqLat.ReadWindow(win), s.reqLat.Exemplars()
+	rows = append(rows,
+		obs.Metric{Name: "trace_sampled_total", Help: "gets traced by the 1-in-N descent sampler",
+			Kind: obs.KindCounter, Value: float64(sampler.Sampled)},
+		obs.Metric{Name: "trace_slow_total", Help: "sampled gets at or over the slow-op threshold",
+			Kind: obs.KindCounter, Value: float64(sampler.Slow)},
+		obs.Metric{Name: "span_requests_total", Help: "requests seen by the span tracer",
+			Kind: obs.KindCounter, Value: float64(spans.Ops)},
+		obs.Metric{Name: "spans_started_total", Help: "request spans started",
+			Kind: obs.KindCounter, Value: float64(spans.Started), Stat: "spans_started"},
+		obs.Metric{Name: "spans_finished_total", Help: "request spans finished",
+			Kind: obs.KindCounter, Value: float64(spans.Finished), Stat: "spans_finished"},
+		obs.Metric{Name: "shed_total", Help: "requests refused before any index work",
+			Kind: obs.KindCounter, Label: "reason", LabelValue: "batch_too_large", Value: float64(s.shedBatch.Load())},
+		obs.Metric{Name: "window_seconds", Help: "span of the fast window the window figures cover",
+			Kind: obs.KindGauge, Value: win.Seconds(), Stat: "window_seconds"},
+		obs.Metric{Name: "window_requests", Help: "requests over the fast window",
+			Kind: obs.KindGauge, Value: float64(s.reqTotal.ReadWindow(win)), Stat: "window_requests"},
+		obs.Metric{Name: "window_errors", Help: "5xx responses over the fast window",
+			Kind: obs.KindGauge, Value: float64(s.reqErrs.ReadWindow(win)), Stat: "window_errors"},
+		obs.Metric{Name: "request_duration_window_seconds", Help: "request latency over the fast window, with trace exemplars",
+			Kind: obs.KindHistogram, Hist: &reqLat, Exemplars: &exemplars, Stat: "window_request"},
+	)
+	// The recent-window counterparts of the lifetime op histograms: the
 	// lifetime p99 barely moves when the last 30 s went bad, the windowed
 	// one jumps.
-	fmt.Fprintf(w, "window_seconds %g\n", s.cfg.fastWindow.Seconds())
-	fmt.Fprintf(w, "window_requests %d\nwindow_errors %d\n",
-		s.reqTotal.ReadWindow(s.cfg.fastWindow), s.reqErrs.ReadWindow(s.cfg.fastWindow))
-	if h := s.reqLat.ReadWindow(s.cfg.fastWindow); h.Count > 0 {
-		fmt.Fprintf(w, "window_request_p50_ns %g\nwindow_request_p99_ns %g\nwindow_request_p999_ns %g\n",
-			h.QuantileNanos(0.50), h.QuantileNanos(0.99), h.QuantileNanos(0.999))
-	}
-	ts := s.tracer.Stats()
-	fmt.Fprintf(w, "spans_started %d\nspans_finished %d\n", ts.Started, ts.Finished)
-	// Exemplar breadcrumbs under a leading '#': human-readable next to the
-	// numbers, shaped so segclient.Stats' "name number" parser skips them.
-	for i, ex := range s.reqLat.Exemplars() {
-		if ex != nil {
-			fmt.Fprintf(w, "# exemplar bucket=%d trace_id=%s value_ns=%d\n", i, ex.TraceIDString(), ex.NS)
-		}
-	}
 	for _, op := range simdtree.Ops {
-		h, ok := s.ix.WindowSnapshot(op, s.cfg.fastWindow)
-		if !ok || h.Count == 0 {
-			continue
+		if h, ok := s.ix.WindowSnapshot(op, win); ok {
+			rows = append(rows, obs.Metric{Name: "op_latency_window_seconds", Help: "per-operation latency over the fast window",
+				Kind: obs.KindHistogram, Label: "op", LabelValue: op.String(), Hist: &h, Stat: "op_" + op.String() + "_window"})
 		}
-		fmt.Fprintf(w, "op_%s_window_count %d\nop_%s_window_p50_ns %g\nop_%s_window_p99_ns %g\nop_%s_window_p999_ns %g\n",
-			op, h.Count,
-			op, h.QuantileNanos(0.50),
-			op, h.QuantileNanos(0.99),
-			op, h.QuantileNanos(0.999))
 	}
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.ix.WritePrometheus(w, "segserve")
-	obs.WriteRuntimeProm(w, "segserve_go")
-	if mv, ok := s.ix.MVCCInfo(); ok {
-		mv.WriteProm(w, "segserve_mvcc")
-	}
-	st := s.ix.Sampler().Stats()
-	fmt.Fprintf(w, "# TYPE segserve_trace_sampled_total counter\nsegserve_trace_sampled_total %d\n", st.Sampled)
-	fmt.Fprintf(w, "# TYPE segserve_trace_slow_total counter\nsegserve_trace_slow_total %d\n", st.Slow)
-	// The whole-request latency window with per-bucket exemplars: a bucket
-	// whose latency worries a dashboard reader names the trace_id of the
-	// last sampled request that paid it, the /debug/requests?trace= key.
-	s.reqLat.ReadWindow(s.cfg.fastWindow).HistogramPromExemplars(w,
-		"segserve_request_duration_window_seconds", "",
-		"request latency over the fast window, with trace exemplars",
-		s.reqLat.Exemplars())
-	ts := s.tracer.Stats()
-	fmt.Fprintf(w, "# TYPE segserve_span_requests_total counter\nsegserve_span_requests_total %d\n", ts.Ops)
-	fmt.Fprintf(w, "# TYPE segserve_spans_started_total counter\nsegserve_spans_started_total %d\n", ts.Started)
-	fmt.Fprintf(w, "# TYPE segserve_spans_finished_total counter\nsegserve_spans_finished_total %d\n", ts.Finished)
 	if s.engine != nil {
-		s.engine.WriteProm(w, "segserve_health")
+		rows = append(rows, s.engine.Metrics()...)
 	}
 	if s.flight != nil {
-		fmt.Fprintf(w, "# TYPE segserve_flight_bundles gauge\nsegserve_flight_bundles %d\n", s.flight.Len())
+		rows = append(rows, obs.Metric{Name: "flight_bundles", Help: "diagnostics bundles the flight recorder retains",
+			Kind: obs.KindGauge, Value: float64(s.flight.Len())})
 	}
+	return rows
+}
+
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	obs.WriteText(w, s.metrics())
+}
+
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	obs.WriteProm(w, "segserve", s.metrics())
 }
 
 // handleHealthz answers liveness probes; the reported version number is

@@ -107,10 +107,17 @@ func TestGetBatchKeyLimit(t *testing.T) {
 	if !strings.HasPrefix(body, "0 0\n1 1\n") {
 		t.Errorf("/getbatch body starts %q", body[:min(len(body), 40)])
 	}
+	shed := `segserve_shed_total{reason="batch_too_large"} `
+	if _, m := get(t, ts.URL+"/metrics"); !strings.Contains(m, shed+"0\n") {
+		t.Errorf("/metrics before any refusal lacks %q0", shed)
+	}
 	// The over-limit list ends in a key that does not parse: the comma
-	// count alone must refuse it.
+	// count alone must refuse it, and the refusal is counted.
 	if code, body := get(t, ts.URL+"/getbatch?keys="+list(maxBatchKeys)+",x"); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("/getbatch with %d keys = %d %q, want 413", maxBatchKeys+1, code, body)
+	}
+	if _, m := get(t, ts.URL+"/metrics"); !strings.Contains(m, shed+"1\n") {
+		t.Errorf("/metrics after one refusal lacks %q1", shed)
 	}
 	if code, _ := get(t, ts.URL+"/getbatch?keys="); code != http.StatusBadRequest {
 		t.Errorf("/getbatch with empty keys= = %d, want 400", code)

@@ -18,7 +18,7 @@ type OpResult struct {
 	Count  uint64 `json:"count"`
 	Errors uint64 `json:"errors"`
 	// MeanNanos and the quantiles are in nanoseconds, from the log2
-	// latency histogram (obs.Histogram.Quantile interpolation).
+	// latency histogram (obs.HistogramSnapshot.QuantileNanos interpolation).
 	MeanNanos float64 `json:"mean_ns"`
 	P50       float64 `json:"p50_ns"`
 	P99       float64 `json:"p99_ns"`

@@ -3,10 +3,10 @@ package health
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // State is the health of one objective, or of the whole engine (the
@@ -275,64 +275,39 @@ func (e *Engine) Run(ctx context.Context, tick time.Duration, beforeEvaluate fun
 	}
 }
 
-// WriteProm renders the engine state as Prometheus gauges under the
-// given prefix: per-objective state (0 healthy, 1 warning, 2 breaching),
-// measured values and burn rates per window, the ceiling, plus the
-// overall state and the breach-transition counter.
-func (e *Engine) WriteProm(w io.Writer, prefix string) error {
+// Metrics returns the engine state as table rows named health_*:
+// per-objective gauges labelled objective= — state (0 healthy, 1
+// warning, 2 breaching), measured values and burn rates per window, the
+// ceiling — plus the overall state and the breach-transition counter.
+func (e *Engine) Metrics() []obs.Metric {
 	st := e.Status()
 	series := []struct {
-		suffix, help string
-		value        func(ObjectiveStatus) float64
+		name, help string
+		value      func(ObjectiveStatus, Objective) float64
 	}{
-		{"slo_state", "objective state: 0 healthy, 1 warning, 2 breaching",
-			func(o ObjectiveStatus) float64 { return float64(o.State) }},
-		{"slo_fast_value", "measured value over the fast window (ns or ratio)",
-			func(o ObjectiveStatus) float64 { return o.FastValue }},
-		{"slo_slow_value", "measured value over the slow window (ns or ratio)",
-			func(o ObjectiveStatus) float64 { return o.SlowValue }},
-		{"slo_fast_burn", "fast-window burn rate (measured / ceiling)",
-			func(o ObjectiveStatus) float64 { return o.FastBurn }},
-		{"slo_slow_burn", "slow-window burn rate (measured / ceiling)",
-			func(o ObjectiveStatus) float64 { return o.SlowBurn }},
+		{"health_slo_state", "objective state: 0 healthy, 1 warning, 2 breaching",
+			func(s ObjectiveStatus, _ Objective) float64 { return float64(s.State) }},
+		{"health_slo_fast_value", "measured value over the fast window (ns or ratio)",
+			func(s ObjectiveStatus, _ Objective) float64 { return s.FastValue }},
+		{"health_slo_slow_value", "measured value over the slow window (ns or ratio)",
+			func(s ObjectiveStatus, _ Objective) float64 { return s.SlowValue }},
+		{"health_slo_fast_burn", "fast-window burn rate (measured / ceiling)",
+			func(s ObjectiveStatus, _ Objective) float64 { return s.FastBurn }},
+		{"health_slo_slow_burn", "slow-window burn rate (measured / ceiling)",
+			func(s ObjectiveStatus, _ Objective) float64 { return s.SlowBurn }},
+		{"health_slo_threshold", "objective ceiling (ns or ratio)",
+			func(_ ObjectiveStatus, o Objective) float64 { return o.Threshold }},
 	}
-	for _, s := range series {
-		name := prefix + "_" + s.suffix
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, s.help, name); err != nil {
-			return err
-		}
-		for _, o := range st.Objectives {
-			if _, err := fmt.Fprintf(w, "%s{objective=%q} %s\n",
-				name, o.Name, formatPromFloat(s.value(o))); err != nil {
-				return err
-			}
+	var rows []obs.Metric
+	for _, sr := range series {
+		for i, o := range st.Objectives {
+			rows = append(rows, obs.Metric{Name: sr.name, Help: sr.help, Kind: obs.KindGauge,
+				Label: "objective", LabelValue: o.Name, Value: sr.value(o, e.objectives[i])})
 		}
 	}
-	for i, o := range e.objectives {
-		name := prefix + "_slo_threshold"
-		if i == 0 {
-			if _, err := fmt.Fprintf(w,
-				"# HELP %s objective ceiling (ns or ratio)\n# TYPE %s gauge\n", name, name); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s{objective=%q} %s\n",
-			name, o.Name(), formatPromFloat(o.Threshold)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s_state gauge\n%s_state %d\n",
-		prefix, prefix, st.State); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s_breaches_total counter\n%s_breaches_total %d\n",
-		prefix, prefix, st.Breaches)
-	return err
-}
-
-// formatPromFloat renders a gauge value without exponent noise for the
-// common integral case.
-func formatPromFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return strings.TrimSpace(s)
+	return append(rows,
+		obs.Metric{Name: "health_state", Help: "overall state: the worst objective state",
+			Kind: obs.KindGauge, Value: float64(st.State)},
+		obs.Metric{Name: "health_breaches_total", Help: "transitions of the overall state into breaching",
+			Kind: obs.KindCounter, Value: float64(st.Breaches)})
 }

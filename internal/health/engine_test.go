@@ -177,18 +177,18 @@ func TestEngineWriteProm(t *testing.T) {
 	e := newTestEngine(t, p, nil)
 	e.Evaluate(time.Unix(0, 0))
 	var b strings.Builder
-	if err := e.WriteProm(&b, "t"); err != nil {
+	if err := obs.WriteProm(&b, "t", e.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		`# TYPE t_slo_state gauge`,
-		`t_slo_state{objective="read_p99"} 2`,
-		`t_slo_fast_value{objective="read_p99"}`,
-		`t_slo_slow_burn{objective="read_p99"}`,
-		`t_slo_threshold{objective="read_p99"} 1000`,
-		"t_state 2",
-		"t_breaches_total 1",
+		`# TYPE t_health_slo_state gauge`,
+		`t_health_slo_state{objective="read_p99"} 2`,
+		`t_health_slo_fast_value{objective="read_p99"}`,
+		`t_health_slo_slow_burn{objective="read_p99"}`,
+		`t_health_slo_threshold{objective="read_p99"} 1000`,
+		"t_health_state 2",
+		"t_health_breaches_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteProm missing %q in:\n%s", want, out)

@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -309,6 +308,49 @@ type MetricsSnapshot struct {
 	Shape    shape.Report `json:"shape"`
 }
 
+// Metrics returns the snapshot as metric-table rows: one
+// op_latency_seconds histogram per op (label op=, /stats key op_<op>),
+// the point-lookup cost counters, and the index shape as gauges (keys,
+// height, nodes, memory_bytes and key_memory_bytes also on /stats).
+func (s MetricsSnapshot) Metrics() []obs.Metric {
+	sh := &s.Shape
+	gauges := []struct {
+		name, help, stat string
+		v                float64
+	}{
+		{"keys", "stored items", "keys", float64(s.Stats.Keys)},
+		{"height", "most node searches one lookup performs", "height", float64(s.Stats.Height)},
+		{"nodes", "total node count", "nodes", float64(s.Stats.Nodes)},
+		{"memory_bytes", "total footprint: keys plus pointers", "memory_bytes", float64(s.Stats.MemoryBytes)},
+		{"key_memory_bytes", "key storage, replenishment pads included", "key_memory_bytes", float64(s.Stats.KeyMemoryBytes)},
+		{"shape_levels", "height in node searches", "", float64(sh.Levels)},
+		{"shape_slot_keys", "real keys across all nodes, separators and partial keys included", "", float64(sh.SlotKeys)},
+		{"shape_slots", "allocated key slots, replenishment pads included", "", float64(sh.Slots)},
+		{"shape_key_bytes", "storage holding real keys", "", float64(sh.KeyBytes)},
+		{"shape_pointer_bytes", "child- and value-pointer storage", "", float64(sh.PointerBytes)},
+		{"shape_padding_bytes", "storage holding §3.3 replenishment pads", "", float64(sh.PaddingBytes)},
+		{"shape_registers", "16-byte SIMD register loads the key storage linearizes into", "", float64(sh.Registers)},
+		{"shape_full_registers", "registers whose every lane holds a real key", "", float64(sh.FullRegisters)},
+		{"shape_replenished_slots", "§3.3 replenishment pads", "", float64(sh.ReplenishedSlots)},
+		{"shape_omitted_levels", "trie levels compressed into stored prefixes (§4 level omission)", "", float64(sh.OmittedLevels)},
+		{"shape_omitted_savings_bytes", "measured byte saving of level omission", "", float64(sh.OmittedSavingsBytes)},
+		{"shape_fill_degree", "slot keys over slots: the §6 fill degree", "", sh.FillDegree},
+		{"shape_bytes_per_key", "total bytes per stored item", "", sh.BytesPerKey},
+		{"shape_register_utilization", "full registers over registers", "", sh.RegisterUtilization},
+	}
+	rows := make([]obs.Metric, 0, len(gauges)+5+len(s.Ops))
+	for _, g := range gauges {
+		rows = append(rows, obs.Metric{Name: g.name, Help: g.help, Kind: obs.KindGauge, Value: g.v, Stat: g.stat})
+	}
+	rows = append(rows, s.Counters.Metrics()...)
+	for i := range s.Ops {
+		op := &s.Ops[i]
+		rows = append(rows, obs.Metric{Name: "op_latency_seconds", Help: "per-operation latency",
+			Kind: obs.KindHistogram, Label: "op", LabelValue: op.Op, Hist: &op.Histogram, Stat: "op_" + op.Op})
+	}
+	return rows
+}
+
 // Snapshot captures the current state of all recorded metrics. The
 // structural report is refreshed here — one walk of the wrapped index,
 // from which Stats is projected — so every snapshot (and every
@@ -328,65 +370,6 @@ func (ix *Instrumented[K, V]) Reset() {
 		ix.hists[i].Reset()
 	}
 	ix.counter.Reset()
-}
-
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format under the given metric-name prefix: one histogram per op as
-// <prefix>_op_latency_seconds{op=...}, the point-lookup cost counters,
-// and the index shape as gauges.
-func (ix *Instrumented[K, V]) WritePrometheus(w io.Writer, prefix string) error {
-	snap := ix.Snapshot()
-	for _, op := range snap.Ops {
-		if err := op.Histogram.HistogramProm(w, prefix+"_op_latency_seconds",
-			fmt.Sprintf("op=%q", op.Op), "per-operation latency"); err != nil {
-			return err
-		}
-	}
-	if err := snap.Counters.CounterProm(w, prefix); err != nil {
-		return err
-	}
-	type gauge struct {
-		name string
-		v    int64
-	}
-	sh := &snap.Shape
-	for _, g := range []gauge{
-		{"keys", int64(snap.Stats.Keys)},
-		{"height", int64(snap.Stats.Height)},
-		{"nodes", int64(snap.Stats.Nodes)},
-		{"memory_bytes", snap.Stats.MemoryBytes},
-		{"key_memory_bytes", snap.Stats.KeyMemoryBytes},
-		{"shape_levels", int64(sh.Levels)},
-		{"shape_slot_keys", int64(sh.SlotKeys)},
-		{"shape_slots", int64(sh.Slots)},
-		{"shape_key_bytes", sh.KeyBytes},
-		{"shape_pointer_bytes", sh.PointerBytes},
-		{"shape_padding_bytes", sh.PaddingBytes},
-		{"shape_registers", int64(sh.Registers)},
-		{"shape_full_registers", int64(sh.FullRegisters)},
-		{"shape_replenished_slots", int64(sh.ReplenishedSlots)},
-		{"shape_omitted_levels", int64(sh.OmittedLevels)},
-		{"shape_omitted_savings_bytes", sh.OmittedSavingsBytes},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n",
-			prefix, g.name, prefix, g.name, g.v); err != nil {
-			return err
-		}
-	}
-	for _, g := range []struct {
-		name string
-		v    float64
-	}{
-		{"shape_fill_degree", sh.FillDegree},
-		{"shape_bytes_per_key", sh.BytesPerKey},
-		{"shape_register_utilization", sh.RegisterUtilization},
-	} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %g\n",
-			prefix, g.name, prefix, g.name, g.v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PublishExpvar exposes the snapshot under name in the process-wide

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitmask"
 	"repro/internal/index"
 	"repro/internal/kary"
+	"repro/internal/obs"
 	"repro/internal/segtree"
 	"repro/internal/segtrie"
 )
@@ -202,7 +203,7 @@ func TestInstrumentedWritePrometheus(t *testing.T) {
 	ix.Put(1, 10)
 	ix.Get(1)
 	var b strings.Builder
-	if err := ix.WritePrometheus(&b, "segidx"); err != nil {
+	if err := obs.WriteProm(&b, "segidx", ix.Snapshot().Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -70,7 +70,10 @@ func TestHistogramPromExemplars(t *testing.T) {
 
 	var b strings.Builder
 	s := w.ReadWindow(time.Second)
-	if err := s.HistogramPromExemplars(&b, "req_latency_seconds", `tier="segserve"`, "request latency", w.Exemplars()); err != nil {
+	ex := w.Exemplars()
+	row := Metric{Name: "req_latency_seconds", Help: "request latency", Kind: KindHistogram,
+		Label: "tier", LabelValue: "segserve", Hist: &s, Exemplars: &ex}
+	if err := WriteProm(&b, "", []Metric{row}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -94,13 +97,15 @@ func TestHistogramPromExemplars(t *testing.T) {
 		t.Errorf("exemplar value not the observed seconds: %q", exLine)
 	}
 
-	// Plain HistogramProm stays exemplar-free and otherwise identical.
+	// Without exemplars the rendering is exemplar-free and otherwise
+	// identical.
 	var plain strings.Builder
-	if err := s.HistogramProm(&plain, "req_latency_seconds", `tier="segserve"`, "request latency"); err != nil {
+	row.Exemplars = nil
+	if err := WriteProm(&plain, "", []Metric{row}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plain.String(), "# {") {
-		t.Error("HistogramProm rendered exemplars")
+		t.Error("a row without exemplars rendered exemplars")
 	}
 	stripped := strings.ReplaceAll(out, exLine+"\n", strings.SplitN(exLine, " # ", 2)[0]+"\n")
 	if stripped != plain.String() {

@@ -80,20 +80,14 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.SumNanos / s.Count)
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the recorded durations
-// in nanoseconds, linearly interpolated inside the log2 bucket holding
-// that rank — the estimator behind every p50/p99/p999 this module
-// reports (the workload driver's per-op results and segserve /stats).
-// It returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Read().QuantileNanos(q)
-}
-
-// QuantileNanos is Histogram.Quantile on a snapshot: the rank q·Count is
-// located in the bucket cumulative counts reach it in, and the estimate
-// interpolates linearly between the bucket's bounds [2^(i-1), 2^i) by
-// the rank's fraction through the bucket's own count. Bucket 0 holds
-// exact zeros, so ranks landing there report 0.
+// QuantileNanos returns the q-quantile (0 ≤ q ≤ 1) of the recorded
+// durations in nanoseconds — the estimator behind every p50/p99/p999
+// this module reports (the workload driver's per-op results, segserve
+// /stats, the SLO engine). The rank q·Count is located in the bucket
+// cumulative counts reach it in, and the estimate interpolates linearly
+// between the bucket's bounds [2^(i-1), 2^i) by the rank's fraction
+// through the bucket's own count. Bucket 0 holds exact zeros, so ranks
+// landing there report 0. It returns 0 with no observations.
 func (s HistogramSnapshot) QuantileNanos(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -126,29 +120,4 @@ func (s HistogramSnapshot) QuantileNanos(q float64) float64 {
 	}
 	// Unreachable when counts are consistent; report the top bucket edge.
 	return math.MaxUint64
-}
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
-// exclusive upper edge of the bucket containing that rank. With
-// power-of-two buckets the bound is within 2x of the true value.
-// QuantileNanos is the interpolating estimator.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(s.Count))
-	if rank >= s.Count {
-		rank = s.Count - 1
-	}
-	var seen uint64
-	for i, c := range s.Counts {
-		seen += c
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			return time.Duration(uint64(1)<<uint(i) - 1)
-		}
-	}
-	return time.Duration(1<<63 - 1)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -101,55 +100,26 @@ func (s MVCCSnapshot) CurrentVersion() uint64 {
 	return max
 }
 
-// WriteProm renders the snapshot in the Prometheus text format under the
-// given metric-name prefix: publication counters, the active-snapshot
-// and retired-version gauges, the current version, and the publish
-// latency histogram.
-func (s MVCCSnapshot) WriteProm(w io.Writer, prefix string) error {
-	for _, g := range []struct {
-		name string
-		v    uint64
-	}{
-		{"active_snapshots", uint64(s.ActiveSnapshots)},
-		{"retired_versions", uint64(s.RetiredVersions)},
-		{"current_version", s.CurrentVersion()},
-	} {
-		name := promName(prefix + "_" + g.name)
-		if _, err := io.WriteString(w, "# TYPE "+name+" gauge\n"); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, name+" "+utoa(g.v)+"\n"); err != nil {
-			return err
-		}
+// Metrics returns the snapshot as table rows named mvcc_*: the
+// active-snapshot and retired-version gauges, the current version, the
+// publication counters and the publish latency histogram. The current
+// version, published count and active snapshots carry the /stats keys
+// version, versions_published and active_snapshots.
+func (s MVCCSnapshot) Metrics() []Metric {
+	return []Metric{
+		{Name: "mvcc_active_snapshots", Help: "pinned reader epochs: mid-flight reads and held snapshots",
+			Kind: KindGauge, Value: float64(s.ActiveSnapshots), Stat: "active_snapshots"},
+		{Name: "mvcc_retired_versions", Help: "superseded versions the writers hold for reuse",
+			Kind: KindGauge, Value: float64(s.RetiredVersions)},
+		{Name: "mvcc_current_version", Help: "highest published version sequence",
+			Kind: KindGauge, Value: float64(s.CurrentVersion()), Stat: "version"},
+		{Name: "mvcc_published_versions_total", Help: "tree versions published by writers",
+			Kind: KindCounter, Value: float64(s.Published), Stat: "versions_published"},
+		{Name: "mvcc_reclaimed_versions_total", Help: "superseded versions reused by writers after draining",
+			Kind: KindCounter, Value: float64(s.Reclaimed)},
+		{Name: "mvcc_cloned_versions_total", Help: "full tree copies forced by pinned snapshots",
+			Kind: KindCounter, Value: float64(s.Cloned)},
+		{Name: "mvcc_publish_latency_seconds", Help: "writer-side version build-and-publish latency",
+			Kind: KindHistogram, Hist: &s.PublishLatency},
 	}
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"published_versions_total", "tree versions published by writers", s.Published},
-		{"reclaimed_versions_total", "superseded versions reused by writers after draining", s.Reclaimed},
-		{"cloned_versions_total", "full tree copies forced by pinned snapshots", s.Cloned},
-	} {
-		if err := WriteCounterProm(w, prefix+"_"+c.name, "", c.help, c.v); err != nil {
-			return err
-		}
-	}
-	return s.PublishLatency.HistogramProm(w, prefix+"_publish_latency_seconds", "",
-		"writer-side version build-and-publish latency")
-}
-
-// utoa formats an unsigned integer without importing strconv twice over;
-// small and allocation-light for the metrics path.
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,8 +1,9 @@
 // Package obs is the observability layer: the cost values of the
 // quantities the paper's evaluation argues from (SIMD comparisons per
 // lookup, bitmask evaluations, nodes touched, levels descended), sharded
-// counters that accumulate them, log-bucketed latency histograms and
-// Prometheus/expvar exposition.
+// counters that accumulate them, log-bucketed latency histograms, the
+// metric table (metrics.go) that renders them as Prometheus text and as
+// /stats lines, and an expvar bridge.
 //
 // The package sits below every structure package — it imports only the
 // standard library plus the leaf helpers internal/pow2 and
@@ -82,6 +83,23 @@ func (c *Cost) Add(o Cost) {
 	c.NodeVisits += o.NodeVisits
 	c.LevelsDescended += o.LevelsDescended
 	c.ScalarComparisons += o.ScalarComparisons
+}
+
+// Metrics returns the five counters as table rows (simd_comparisons_total,
+// ...), each under its /stats key (simd_comparisons, ...).
+func (c Cost) Metrics() []Metric {
+	return []Metric{
+		{Name: "simd_comparisons_total", Help: "128-bit SIMD compare kernels executed by point lookups",
+			Kind: KindCounter, Value: float64(c.SIMDComparisons), Stat: "simd_comparisons"},
+		{Name: "mask_evaluations_total", Help: "comparison bitmask evaluations of point lookups",
+			Kind: KindCounter, Value: float64(c.MaskEvaluations), Stat: "mask_evaluations"},
+		{Name: "node_visits_total", Help: "tree nodes visited by point lookups",
+			Kind: KindCounter, Value: float64(c.NodeVisits), Stat: "node_visits"},
+		{Name: "levels_descended_total", Help: "k-ary tree levels descended by point lookups",
+			Kind: KindCounter, Value: float64(c.LevelsDescended), Stat: "levels_descended"},
+		{Name: "scalar_comparisons_total", Help: "scalar key comparisons of point lookups",
+			Kind: KindCounter, Value: float64(c.ScalarComparisons), Stat: "scalar_comparisons"},
+	}
 }
 
 // Add records the cost of one or more searches.

@@ -81,13 +81,14 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Errorf("Mean = %v, want %v", got, time.Duration(1005/6))
 	}
 
-	// Median of {0,0,1,1,3,1000}: rank 3 lands in bucket 1, upper edge 1ns.
-	if q := s.Quantile(0.5); q != time.Nanosecond {
-		t.Errorf("Quantile(0.5) = %v, want 1ns", q)
+	// Median of {0,0,1,1,3,1000}: rank 3 lands halfway through bucket 1's
+	// two observations, [1, 2).
+	if q := s.QuantileNanos(0.5); q != 1.5 {
+		t.Errorf("QuantileNanos(0.5) = %g, want 1.5", q)
 	}
-	// Max quantile lands in bucket 10, upper edge 1023ns.
-	if q := s.Quantile(1.0); q != 1023*time.Nanosecond {
-		t.Errorf("Quantile(1.0) = %v, want 1023ns", q)
+	// The max quantile is bucket 10's upper edge.
+	if q := s.QuantileNanos(1.0); q != 1024 {
+		t.Errorf("QuantileNanos(1.0) = %g, want 1024", q)
 	}
 
 	h.Reset()
@@ -98,8 +99,8 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramQuantileEmpty(t *testing.T) {
 	var s HistogramSnapshot
-	if q := s.Quantile(0.99); q != 0 {
-		t.Errorf("empty Quantile = %v, want 0", q)
+	if q := s.QuantileNanos(0.99); q != 0 {
+		t.Errorf("empty QuantileNanos = %g, want 0", q)
 	}
 	if m := s.Mean(); m != 0 {
 		t.Errorf("empty Mean = %v, want 0", m)
@@ -107,9 +108,9 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 }
 
 func TestCounterPromFormat(t *testing.T) {
-	s := Cost{SIMDComparisons: 16, NodeVisits: 8}
+	rows := Cost{SIMDComparisons: 16, NodeVisits: 8}.Metrics()
 	var b strings.Builder
-	if err := s.CounterProm(&b, "seg"); err != nil {
+	if err := WriteProm(&b, "seg", rows); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -123,6 +124,13 @@ func TestCounterPromFormat(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	b.Reset()
+	if err := WriteText(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	if want := "simd_comparisons 16\nmask_evaluations 0\nnode_visits 8\nlevels_descended 0\nscalar_comparisons 0\n"; b.String() != want {
+		t.Errorf("WriteText = %q, want %q", b.String(), want)
+	}
 }
 
 func TestHistogramPromFormat(t *testing.T) {
@@ -131,7 +139,8 @@ func TestHistogramPromFormat(t *testing.T) {
 	h.Observe(1000) // bucket 10, le 1023e-9
 	s := h.Read()
 	var b strings.Builder
-	if err := s.HistogramProm(&b, "op latency", `op="get"`, "per-op latency"); err != nil {
+	row := Metric{Name: "op latency", Help: "per-op latency", Kind: KindHistogram, Label: "op", LabelValue: "get", Hist: &s}
+	if err := WriteProm(&b, "", []Metric{row}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -29,10 +29,6 @@ func TestQuantileNanosInterpolation(t *testing.T) {
 			t.Errorf("QuantileNanos(%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
-	// The *Histogram form is the same estimator.
-	if got := h.Quantile(0.5); got != 96 {
-		t.Errorf("Histogram.Quantile(0.5) = %g, want 96", got)
-	}
 }
 
 func TestQuantileNanosTwoBuckets(t *testing.T) {
@@ -60,14 +56,14 @@ func TestQuantileNanosTwoBuckets(t *testing.T) {
 
 func TestQuantileNanosZerosAndEmpty(t *testing.T) {
 	var h Histogram
-	if got := h.Quantile(0.99); got != 0 {
-		t.Errorf("empty Quantile = %g, want 0", got)
+	if got := h.Read().QuantileNanos(0.99); got != 0 {
+		t.Errorf("empty QuantileNanos = %g, want 0", got)
 	}
 	for i := 0; i < 5; i++ {
 		h.Observe(0)
 	}
-	if got := h.Quantile(0.99); got != 0 {
-		t.Errorf("all-zero Quantile = %g, want 0", got)
+	if got := h.Read().QuantileNanos(0.99); got != 0 {
+		t.Errorf("all-zero QuantileNanos = %g, want 0", got)
 	}
 	// Out-of-range q clamps rather than misbehaving.
 	h.Observe(100 * time.Nanosecond)

@@ -1,76 +1,74 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime/metrics"
 )
 
 // This file bridges the Go runtime's own metrics (runtime/metrics) into
-// the same Prometheus text format as the cost-model counters, so one
-// /metrics endpoint carries both the paper's algorithmic quantities and
-// the runtime context they execute in — heap size, GC activity and
-// scheduler latency. Only a fixed, curated subset is exported; a metric
-// missing from the running Go version is skipped, not an error.
+// the metric table, so one /metrics endpoint carries both the paper's
+// algorithmic quantities and the runtime context they execute in — heap
+// size, GC activity and scheduler latency. Only a fixed, curated subset
+// is exported; a metric missing from the running Go version is skipped,
+// not an error.
 
-// runtimeMetric maps one runtime/metrics sample onto a Prometheus series.
+// runtimeMetric maps one runtime/metrics sample onto a table row.
 type runtimeMetric struct {
 	source string // runtime/metrics name
-	suffix string // Prometheus name suffix appended to the caller's prefix
-	kind   string // "gauge" or "counter"; histograms render as histograms
+	suffix string // row name after "go_"
+	kind   Kind
 	help   string
+	// field is the RuntimeSnapshot field a scalar lands in; nil for
+	// histograms, which are exposition-only.
+	field func(*RuntimeSnapshot) *uint64
 }
 
 var runtimeTable = []runtimeMetric{
-	{"/memory/classes/heap/objects:bytes", "heap_objects_bytes", "gauge",
-		"bytes occupied by live and unswept heap objects"},
-	{"/memory/classes/total:bytes", "memory_total_bytes", "gauge",
-		"total bytes mapped by the Go runtime"},
-	{"/sched/goroutines:goroutines", "goroutines", "gauge",
-		"count of live goroutines"},
-	{"/gc/cycles/total:gc-cycles", "gc_cycles_total", "counter",
-		"completed GC cycles"},
-	{"/gc/heap/allocs:bytes", "heap_allocs_bytes_total", "counter",
-		"cumulative bytes allocated on the heap"},
-	{"/sched/pauses/total/gc:seconds", "gc_pause_seconds", "histogram",
-		"distribution of stop-the-world GC pause latencies"},
-	{"/sched/latencies:seconds", "sched_latency_seconds", "histogram",
-		"distribution of goroutine scheduling latencies"},
+	{"/memory/classes/heap/objects:bytes", "heap_objects_bytes", KindGauge,
+		"bytes occupied by live and unswept heap objects",
+		func(s *RuntimeSnapshot) *uint64 { return &s.HeapObjectsBytes }},
+	{"/memory/classes/total:bytes", "memory_total_bytes", KindGauge,
+		"total bytes mapped by the Go runtime",
+		func(s *RuntimeSnapshot) *uint64 { return &s.MemoryTotalBytes }},
+	{"/sched/goroutines:goroutines", "goroutines", KindGauge,
+		"count of live goroutines",
+		func(s *RuntimeSnapshot) *uint64 { return &s.Goroutines }},
+	{"/gc/cycles/total:gc-cycles", "gc_cycles_total", KindCounter,
+		"completed GC cycles",
+		func(s *RuntimeSnapshot) *uint64 { return &s.GCCycles }},
+	{"/gc/heap/allocs:bytes", "heap_allocs_bytes_total", KindCounter,
+		"cumulative bytes allocated on the heap",
+		func(s *RuntimeSnapshot) *uint64 { return &s.HeapAllocsBytes }},
+	{"/sched/pauses/total/gc:seconds", "gc_pause_seconds", KindHistogram,
+		"distribution of stop-the-world GC pause latencies", nil},
+	{"/sched/latencies:seconds", "sched_latency_seconds", KindHistogram,
+		"distribution of goroutine scheduling latencies", nil},
 }
 
-// WriteRuntimeProm samples the curated runtime metrics and renders them
-// under the given name prefix (e.g. prefix "segserve_go" yields
-// segserve_go_heap_objects_bytes, ...).
-func WriteRuntimeProm(w io.Writer, prefix string) error {
+// RuntimeMetrics samples the curated runtime metrics as table rows named
+// go_<suffix> (go_heap_objects_bytes, ...).
+func RuntimeMetrics() []Metric {
 	samples := make([]metrics.Sample, len(runtimeTable))
 	for i, m := range runtimeTable {
 		samples[i].Name = m.source
 	}
 	metrics.Read(samples)
+	rows := make([]Metric, 0, len(runtimeTable))
 	for i, m := range runtimeTable {
-		name := m.suffix
-		if prefix != "" {
-			name = prefix + "_" + name
-		}
-		name = promName(name)
-		v := samples[i].Value
-		var err error
-		switch v.Kind() {
+		row := Metric{Name: "go_" + m.suffix, Help: m.help, Kind: m.kind}
+		switch v := samples[i].Value; v.Kind() {
 		case metrics.KindUint64:
-			err = writeRuntimeScalar(w, name, m.kind, m.help, fmt.Sprintf("%d", v.Uint64()))
+			row.Value = float64(v.Uint64())
 		case metrics.KindFloat64:
-			err = writeRuntimeScalar(w, name, m.kind, m.help, formatFloat(v.Float64()))
+			row.Value = v.Float64()
 		case metrics.KindFloat64Histogram:
-			err = writeRuntimeHistogram(w, name, m.help, v.Float64Histogram())
+			row.runtime = v.Float64Histogram()
 		default:
-			// KindBad: the metric does not exist in this runtime; skip.
+			continue // KindBad: the metric does not exist in this runtime
 		}
-		if err != nil {
-			return err
-		}
+		rows = append(rows, row)
 	}
-	return nil
+	return rows
 }
 
 // RuntimeSnapshot is a point-in-time copy of the curated scalar runtime
@@ -91,80 +89,47 @@ type RuntimeSnapshot struct {
 	HeapAllocsBytes uint64 `json:"heap_allocs_bytes_total"`
 }
 
-// ReadRuntimeSnapshot samples the scalar runtime metrics. A metric
-// missing from the running Go version reads as zero.
+// ReadRuntimeSnapshot samples the scalar entries of the curated table. A
+// metric missing from the running Go version reads as zero.
 func ReadRuntimeSnapshot() RuntimeSnapshot {
-	samples := []metrics.Sample{
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/memory/classes/total:bytes"},
-		{Name: "/sched/goroutines:goroutines"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/gc/heap/allocs:bytes"},
+	var s RuntimeSnapshot
+	var samples []metrics.Sample
+	var fields []*uint64
+	for _, m := range runtimeTable {
+		if m.field != nil {
+			samples = append(samples, metrics.Sample{Name: m.source})
+			fields = append(fields, m.field(&s))
+		}
 	}
 	metrics.Read(samples)
-	get := func(i int) uint64 {
+	for i, f := range fields {
 		if samples[i].Value.Kind() == metrics.KindUint64 {
-			return samples[i].Value.Uint64()
+			*f = samples[i].Value.Uint64()
 		}
-		return 0
 	}
-	return RuntimeSnapshot{
-		HeapObjectsBytes: get(0),
-		MemoryTotalBytes: get(1),
-		Goroutines:       get(2),
-		GCCycles:         get(3),
-		HeapAllocsBytes:  get(4),
-	}
+	return s
 }
 
-func writeRuntimeScalar(w io.Writer, name, kind, help, value string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", name, value)
-	return err
-}
-
-// writeRuntimeHistogram renders a runtime Float64Histogram as a
-// cumulative Prometheus histogram. Bucket i of the runtime form covers
-// [Buckets[i], Buckets[i+1]), so le is the upper bound; buckets after the
-// last populated one are folded into +Inf. The runtime does not track the
-// exact sum, so _sum is approximated from bucket midpoints (lower bound
+// runtimeBuckets converts a runtime Float64Histogram into exposition
+// form. Bucket i of the runtime form covers [Buckets[i], Buckets[i+1]),
+// so le is the upper bound; buckets after the last populated one, and an
+// unbounded last bucket, fold into +Inf. The runtime does not track the
+// exact sum, so it is approximated from bucket midpoints (lower bound
 // against +Inf, upper bound against -Inf).
-func writeRuntimeHistogram(w io.Writer, name, help string, h *metrics.Float64Histogram) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
+func runtimeBuckets(h *metrics.Float64Histogram) (bs []promBucket, sum float64, count uint64) {
 	hi := -1
-	var total uint64
-	var sum float64
 	for i, c := range h.Counts {
 		if c == 0 {
 			continue
 		}
 		hi = i
-		total += c
+		count += c
 		sum += float64(c) * bucketMid(h.Buckets[i], h.Buckets[i+1])
 	}
-	var cum uint64
-	for i := 0; i <= hi; i++ {
-		cum += h.Counts[i]
-		ub := h.Buckets[i+1]
-		if math.IsInf(ub, 1) {
-			break
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(ub), cum); err != nil {
-			return err
-		}
+	for i := 0; i <= hi && !math.IsInf(h.Buckets[i+1], 1); i++ {
+		bs = append(bs, promBucket{le: h.Buckets[i+1], n: h.Counts[i]})
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, total); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, total)
-	return err
+	return bs, sum, count
 }
 
 // bucketMid estimates a representative value for a histogram bucket.

@@ -11,7 +11,7 @@ import (
 func TestWriteRuntimeProm(t *testing.T) {
 	runtime.GC() // populate the GC pause histogram
 	var b strings.Builder
-	if err := WriteRuntimeProm(&b, "test_go"); err != nil {
+	if err := WriteProm(&b, "test", RuntimeMetrics()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -34,12 +34,12 @@ func TestWriteRuntimeProm(t *testing.T) {
 	if strings.Contains(out, "Inf ") && !strings.Contains(out, `le="+Inf"`) {
 		t.Error("unescaped infinity leaked into a sample value")
 	}
-	// No prefix: bare metric names.
+	// No prefix: bare row names.
 	b.Reset()
-	if err := WriteRuntimeProm(&b, ""); err != nil {
+	if err := WriteProm(&b, "", RuntimeMetrics()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "# TYPE goroutines gauge") {
+	if !strings.Contains(b.String(), "# TYPE go_goroutines gauge") {
 		t.Error("unprefixed rendering missing bare name")
 	}
 }
@@ -68,6 +68,20 @@ func TestBucketMid(t *testing.T) {
 	} {
 		if got := bucketMid(tc.lo, tc.hi); got != tc.want {
 			t.Errorf("bucketMid(%v,%v) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}
+
+func TestReadRuntimeSnapshot(t *testing.T) {
+	s := ReadRuntimeSnapshot()
+	if s.HeapObjectsBytes == 0 || s.MemoryTotalBytes == 0 || s.Goroutines == 0 || s.HeapAllocsBytes == 0 {
+		t.Errorf("runtime snapshot has empty fields: %+v", s)
+	}
+	// Every scalar of the table lands in a snapshot field, so the bundle
+	// and /metrics read the same list.
+	for _, m := range runtimeTable {
+		if (m.field == nil) != (m.kind == KindHistogram) {
+			t.Errorf("table entry %s: kind %s, snapshot field set = %v", m.source, m.kind, m.field != nil)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simdtree
 
 import (
+	"io"
 	"time"
 
 	"repro/internal/index"
@@ -11,8 +12,8 @@ import (
 // Observability surface of the facade: the runtime counters behind the
 // paper's §4/§5 cost model (SIMD comparisons, node visits, ...), per-op
 // latency histograms, and the instrumented index wrapper that exposes
-// both, including Prometheus text rendering (see cmd/segserve for a
-// complete /metrics server).
+// both, with Prometheus text rendering of its metric rows (see
+// cmd/segserve for a complete /metrics server).
 
 // Cost is the paper's §4 cost of one or more lookups: SIMD comparisons,
 // bitmask evaluations, node visits, k-ary levels descended and scalar
@@ -40,6 +41,18 @@ type InstrumentedIndex[K Key, V any] = index.Instrumented[K, V]
 // IndexSnapshot is everything an InstrumentedIndex records: per-op
 // latency histograms, cost-model counters and the index shape.
 type IndexSnapshot = index.MetricsSnapshot
+
+// Metric is one row of the metric table: a counter, gauge or latency
+// histogram sample. IndexSnapshot.Metrics returns an index's rows.
+type Metric = obs.Metric
+
+// WriteProm renders metric rows in the Prometheus text exposition
+// format, each name under prefix, with one HELP and TYPE per family:
+//
+//	simdtree.WriteProm(os.Stdout, "myindex", ix.Snapshot().Metrics())
+func WriteProm(w io.Writer, prefix string, rows []Metric) error {
+	return obs.WriteProm(w, prefix, rows)
+}
 
 // Op identifies one timed operation class of an InstrumentedIndex.
 type Op = index.Op

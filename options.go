@@ -231,8 +231,8 @@ func NewIndex[K Key, V any](opts ...Option) Index[K, V] {
 }
 
 // NewInstrumentedIndex is NewIndex wrapped in an InstrumentedIndex,
-// returned as the concrete type so callers reach Snapshot and
-// WritePrometheus without assertions. The wrapper sits outside any
+// returned as the concrete type so callers reach Snapshot (whose
+// Metrics rows WriteProm renders) without assertions. The wrapper sits outside any
 // sharding, so its histograms and point-lookup counters cover whole
 // sharded operations.
 func NewInstrumentedIndex[K Key, V any](opts ...Option) *InstrumentedIndex[K, V] {
