@@ -339,12 +339,14 @@ func BenchmarkBitmaskEvaluators(b *testing.B) {
 // cost on the trie side.
 func BenchmarkSegTrieUpdates(b *testing.B) {
 	b.Run("ascending-append", func(b *testing.B) {
+		b.ReportAllocs()
 		tr := segtrie.NewOptimizedDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {
 			tr.Put(uint64(i), i)
 		}
 	})
 	b.Run("random-insert", func(b *testing.B) {
+		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(10))
 		tr := segtrie.NewOptimizedDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {
@@ -357,12 +359,14 @@ func BenchmarkSegTrieUpdates(b *testing.B) {
 // continuous-filling fast path versus reordering random inserts (§3.2).
 func BenchmarkSegTreeUpdates(b *testing.B) {
 	b.Run("ascending-append", func(b *testing.B) {
+		b.ReportAllocs()
 		tr := segtree.NewDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {
 			tr.Put(uint64(i), i)
 		}
 	})
 	b.Run("random-insert", func(b *testing.B) {
+		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(11))
 		tr := segtree.NewDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {
@@ -370,6 +374,7 @@ func BenchmarkSegTreeUpdates(b *testing.B) {
 		}
 	})
 	b.Run("baseline-random-insert", func(b *testing.B) {
+		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(11))
 		tr := btree.NewDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {

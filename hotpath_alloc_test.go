@@ -3,6 +3,7 @@ package simdtree_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,10 +11,12 @@ import (
 	"repro/internal/bitmask"
 	"repro/internal/driver"
 	"repro/internal/index"
+	"repro/internal/invariants"
 	"repro/internal/kary"
 	"repro/internal/keys"
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
+	"repro/internal/segtree"
 )
 
 // TestGetIsAllocationFree is the dynamic counterpart of the hotalloc
@@ -376,5 +379,44 @@ func TestInstrumentedGetIsAllocationFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPutAllocations bounds the heap allocations of a bare 64-bit
+// Seg-Tree's Puts. A node's key storage grows inside its allocator size
+// class and a full node splits straight from its sorted keys, so what is
+// left is a split's new node and halves and a size-class crossing.
+func TestPutAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate the size-class growth twice; this gate runs without -race")
+	}
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	const n = 20000
+	const limit = 0.15
+	rng := rand.New(rand.NewSource(1))
+	random := make([]uint64, n)
+	for i := range random {
+		random[i] = rng.Uint64()
+	}
+	for _, tc := range []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"ascending", func(i int) uint64 { return uint64(i) }},
+		{"random", func(i int) uint64 { return random[i] }},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			tr := segtree.NewDefault[uint64, int]()
+			for i := 0; i < n; i++ {
+				tr.Put(tc.key(i), i)
+			}
+		})
+		if perPut := allocs / n; perPut > limit {
+			t.Errorf("%s: %.3f allocations per Put, want at most %.2f", tc.name, perPut, limit)
+		} else {
+			t.Logf("%s: %.3f allocations per Put", tc.name, perPut)
+		}
 	}
 }

@@ -348,7 +348,7 @@ func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 // undisturbed on the previous version.
 func (x *Versioned[K, V]) Put(key K, val V) bool {
 	x.mu.Lock()
-	start := time.Now()
+	start := time.Since(clockBase)
 	t := x.writable()
 	added := t.Put(key, val)
 	x.publish(t, writeOp[K, V]{key: key, val: val}, start)
@@ -360,7 +360,7 @@ func (x *Versioned[K, V]) Put(key K, val V) bool {
 // nothing and publishes nothing.
 func (x *Versioned[K, V]) Delete(key K) bool {
 	x.mu.Lock()
-	start := time.Now()
+	start := time.Since(clockBase)
 	t := x.writable()
 	removed := t.Delete(key)
 	if removed {
@@ -433,15 +433,21 @@ func (x *Versioned[K, V]) cloneTree(src Index[K, V]) Index[K, V] {
 	return t
 }
 
+// clockBase anchors the publish timer: time.Since of a time carrying a
+// monotonic reading reads only the monotonic clock, where time.Now also
+// reads the wall clock.
+var clockBase = time.Now()
+
 // publish swaps t in as the next version and keeps the superseded one,
-// with op, as prev. Callers hold mu.
-func (x *Versioned[K, V]) publish(t Index[K, V], op writeOp[K, V], start time.Time) {
+// with op, as prev. start is the time.Since(clockBase) at which the
+// write began. Callers hold mu.
+func (x *Versioned[K, V]) publish(t Index[K, V], op writeOp[K, V], start time.Duration) {
 	cur := x.current.Load()
 	next := &version[K, V]{tree: t, seq: cur.seq + 1}
 	x.current.Store(next)
 	x.prev, x.last = cur, op
 	x.spare = nil
-	x.health.RecordPublish(time.Since(start))
+	x.health.RecordPublish(time.Since(clockBase) - start)
 }
 
 // Compile-time check: Versioned satisfies the full Index interface and

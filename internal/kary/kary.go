@@ -156,7 +156,7 @@ func (t *Tree[K]) build(sorted []K, layout Layout) {
 	}
 	t.slots = slotsFor(g)
 	t.stored = int(t.slots.bound[n])
-	t.data = make([]byte, t.stored*w)
+	t.data = sizeClassed(t.stored * w)
 	for p := 0; p < t.stored; p++ {
 		keys.PutAt(t.data, p, t.smax)
 	}
@@ -200,12 +200,15 @@ func (t *Tree[K]) At(s int) K {
 }
 
 // Keys delinearizes the tree back into its sorted key list.
-func (t *Tree[K]) Keys() []K {
-	out := make([]K, t.n)
+func (t *Tree[K]) Keys() []K { return t.AppendKeys(make([]K, 0, t.n)) }
+
+// AppendKeys appends the tree's keys in sorted order to dst and returns
+// the extended slice.
+func (t *Tree[K]) AppendKeys(dst []K) []K {
 	for s := 0; s < t.n; s++ {
-		out[s] = keys.GetAt[K](t.data, t.pos(s))
+		dst = append(dst, keys.GetAt[K](t.data, t.pos(s)))
 	}
-	return out
+	return dst
 }
 
 // Linearized returns the stored slot values in storage order, including

@@ -84,11 +84,12 @@ func (t *Tree[K]) DeleteAt(pos int) {
 }
 
 // resize sets the storage to need slots. Slots added at the end start as
-// pads; a shrink keeps the array for a later regrowth.
+// pads; a shrink keeps the array for a later regrowth, and a growth
+// replaces it only once the allocator's size class is used up.
 func (t *Tree[K]) resize(need int) {
 	w := int(t.w)
 	if need*w > cap(t.data) {
-		grown := make([]byte, need*w)
+		grown := sizeClassed(need * w)
 		copy(grown, t.data)
 		t.data = grown
 	}
@@ -98,6 +99,13 @@ func (t *Tree[K]) resize(need int) {
 	}
 	t.stored = need
 }
+
+// sizeClassed returns n zero bytes whose capacity is the allocator's size
+// class for n. Go rounds every small allocation up to its class, so the
+// spare bytes cost no heap; keeping them lets later growth stay in place.
+// Growth of a nil slice is never more than the class, unlike append's
+// doubling.
+func sizeClassed(n int) []byte { return append([]byte(nil), make([]byte, n)...) }
 
 // setMax takes the key at the last sorted position as S_max and copies
 // it into every pad, the stored slots of the sorted positions from n on

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestInsertAscendingUsesFastPathAndStaysCorrect(t *testing.T) {
@@ -140,5 +141,36 @@ func TestInsertAscendingDepthFirstFastPath(t *testing.T) {
 		if k != uint32(i) {
 			t.Fatalf("index %d: %d", i, k)
 		}
+	}
+}
+
+// TestAppendGrowsBySizeClass appends a 64-bit depth-first node from 121 to
+// 242 keys — half full to full at the Seg-Tree's Table 3 capacity. The
+// storage's backing array is replaced only when the allocator's size
+// class is used up (at most once per class crossed on the way from 968 to
+// 1,936 bytes), and its capacity never exceeds the class of its length.
+func TestAppendGrowsBySizeClass(t *testing.T) {
+	ks := make([]uint64, 121)
+	for i := range ks {
+		ks[i] = uint64(i) << 40
+	}
+	tree := Build(ks, DepthFirst)
+	replaced := 0
+	for n := 121; n < 242; n++ {
+		before := unsafe.SliceData(tree.data)
+		tree.InsertAt(n, uint64(n)<<40)
+		if unsafe.SliceData(tree.data) != before {
+			replaced++
+		}
+		if class := cap(sizeClassed(len(tree.data))); cap(tree.data) > class {
+			t.Fatalf("%d keys: capacity %d past the size class %d of %d bytes", n+1, cap(tree.data), class, len(tree.data))
+		}
+	}
+	if replaced > 7 {
+		t.Fatalf("storage replaced %d times, want at most 7 (one per size class crossed)", replaced)
+	}
+	t.Logf("storage replaced %d times", replaced)
+	if fresh := Build(tree.Keys(), DepthFirst); !reflect.DeepEqual(tree.Linearized(), fresh.Linearized()) {
+		t.Fatal("appended node differs from a fresh Build")
 	}
 }

@@ -2,6 +2,7 @@ package segtree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kary"
 	"repro/internal/keys"
@@ -42,22 +43,23 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, search simd.Search, val V) (se
 			n.vals[pos-1] = val
 			return sep, nil, false
 		}
-		n.kt.InsertAt(pos, key)
-		n.vals = append(n.vals, val)
-		copy(n.vals[pos+1:], n.vals[pos:])
-		n.vals[pos] = val
-		if n.kt.Len() <= t.cfg.LeafCap {
+		if n.kt.Len() < t.cfg.LeafCap {
+			n.kt.InsertAt(pos, key)
+			n.vals = slices.Insert(n.vals, pos, val)
 			return sep, nil, true
 		}
-		ks := n.kt.Keys()
+		// A full leaf splits straight from its sorted keys: linearizing
+		// the overfull node first would only be thrown away.
+		ks := slices.Insert(n.keysWithRoom(), pos, key)
+		vs := slices.Insert(n.vals, pos, val)
 		mid := len(ks) / 2
 		r := &node[K, V]{
-			vals: append([]V(nil), n.vals[mid:]...),
+			vals: append([]V(nil), vs[mid:]...),
 			next: n.next,
 		}
 		t.setKeys(r, ks[mid:])
 		t.setKeys(n, ks[:mid])
-		n.vals = n.vals[:mid]
+		n.vals = vs[:mid]
 		n.next = r
 		return ks[mid], r, true
 	}
@@ -69,23 +71,27 @@ func (t *Tree[K, V]) insert(n *node[K, V], key K, search simd.Search, val V) (se
 	}
 	// sep is the right half's minimum: above every key before pos and
 	// below the key at pos.
-	n.kt.InsertAt(pos, sep)
-	n.children = append(n.children, nil)
-	copy(n.children[pos+2:], n.children[pos+1:])
-	n.children[pos+1] = right
-	if n.kt.Len() <= t.cfg.BranchCap {
+	if n.kt.Len() < t.cfg.BranchCap {
+		n.kt.InsertAt(pos, sep)
+		n.children = slices.Insert(n.children, pos+1, right)
 		return sep, nil, added
 	}
-	ks := n.kt.Keys()
+	ks := slices.Insert(n.keysWithRoom(), pos, sep)
+	cs := slices.Insert(n.children, pos+1, right)
 	mid := len(ks) / 2
-	upSep := ks[mid]
 	r := &node[K, V]{
-		children: append([]*node[K, V](nil), n.children[mid+1:]...),
+		children: append([]*node[K, V](nil), cs[mid+1:]...),
 	}
 	t.setKeys(r, ks[mid+1:])
 	t.setKeys(n, ks[:mid])
-	n.children = n.children[:mid+1]
-	return upSep, r, added
+	n.children = cs[:mid+1]
+	return ks[mid], r, added
+}
+
+// keysWithRoom returns n's sorted keys in a slice with room for one more,
+// so the key that overflows the node is inserted without a regrowth.
+func (n *node[K, V]) keysWithRoom() []K {
+	return n.kt.AppendKeys(make([]K, 0, n.kt.Len()+1))
 }
 
 // Delete removes key, reporting whether it was present.
