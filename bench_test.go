@@ -548,73 +548,60 @@ func BenchmarkRangeScan(b *testing.B) {
 	run("opt-segtrie", opt.Scan)
 }
 
-// BenchmarkGetBatchLevelWise measures batched lookups against per-probe
-// Get for all four structures on the 5 MB and 100 MB classes (64-bit
-// keys, probes drawn with replacement). get-batch is GetBatch on
-// batches of 256, which picks the level-wise descent only where it pays;
-// level-wise/b=N forces that descent at batch size N — the sweep that
-// fixes the crossover constants in internal/index. The descent sorts each
-// batch, deduplicates equal keys and moves all group cursors one level
-// at a time; on the out-of-cache 100 MB class that converts dependent
-// pointer chases into grouped, overlapping node visits.
-func BenchmarkGetBatchLevelWise(b *testing.B) {
-	type levelWiser interface {
-		index.Index[uint64, uint64]
-		index.LevelWiser[uint64, uint64]
-	}
+// BenchmarkGetBatch measures batched lookups against per-probe Get for
+// all four structures on the 5 MB and 100 MB classes (64-bit keys, probes
+// drawn with replacement). b=N is GetBatchInto on batches of N into
+// reused buffers: the interleaved descent on the Seg-Tree and the
+// B+-Tree, whose independent node loads overlap once the working set is
+// out of cache, and one Get per probe on the tries.
+func BenchmarkGetBatch(b *testing.B) {
 	for _, class := range []workload.Class{workload.FiveMB, workload.HundredMB} {
-		n := workload.KeysFor[uint64](class)
-		ks := workload.Ascending[uint64](n)
-		vs := make([]uint64, n)
-		rng := rand.New(rand.NewSource(16))
-		probes := workload.Probes(rng, ks, 1<<14)
+		// Each class builds its trees inside its own sub-benchmark, so a
+		// -bench filter on one class skips the other's set-up.
+		b.Run(class.String(), func(b *testing.B) { benchmarkGetBatchClass(b, class) })
+	}
+}
 
-		trie := segtrie.NewDefault[uint64, uint64]()
-		opt := segtrie.NewOptimizedDefault[uint64, uint64]()
-		for i, k := range ks {
-			trie.Put(k, uint64(i))
-			opt.Put(k, uint64(i))
-		}
-		targets := []struct {
-			name string
-			ix   levelWiser
-		}{
-			{"btree", btree.BulkLoad[uint64, uint64](btree.DefaultConfig[uint64](), ks, vs)},
-			{"segtree", segtree.BulkLoad[uint64, uint64](segtree.DefaultConfig[uint64](), ks, vs)},
-			{"segtrie", trie},
-			{"opt-segtrie", opt},
-		}
-		vals, found := make([]uint64, 256), make([]bool, 256)
-		batched := func(b *testing.B, batch int, get func([]uint64, []uint64, []bool)) {
+func benchmarkGetBatchClass(b *testing.B, class workload.Class) {
+	n := workload.KeysFor[uint64](class)
+	ks := workload.Ascending[uint64](n)
+	vs := make([]uint64, n)
+	rng := rand.New(rand.NewSource(16))
+	probes := workload.Probes(rng, ks, 1<<14)
+
+	trie := segtrie.NewDefault[uint64, uint64]()
+	opt := segtrie.NewOptimizedDefault[uint64, uint64]()
+	for i, k := range ks {
+		trie.Put(k, uint64(i))
+		opt.Put(k, uint64(i))
+	}
+	targets := []struct {
+		name string
+		ix   index.Index[uint64, uint64]
+	}{
+		{"btree", btree.BulkLoad[uint64, uint64](btree.DefaultConfig[uint64](), ks, vs)},
+		{"segtree", segtree.BulkLoad[uint64, uint64](segtree.DefaultConfig[uint64](), ks, vs)},
+		{"segtrie", trie},
+		{"opt-segtrie", opt},
+	}
+	vals, found := make([]uint64, 256), make([]bool, 256)
+	for _, tg := range targets {
+		b.Run(tg.name+"/get-serial", func(b *testing.B) {
 			hits := 0
-			for i := 0; i < b.N; i += batch {
-				off := i % (len(probes) - batch)
-				get(probes[off:off+batch], vals, found)
-				for _, f := range found[:batch] {
-					if f {
-						hits++
-					}
+			for i := 0; i < b.N; i++ {
+				if _, ok := tg.ix.Get(probes[i%len(probes)]); ok {
+					hits++
 				}
 			}
 			sink += hits
-		}
-		for _, tg := range targets {
-			b.Run(fmt.Sprintf("%s/%s/get-serial", class, tg.name), func(b *testing.B) {
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					if _, ok := tg.ix.Get(probes[i%len(probes)]); ok {
-						hits++
-					}
-				}
-				sink += hits
-			})
-			b.Run(fmt.Sprintf("%s/%s/get-batch", class, tg.name), func(b *testing.B) {
-				const batch = 256
+		})
+		for _, batch := range []int{2, 4, 8, 16, 64, 256} {
+			b.Run(fmt.Sprintf("%s/b=%d", tg.name, batch), func(b *testing.B) {
 				hits := 0
 				for i := 0; i < b.N; i += batch {
 					off := i % (len(probes) - batch)
-					_, found := tg.ix.GetBatch(probes[off : off+batch])
-					for _, f := range found {
+					tg.ix.GetBatchInto(probes[off:off+batch], vals, found)
+					for _, f := range found[:batch] {
 						if f {
 							hits++
 						}
@@ -622,11 +609,6 @@ func BenchmarkGetBatchLevelWise(b *testing.B) {
 				}
 				sink += hits
 			})
-			for _, batch := range []int{2, 4, 8, 16, 64, 256} {
-				b.Run(fmt.Sprintf("%s/%s/level-wise/b=%d", class, tg.name, batch), func(b *testing.B) {
-					batched(b, batch, tg.ix.GetBatchLevelWise)
-				})
-			}
 		}
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 	}
 	if selected("batch") {
 		any = true
-		run("Batch", "level-wise batched search vs. per-probe Get", bench.Batch(o))
+		run("Batch", "interleaved batched search vs. per-probe Get", bench.Batch(o))
 	}
 	if selected("sharded") {
 		any = true

@@ -142,9 +142,9 @@ func TestBatchAndShardedExperiments(t *testing.T) {
 			t.Fatalf("batch table lacks %q:\n%s", want, out)
 		}
 	}
-	// 2 classes × 4 structures × 3 metrics (serial, GetBatch, level-wise).
-	if got := len(o.Rec.Measurements()); got != 24 {
-		t.Fatalf("batch recorded %d measurements, want 24", got)
+	// 2 classes × 4 structures × 2 metrics (serial, GetBatch).
+	if got := len(o.Rec.Measurements()); got != 16 {
+		t.Fatalf("batch recorded %d measurements, want 16", got)
 	}
 
 	o.Rec = &Recorder{}

@@ -425,12 +425,10 @@ func KarySearch(o Options, sizes []int) string {
 
 // Batch measures batched lookups against per-probe Get for all four
 // structures on the 5 MB and 100 MB classes (64-bit keys). Probes are
-// drawn with replacement from the loaded keys, batches of 256. The
-// get-batch row is GetBatch, which takes the level-wise descent only
-// where it pays; the get-batch-levelwise row always takes it. The
-// level-wise descent amortizes node searches over duplicate keys and
-// walks sorted probe groups, which pays off once the working set is out
-// of cache.
+// drawn with replacement from the loaded keys, batches of 256. GetBatch
+// runs the interleaved descent on the Seg-Tree and the B+-Tree, whose
+// independent node loads overlap once the working set is out of cache,
+// and one Get per probe on the tries.
 func Batch(o Options) string {
 	return batchOver(o, []workload.Class{workload.FiveMB, workload.HundredMB})
 }
@@ -453,10 +451,7 @@ func batchOver(o Options, classes []workload.Class) string {
 		}
 		targets := []struct {
 			name string
-			ix   interface {
-				index.Index[uint64, uint64]
-				index.LevelWiser[uint64, uint64]
-			}
+			ix   index.Index[uint64, uint64]
 		}{
 			{"btree", btree.BulkLoad[uint64, uint64](btree.DefaultConfig[uint64](), ks, vs)},
 			{"segtree", segtree.BulkLoad[uint64, uint64](segtree.DefaultConfig[uint64](), ks, vs)},
@@ -475,49 +470,34 @@ func batchOver(o Options, classes []workload.Class) string {
 				Sink += hits
 				return float64(time.Since(start).Nanoseconds()) / float64(len(probes))
 			})
-			// timeBatches times get over batches of batchSize probes; get
-			// returns the found mask of its batch.
-			timeBatches := func(get func(ks []uint64) []bool) float64 {
-				return bestOf(o.Rounds, func() float64 {
-					hits := 0
-					start := time.Now()
-					for off := 0; off < len(probes); off += batchSize {
-						end := min(off+batchSize, len(probes))
-						for _, f := range get(probes[off:end]) {
-							if f {
-								hits++
-							}
+			batched := bestOf(o.Rounds, func() float64 {
+				hits := 0
+				start := time.Now()
+				for off := 0; off < len(probes); off += batchSize {
+					_, found := tg.ix.GetBatch(probes[off:min(off+batchSize, len(probes))])
+					for _, f := range found {
+						if f {
+							hits++
 						}
 					}
-					Sink += hits
-					return float64(time.Since(start).Nanoseconds()) / float64(len(probes))
-				})
-			}
-			batched := timeBatches(func(ks []uint64) []bool {
-				_, found := tg.ix.GetBatch(ks)
-				return found
-			})
-			vals, found := make([]uint64, batchSize), make([]bool, batchSize)
-			levelWise := timeBatches(func(ks []uint64) []bool {
-				tg.ix.GetBatchLevelWise(ks, vals, found)
-				return found[:len(ks)]
+				}
+				Sink += hits
+				return float64(time.Since(start).Nanoseconds()) / float64(len(probes))
 			})
 			o.Rec.Record(Measurement{Experiment: "batch", Structure: tg.name,
 				Class: class.String(), Metric: "get-serial", Value: serial, Unit: "ns/op"})
 			o.Rec.Record(Measurement{Experiment: "batch", Structure: tg.name,
 				Class: class.String(), Metric: "get-batch", Value: batched, Unit: "ns/op"})
-			o.Rec.Record(Measurement{Experiment: "batch", Structure: tg.name,
-				Class: class.String(), Metric: "get-batch-levelwise", Value: levelWise, Unit: "ns/op"})
 			if o.Metrics {
 				recordSnapshot(o, countedProbePass[uint64](probes, tg.ix), len(probes),
 					"batch", tg.name, class.String())
 			}
 			rows = append(rows, []string{class.String(), tg.name,
-				Ns(serial), Ns(batched), Speedup(serial, batched), Ns(levelWise), Speedup(serial, levelWise)})
+				Ns(serial), Ns(batched), Speedup(serial, batched)})
 		}
 	}
 	return FormatTable(
-		[]string{"Data set", "Structure", "Get ns/op", "GetBatch ns/op", "Speedup", "Level-wise ns/op", "Speedup"}, rows)
+		[]string{"Data set", "Structure", "Get ns/op", "GetBatch ns/op", "Speedup"}, rows)
 }
 
 // bestOf runs fn rounds times and keeps the fastest result.

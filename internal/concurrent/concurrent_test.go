@@ -85,7 +85,7 @@ func TestLockedWrapsAllStructures(t *testing.T) {
 }
 
 // TestLockedGetBatch verifies the single-RLock batched lookup: parity
-// with per-key Get both for maps with a native level-wise GetBatch (the
+// with per-key Get both for maps with a native batched descent (the
 // Seg-Tree) and for maps without one (a plain Go map fallback).
 func TestLockedGetBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -278,13 +278,14 @@ func verifyIteration(t *testing.T, ix index.Index[uint32, int], ref map[uint32]i
 
 // verifyBatchParity is the acceptance property: GetBatchInto, GetBatch
 // and ContainsBatch must answer exactly what per-probe Get does, at batch
-// sizes on both sides of the serial/level-wise crossover, for probe
-// mixes with hits, misses (some routed to other shards) and duplicates.
+// sizes on both sides of the interleaved descent's window edges, for
+// probe mixes with hits, misses (some routed to other shards) and
+// duplicates.
 func verifyBatchParity(t *testing.T, ix index.Index[uint32, int], ref map[uint32]int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ks := sortedKeys(ref)
-	c := index.LevelWiseMin
+	c := index.Cursors
 	for _, n := range []int{0, 1, c - 1, c, c + 1, 64, 65, 256} {
 		probes := make([]uint32, n)
 		for i := range probes {
@@ -299,7 +300,7 @@ func verifyBatchParity(t *testing.T, ix index.Index[uint32, int], ref map[uint32
 		}
 		checkBatch(t, fmt.Sprintf("%d probes", n), ix, probes)
 	}
-	same := make([]uint32, c+1) // one group for the level-wise descent
+	same := make([]uint32, c+1) // one key in every cursor, and past the window
 	if len(ks) > 0 {
 		for i := range same {
 			same[i] = ks[len(ks)/2]
@@ -310,9 +311,8 @@ func verifyBatchParity(t *testing.T, ix index.Index[uint32, int], ref map[uint32
 
 // checkBatch runs one batch through GetBatchInto — into buffers longer
 // than the batch and pre-filled with junk, so a missing write or a write
-// past len(probes) shows — through GetBatch and ContainsBatch, and, on a
-// structure with one, through its level-wise descent, and compares every
-// answer with serial Get.
+// past len(probes) shows — and through GetBatch and ContainsBatch, and
+// compares every answer with serial Get.
 func checkBatch(t *testing.T, what string, ix index.Index[uint32, int], probes []uint32) {
 	t.Helper()
 	const junk = -7
@@ -322,17 +322,6 @@ func checkBatch(t *testing.T, what string, ix index.Index[uint32, int], probes [
 		vals[i], found[i] = junk, true
 	}
 	ix.GetBatchInto(probes, vals, found)
-	// A structure's level-wise descent answers the same at every size,
-	// though GetBatchInto only picks it for large trees.
-	lw, hasLW := ix.(index.LevelWiser[uint32, int])
-	lwVals := make([]int, len(probes))
-	lwFound := make([]bool, len(probes))
-	if hasLW {
-		for i := range lwVals {
-			lwVals[i], lwFound[i] = junk, true
-		}
-		lw.GetBatchLevelWise(probes, lwVals, lwFound)
-	}
 	gv, gf := ix.GetBatch(probes)
 	cb := ix.ContainsBatch(probes)
 	if len(gv) != len(probes) || len(gf) != len(probes) || len(cb) != len(probes) {
@@ -348,9 +337,6 @@ func checkBatch(t *testing.T, what string, ix index.Index[uint32, int], probes [
 		}
 		if cb[i] != wok {
 			t.Fatalf("%s: ContainsBatch[%d] key %d = %v, want %v", what, i, p, cb[i], wok)
-		}
-		if hasLW && (lwFound[i] != wok || lwVals[i] != wv) {
-			t.Fatalf("%s: GetBatchLevelWise[%d] key %d: got (%d,%v), want (%d,%v)", what, i, p, lwVals[i], lwFound[i], wv, wok)
 		}
 	}
 	for i := len(probes); i < len(vals); i++ {

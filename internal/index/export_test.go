@@ -1,5 +1,5 @@
 package index
 
-// LevelWiseMin exposes the serial/level-wise crossover to the external
-// test package, whose batch-parity sizes straddle it.
-const LevelWiseMin = levelWiseMin
+// Cursors exposes the interleaved descent's window to the external test
+// package, whose batch-parity sizes straddle it.
+const Cursors = cursors

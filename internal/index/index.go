@@ -7,10 +7,8 @@
 //   - the common Index interface every structure satisfies (and the
 //     conformance suite that pins its semantics, see conformance_test.go),
 //   - the batched-lookup core (batch.go): the allocation-free
-//     GetBatchInto contract, one serial loop for small batches, and the
-//     level-wise batch descent — after the level-wise B+-Tree traversal
-//     of Tzschoppe et al. — that a structure runs only once a tree gets
-//     enough probes to share nodes, as the B^S-tree batches,
+//     GetBatchInto contract, one serial loop, and the interleaved batch
+//     descent that overlaps the node loads of independent probes,
 //   - the key-range sharded concurrent index (sharded.go), the scalable
 //     write path the single-lock concurrent.Locked cannot provide.
 //
@@ -39,9 +37,9 @@ type Basic[K keys.Key, V any] interface {
 }
 
 // Batcher is the batched-lookup face of an index. Every implementation
-// answers GetBatchInto through the shared core in batch.go: serial Gets
-// for small batches and small trees, the level-wise descent for large
-// ones where the structure has one.
+// answers GetBatchInto through the shared core in batch.go: the
+// interleaved descent where the structure has one, serial Gets
+// otherwise.
 type Batcher[K keys.Key, V any] interface {
 	// GetBatchInto looks up ks[i] into vals[i] and found[i] for the first
 	// len(ks) entries — the zero value and false for a miss — so a caller

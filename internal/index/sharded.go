@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/keys"
 	"repro/internal/obs"
@@ -46,7 +45,6 @@ func NewSharded[K keys.Key, V any](shardCount int, newIndex func() Index[K, V]) 
 		s.trees[i] = s.shards[i]
 	}
 	s.live = s.shards
-	s.gathers = new(sync.Pool)
 	return s
 }
 
@@ -104,7 +102,6 @@ func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 		seqs:  make([]uint64, len(s.shards)),
 		slots: make([]*epochSlot, len(s.shards)),
 	}
-	snap.gathers = s.gathers
 	for i, sh := range s.shards {
 		v, sl := sh.pin()
 		snap.trees[i] = v.tree
