@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -356,7 +357,8 @@ func BenchmarkSegTrieUpdates(b *testing.B) {
 }
 
 // BenchmarkSegTreeUpdates measures the Seg-Tree's write paths: the
-// continuous-filling fast path versus reordering random inserts (§3.2).
+// continuous-filling fast path versus reordering random inserts and
+// deletes (§3.2).
 func BenchmarkSegTreeUpdates(b *testing.B) {
 	b.Run("ascending-append", func(b *testing.B) {
 		b.ReportAllocs()
@@ -379,6 +381,32 @@ func BenchmarkSegTreeUpdates(b *testing.B) {
 		tr := btree.NewDefault[uint64, int]()
 		for i := 0; i < b.N; i++ {
 			tr.Put(rng.Uint64(), i)
+		}
+	})
+	// Deletes a third of a bulk-loaded tree's keys in random order, then
+	// reloads it with the timer stopped. Bulk loading fills every leaf,
+	// so no leaf falls to half full and borrows or merges: the row
+	// prices the descent and DeleteAt's in-place shift.
+	b.Run("random-delete", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(11))
+		ks := make([]uint64, 100_000)
+		for i := range ks {
+			ks[i] = rng.Uint64()
+		}
+		slices.Sort(ks)
+		ks = slices.Compact(ks)
+		vs, order := make([]int, len(ks)), slices.Clone(ks)
+		var tr *segtree.Tree[uint64, int]
+		for i := 0; i < b.N; i++ {
+			j := i % (len(ks) / 3)
+			if j == 0 {
+				b.StopTimer()
+				tr = segtree.BulkLoad(segtree.DefaultConfig[uint64](), ks, vs)
+				rng.Shuffle(len(order), func(a, c int) { order[a], order[c] = order[c], order[a] })
+				b.StartTimer()
+			}
+			tr.Delete(order[j])
 		}
 	})
 }

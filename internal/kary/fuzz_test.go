@@ -102,17 +102,31 @@ func checkNodeSearch[K keys.Key](t *testing.T, raw []byte, probe uint64, layout 
 }
 
 // FuzzInsertDelete drives mutations from a fuzzed op stream against a
-// reference set, over both layouts and over 8-bit and 64-bit keys. After
-// every op the storage must be byte-identical to a fresh Build of the
-// reference set: the in-place updates promise exactly that.
+// reference set, over both layouts and every lane width: 8-, 16-, 32- and
+// 64-bit keys. After every op the storage must be byte-identical to a
+// fresh Build of the reference set: the in-place updates promise exactly
+// that.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 130, 2, 4})
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 127, 126, 133, 255, 128})
+	// All 128 keys in a scattered order, then every other one deleted:
+	// every width passes through several geometries and both pad paths.
+	all := make([]byte, 0, 192)
+	for i := 0; i < 128; i++ {
+		all = append(all, byte(i*37%128))
+	}
+	for i := 0; i < 64; i++ {
+		all = append(all, 0x80|byte(i*106%128))
+	}
+	f.Add(all)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, layout := range Layouts {
 			checkOps(t, ops, layout, func(b byte) uint8 { return b })
-			// Spread the 7-bit key over the whole 64-bit range, so the
-			// realigned sign bit is exercised.
+			// Spread the 7-bit key so its top bit is the lane's top bit:
+			// unsigned keys exercise the realigned sign bit, and the
+			// signed keys are half negative.
+			checkOps(t, ops, layout, func(b byte) uint16 { return uint16(b)<<9 | uint16(b) })
+			checkOps(t, ops, layout, func(b byte) int32 { return int32(uint32(b)<<25 | uint32(b)) })
 			checkOps(t, ops, layout, func(b byte) uint64 { return uint64(b)<<57 | uint64(b) })
 		}
 	})
