@@ -409,6 +409,34 @@ func BenchmarkSegTreeUpdates(b *testing.B) {
 			tr.Delete(order[j])
 		}
 	})
+	// The same deletes from a tree filled by ascending Puts, which leave
+	// every leaf at half capacity: each delete below that borrows one key
+	// from a sibling, or merges.
+	b.Run("random-delete-appended", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(11))
+		ks := make([]uint64, 100_000)
+		for i := range ks {
+			ks[i] = rng.Uint64()
+		}
+		slices.Sort(ks)
+		ks = slices.Compact(ks)
+		order := slices.Clone(ks)
+		var tr *segtree.Tree[uint64, int]
+		for i := 0; i < b.N; i++ {
+			j := i % (len(ks) / 3)
+			if j == 0 {
+				b.StopTimer()
+				tr = segtree.NewDefault[uint64, int]()
+				for v, k := range ks {
+					tr.Put(k, v)
+				}
+				rng.Shuffle(len(order), func(a, c int) { order[a], order[c] = order[c], order[a] })
+				b.StartTimer()
+			}
+			tr.Delete(order[j])
+		}
+	})
 }
 
 // BenchmarkZhouRossComparison compares the paper's k-ary search against
@@ -698,6 +726,34 @@ func BenchmarkShardedGetBatch(b *testing.B) {
 		}
 		sink += hits
 	})
+}
+
+// BenchmarkShardedLoad prices perfbench's two load shapes on the
+// composition it serves, a Seg-Tree in each of 16 MVCC-versioned
+// key-range shards: 32,768 random 64-bit keys Put in ascending order
+// (lookup's set-up) and the dense keys 0..99,999 Put in shuffled order
+// (update's). One op is one whole load into a fresh index.
+func BenchmarkShardedLoad(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ascending := workload.UniformRandom[uint64](rng, 32_768)
+	shuffled := workload.Ascending[uint64](100_000)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, load := range []struct {
+		name string
+		ks   []uint64
+	}{{"ascending-32768", ascending}, {"shuffled-100000", shuffled}} {
+		b.Run(load.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix := simdtree.NewIndex[uint64, uint64](
+					simdtree.WithStructure(simdtree.StructureSegTree), simdtree.WithShards(16))
+				for _, k := range load.ks {
+					ix.Put(k, k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(load.ks)), "ns/put")
+		})
+	}
 }
 
 // BenchmarkShardedPut compares concurrent Put throughput of the

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,12 @@ import (
 // consistent tree even mid-write-storm. Put/Delete serialize on an
 // internal writer mutex. Versioned itself satisfies Index.
 type Versioned[K keys.Key, V any] struct {
-	current  atomic.Pointer[version[K, V]]
+	current atomic.Pointer[version[K, V]]
+	// claimed has bit i%64 set once a reader has announced in slot i;
+	// bits never clear. It sits in current's cache line, which every
+	// reader loads anyway, and lets the writer's drain skip the slots no
+	// reader ever used.
+	claimed  atomic.Uint64
 	slots    []epochSlot
 	slotMask uint32
 
@@ -163,7 +169,9 @@ func readerSlotHint() uint32 {
 // drain check (which runs after its publish) is guaranteed to see the
 // announcement, so the version's tree cannot be reclaimed while pinned.
 // If the pointer moved, re-announce the newer version and check again.
-// No lock is taken and no step blocks on the writer.
+// No lock is taken and no step blocks on the writer. The slot's claimed
+// bit is set before the first announcement; once set, that costs one
+// plain load.
 //
 //simdtree:hotpath
 func (x *Versioned[K, V]) pin() (*version[K, V], *epochSlot) {
@@ -171,6 +179,11 @@ func (x *Versioned[K, V]) pin() (*version[K, V], *epochSlot) {
 	for spins := 0; ; spins++ {
 		s := &x.slots[i]
 		if s.epoch.Load() == 0 {
+			// Claim before announcing: a writer that sees the
+			// announcement also sees the claim.
+			if bit := uint64(1) << (i & 63); x.claimed.Load()&bit == 0 {
+				x.claimed.Or(bit)
+			}
 			v := x.current.Load()
 			if s.epoch.CompareAndSwap(0, v.seq) {
 				for {
@@ -323,12 +336,15 @@ func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 func (x *Versioned[K, V]) Version() uint64 { return x.current.Load().seq }
 
 // MVCCInfo reports the health of the snapshot publication: the current
-// version, how many readers are pinned right now, whether the writer
-// holds a superseded version for reuse, and the publication/reclamation
-// counters.
+// version, how many readers are pinned right now, how many slots the
+// claimed bits cover, whether the writer holds a superseded version for
+// reuse, and the publication/reclamation counters.
 func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 	snap := x.health.Read()
 	snap.Versions = []uint64{x.current.Load().seq}
+	for c := x.claimed.Load(); c != 0; c &= c - 1 {
+		snap.ClaimedSlots += (len(x.slots) - bits.TrailingZeros64(c) + 63) / 64
+	}
 	for i := range x.slots {
 		if x.slots[i].epoch.Load() != 0 {
 			snap.ActiveSnapshots++
@@ -348,7 +364,7 @@ func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 // undisturbed on the previous version.
 func (x *Versioned[K, V]) Put(key K, val V) bool {
 	x.mu.Lock()
-	start := time.Since(clockBase)
+	start := x.startClock()
 	t := x.writable()
 	added := t.Put(key, val)
 	x.publish(t, writeOp[K, V]{key: key, val: val}, start)
@@ -360,7 +376,7 @@ func (x *Versioned[K, V]) Put(key K, val V) bool {
 // nothing and publishes nothing.
 func (x *Versioned[K, V]) Delete(key K) bool {
 	x.mu.Lock()
-	start := time.Since(clockBase)
+	start := x.startClock()
 	t := x.writable()
 	removed := t.Delete(key)
 	if removed {
@@ -404,20 +420,28 @@ func (x *Versioned[K, V]) writable() Index[K, V] {
 // only ever dereferences the tree it successfully validated), so the
 // check is for v's own sequence; the announce-then-validate pin protocol
 // guarantees that any reader that validated v as current is visible
-// here.
+// here. Only claimed slots are read: a reader that validated v claimed
+// its slot before announcing, and so before the publish that superseded
+// v, which precedes this check.
 func (x *Versioned[K, V]) drained(v *version[K, V]) bool {
 	for attempt := 0; attempt < 64; attempt++ {
-		pinned := false
-		for i := range x.slots {
-			if x.slots[i].epoch.Load() == v.seq {
-				pinned = true
-				break
-			}
-		}
-		if !pinned {
+		if !x.pinned(v.seq) {
 			return true
 		}
 		runtime.Gosched()
+	}
+	return false
+}
+
+// pinned reports whether a claimed slot announces seq. Bit b covers the
+// slots b, b+64, b+128, … .
+func (x *Versioned[K, V]) pinned(seq uint64) bool {
+	for c := x.claimed.Load(); c != 0; c &= c - 1 {
+		for i := uint32(bits.TrailingZeros64(c)); i <= x.slotMask; i += 64 {
+			if x.slots[i&x.slotMask].epoch.Load() == seq {
+				return true
+			}
+		}
 	}
 	return false
 }
@@ -438,16 +462,34 @@ func (x *Versioned[K, V]) cloneTree(src Index[K, V]) Index[K, V] {
 // reads the wall clock.
 var clockBase = time.Now()
 
+// publishStride is the publish timer's sampling stride: only the write
+// that would publish a sequence divisible by it reads the clock, and its
+// latency is recorded for publishStride writes.
+const publishStride = 16
+
+// startClock returns the time.Since(clockBase) at which a write begins
+// if the version it would publish is timed, else -1. Callers hold mu.
+func (x *Versioned[K, V]) startClock() time.Duration {
+	if (x.current.Load().seq+1)%publishStride != 0 {
+		return -1
+	}
+	return time.Since(clockBase)
+}
+
 // publish swaps t in as the next version and keeps the superseded one,
-// with op, as prev. start is the time.Since(clockBase) at which the
-// write began. Callers hold mu.
+// with op, as prev. start is startClock's reading at the beginning of
+// the write. Callers hold mu.
 func (x *Versioned[K, V]) publish(t Index[K, V], op writeOp[K, V], start time.Duration) {
 	cur := x.current.Load()
 	next := &version[K, V]{tree: t, seq: cur.seq + 1}
 	x.current.Store(next)
 	x.prev, x.last = cur, op
 	x.spare = nil
-	x.health.RecordPublish(time.Since(clockBase) - start)
+	if start < 0 {
+		x.health.RecordPublish()
+	} else {
+		x.health.RecordTimedPublish(time.Since(clockBase)-start, publishStride)
+	}
 }
 
 // Compile-time check: Versioned satisfies the full Index interface and

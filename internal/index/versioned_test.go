@@ -182,8 +182,13 @@ func TestVersionedRotation(t *testing.T) {
 	if want := mv.Published - 1; mv.Reclaimed != want {
 		t.Errorf("Reclaimed = %d, want %d: every write but the first reuses the superseded tree", mv.Reclaimed, want)
 	}
-	if mv.PublishLatency.Count != writes {
-		t.Errorf("publish latency observations = %d, want %d", mv.PublishLatency.Count, writes)
+	// The publish timer samples one write per stride and records it for
+	// the whole stride, so the weighted count is within one stride.
+	if c := mv.PublishLatency.Count; c > writes || writes-c >= index.PublishStride {
+		t.Errorf("publish latency observations = %d, want within %d below %d", c, index.PublishStride, writes)
+	}
+	if mv.ClaimedSlots != 0 {
+		t.Errorf("ClaimedSlots = %d, want 0: no reader ever pinned", mv.ClaimedSlots)
 	}
 	// Delete misses publish nothing.
 	if ix.Delete(9999) {
@@ -230,6 +235,59 @@ func TestVersionedClonePath(t *testing.T) {
 	if mv.ActiveSnapshots != 0 || mv.RetiredVersions > 1 {
 		t.Errorf("post-release state: active=%d retired=%d, want 0/<=1",
 			mv.ActiveSnapshots, mv.RetiredVersions)
+	}
+}
+
+// TestVersionedDrainSeesProbedSlot: a Snapshot whose reader found its
+// first slots busy and probed on to a later one still forces the clone.
+// Every slot takes its turn as the only free one, so all but at most one
+// pin land past the reader's hint; 256 slots put four slots behind each
+// claimed bit.
+func TestVersionedDrainSeesProbedSlot(t *testing.T) {
+	for _, slots := range []int{64, 256} {
+		for free := 0; free < slots; free++ {
+			ix := index.NewVersionedSlots[uint32, int](slots, func() index.Index[uint32, int] {
+				return btree.New[uint32, int](btree.Config{LeafCap: 6, BranchCap: 6})
+			})
+			for i := uint32(0); i < 10; i++ {
+				ix.Put(i, int(i))
+			}
+			release := index.OccupyEpochSlots(ix, free)
+			snap := ix.Snapshot()
+			release()
+			ix.Put(100, 0) // adopts the unpinned prev
+			ix.Put(101, 0) // prev is the snapshot's version: must clone
+			mv := ix.MVCCInfo()
+			if mv.Cloned != 1 {
+				t.Fatalf("%d slots, reader in slot %d: Cloned = %d, want 1", slots, free, mv.Cloned)
+			}
+			if want := slots / 64; mv.ClaimedSlots != want {
+				t.Fatalf("%d slots: ClaimedSlots = %d, want the %d slots of one bit", slots, mv.ClaimedSlots, want)
+			}
+			if n := snap.Len(); n != 10 {
+				t.Fatalf("held snapshot Len = %d, want 10", n)
+			}
+			snap.Release()
+		}
+	}
+}
+
+// TestShardedLoadClaimsNoSlots: loading a sharded index with no reader
+// leaves every shard's drain with no slot to read; the first Get claims
+// one.
+func TestShardedLoadClaimsNoSlots(t *testing.T) {
+	ix := newShardedBTree(8)
+	for i := uint32(0); i < 2000; i++ {
+		ix.Put(i*2_000_000, int(i))
+	}
+	if got := ix.MVCCInfo().ClaimedSlots; got != 0 {
+		t.Fatalf("ClaimedSlots after a load with no readers = %d, want 0", got)
+	}
+	if _, ok := ix.Get(0); !ok {
+		t.Fatal("Get(0) missed")
+	}
+	if got := ix.MVCCInfo().ClaimedSlots; got == 0 {
+		t.Fatal("ClaimedSlots = 0 after a Get, want the reader's slot claimed")
 	}
 }
 

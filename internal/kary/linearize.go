@@ -1,6 +1,9 @@
 package kary
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // slotMap tabulates the position transformation from sorted order into
 // linearized order (Formula 1 breadth-first, Formula 2 depth-first) for
@@ -16,6 +19,13 @@ type slotMap struct {
 	// one child subtree below that level (k^(r−1−level) − 1); nil for
 	// breadth-first geometries.
 	stride []int32
+
+	// padAt and padSlots list, per key count n, the stored slots of the
+	// sorted positions from n on: padSlots[padAt[n]:padAt[n+1]], the pads
+	// setMax rewrites. nil for breadth-first geometries, which store
+	// every slot of the map, and for private depth-first maps.
+	padAt    []int32
+	padSlots []int32
 
 	fullOnce sync.Once
 	full     []int32 // key count n → registers whose every lane holds a real key
@@ -45,6 +55,9 @@ func slotsFor(g geometry) *slotMap {
 	sm := newSlotMap(g)
 	if len(sm.slot) > maxCachedSlots {
 		return sm
+	}
+	if g.layout == DepthFirst {
+		sm.tabulatePads()
 	}
 	cached, _ := slotMaps.LoadOrStore(g, sm)
 	return cached.(*slotMap)
@@ -77,6 +90,42 @@ func newSlotMap(g geometry) *slotMap {
 		sm.bound[n] = int32((last/lanes + 1) * lanes)
 	}
 	return sm
+}
+
+// tabulatePads builds the pad table of a depth-first map. Position j's
+// slot is stored from the first key count whose bound exceeds it, so it
+// is a pad for every key count from then up to j.
+func (sm *slotMap) tabulatePads() {
+	from := make([]int, len(sm.slot))
+	sm.padAt = make([]int32, len(sm.slot)+2)
+	for j, p := range sm.slot {
+		from[j], _ = slices.BinarySearch(sm.bound[:j+1], p+1)
+		for n := from[j]; n <= j; n++ {
+			sm.padAt[n+1]++
+		}
+	}
+	for n := 1; n < len(sm.padAt); n++ {
+		sm.padAt[n] += sm.padAt[n-1]
+	}
+	sm.padSlots = make([]int32, sm.padAt[len(sm.padAt)-1])
+	next := slices.Clone(sm.padAt)
+	for j, p := range sm.slot {
+		for n := from[j]; n <= j; n++ {
+			sm.padSlots[next[n]] = p
+			next[n]++
+		}
+	}
+}
+
+// pads returns the slots setMax rewrites when the geometry holds n keys:
+// the stored slots of the sorted positions from n on. A map without a
+// pad table returns all of slot[n:], and the caller skips those at or
+// above the stored count.
+func (sm *slotMap) pads(n int) []int32 {
+	if sm.padAt == nil {
+		return sm.slot[n:]
+	}
+	return sm.padSlots[sm.padAt[n]:sm.padAt[n+1]]
 }
 
 // fullRegisters reports how many registers of lanes slots are full when

@@ -1,6 +1,7 @@
 package kary
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -125,6 +126,55 @@ func TestLargeGeometryUsesPrivateMap(t *testing.T) {
 		}
 		if !tree.Insert(1) || !tree.Delete(3) || tree.Validate() != nil {
 			t.Fatalf("%v: update on a large tree failed", layout)
+		}
+		// An append rewrites the pads through the map's filtered list.
+		if !tree.Insert(65535) || !slices.Equal(tree.Linearized(), Build(tree.Keys(), layout).Linearized()) {
+			t.Fatalf("%v: append on a large tree differs from a fresh Build", layout)
+		}
+	}
+}
+
+// TestPadTableMatchesFilteredScan: for every depth-first geometry a node
+// uses up to the Table 3 capacities, the pad table lists, for every key
+// count, exactly the slots of slot[n:] below bound[n] — what setMax
+// filtered out of the whole tail before the table. Breadth-first maps
+// keep no table: they store the whole map from their first key count on.
+func TestPadTableMatchesFilteredScan(t *testing.T) {
+	checkPadTables[uint8](t, 256)
+	checkPadTables[uint16](t, 408)
+	checkPadTables[uint32](t, 344)
+	checkPadTables[uint64](t, 242)
+}
+
+func checkPadTables[K keys.Key](t *testing.T, capacity int) {
+	t.Helper()
+	k, w := keys.K[K](), keys.Width[K]()
+	for _, layout := range Layouts {
+		seen := map[*slotMap]bool{}
+		for size := 1; size <= capacity+1; size++ {
+			g := geometry{layout: layout, k: k, r: levels(size, k)}
+			if layout == BreadthFirst {
+				g.m = (size - pow(k, g.r-1) + k - 1) / (k - 1)
+			}
+			sm := slotsFor(g)
+			if seen[sm] {
+				continue
+			}
+			seen[sm] = true
+			if (sm.padAt != nil) != (layout == DepthFirst) {
+				t.Fatalf("%d-byte %v %+v: pad table present = %v", w, layout, g, sm.padAt != nil)
+			}
+			for n := sm.minN; n <= len(sm.slot); n++ {
+				var want []int32
+				for _, p := range sm.slot[n:] {
+					if p < sm.bound[n] {
+						want = append(want, p)
+					}
+				}
+				if got := sm.pads(n); !slices.Equal(got, want) {
+					t.Fatalf("%d-byte %v %+v n=%d: pads %v, filtered scan %v", w, layout, g, n, got, want)
+				}
+			}
 		}
 	}
 }

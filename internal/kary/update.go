@@ -87,6 +87,20 @@ func (t *Tree[K]) DeleteAt(pos int) {
 	}
 }
 
+// ReplaceAt overwrites the key at sorted index pos with x in place. The
+// caller guarantees x keeps the order: above the key before pos and
+// below the key after it. Replacing the last key sets S_max and its pads.
+func (t *Tree[K]) ReplaceAt(pos int, x K) {
+	if invariants.Enabled {
+		invariants.Assertf(pos >= 0 && pos < t.n && (pos == 0 || t.At(pos-1) < x) && (pos == t.n-1 || x < t.At(pos+1)),
+			"kary: ReplaceAt(%d, %v) breaks the key order", pos, x)
+	}
+	keys.PutAt(t.data, t.pos(pos), x)
+	if pos == t.n-1 {
+		t.setMax()
+	}
+}
+
 // resize sets the storage to need slots. Slots added at the end start as
 // pads; a shrink keeps the array for a later regrowth, and a growth
 // replaces it only once the allocator's size class is used up.
@@ -119,14 +133,15 @@ func sizeClassed(n int) []byte { return append([]byte(nil), make([]byte, n)...) 
 
 // setMax takes the key at the last sorted position as S_max and copies
 // it into every pad, the stored slots of the sorted positions from n on
-// (§3.3).
+// (§3.3). The slot map lists those pads per key count, so an append
+// visits only the handful of slots it rewrites.
 //
 //simdtree:hotpath
 func (t *Tree[K]) setMax() {
 	v, top := t.view(), t.pos(t.n-1)
 	t.smax = keys.GetAt[K](t.data, top)
 	pad := v[top]
-	for _, p := range t.slots.slot[t.n:] {
+	for _, p := range t.slots.pads(t.n) {
 		if int(p) < len(v) {
 			v[p] = pad
 		}

@@ -22,13 +22,17 @@ type Histogram struct {
 
 // Observe records one duration. Negative durations (clock steps) count as
 // zero rather than corrupting the sum.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records d as n observations — one sampled measurement that
+// stands for the n operations of its sampling stride.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
 	if d < 0 {
 		d = 0
 	}
 	ns := uint64(d)
-	h.counts[bits.Len64(ns)].Add(1)
-	h.sum.Add(ns)
+	h.counts[bits.Len64(ns)].Add(n)
+	h.sum.Add(ns * n)
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.

@@ -25,11 +25,16 @@ type MVCC struct {
 	latency   Histogram
 }
 
-// RecordPublish counts one published version and the time the writer
-// spent building and publishing it.
-func (m *MVCC) RecordPublish(d time.Duration) {
+// RecordPublish counts one published version whose publish was not
+// timed.
+func (m *MVCC) RecordPublish() { m.published.Add(1) }
+
+// RecordTimedPublish counts one published version and the time the
+// writer spent building and publishing it, as the latency of each of the
+// stride publishes the timed one samples.
+func (m *MVCC) RecordTimedPublish(d time.Duration, stride uint64) {
 	m.published.Add(1)
-	m.latency.Observe(d)
+	m.latency.ObserveN(d, stride)
 }
 
 // RecordReclaim counts one superseded version whose tree was handed
@@ -41,8 +46,8 @@ func (m *MVCC) RecordReclaim() { m.reclaimed.Add(1) }
 func (m *MVCC) RecordClone() { m.cloned.Add(1) }
 
 // Read returns the counter and latency state. The index layer fills in
-// the point-in-time fields (Versions, ActiveSnapshots, RetiredVersions)
-// it owns.
+// the point-in-time fields (Versions, ActiveSnapshots, RetiredVersions,
+// ClaimedSlots) it owns.
 func (m *MVCC) Read() MVCCSnapshot {
 	return MVCCSnapshot{
 		Published:      m.published.Load(),
@@ -65,6 +70,10 @@ type MVCCSnapshot struct {
 	// RetiredVersions counts superseded versions the writers hold for
 	// reuse: 0 or 1 per publisher.
 	RetiredVersions int `json:"retired_versions"`
+	// ClaimedSlots counts the epoch slots some reader has ever announced
+	// in — the slots a writer's drain check reads. It stays 0 while no
+	// reader has pinned a version.
+	ClaimedSlots int `json:"claimed_slots"`
 	// Published counts versions published since construction.
 	Published uint64 `json:"published_versions_total"`
 	// Reclaimed counts superseded versions whose trees the writers
@@ -82,6 +91,7 @@ func (s *MVCCSnapshot) Merge(o MVCCSnapshot) {
 	s.Versions = append(s.Versions, o.Versions...)
 	s.ActiveSnapshots += o.ActiveSnapshots
 	s.RetiredVersions += o.RetiredVersions
+	s.ClaimedSlots += o.ClaimedSlots
 	s.Published += o.Published
 	s.Reclaimed += o.Reclaimed
 	s.Cloned += o.Cloned
@@ -101,16 +111,20 @@ func (s MVCCSnapshot) CurrentVersion() uint64 {
 }
 
 // Metrics returns the snapshot as table rows named mvcc_*: the
-// active-snapshot and retired-version gauges, the current version, the
-// publication counters and the publish latency histogram. The current
-// version, published count and active snapshots carry the /stats keys
-// version, versions_published and active_snapshots.
+// active-snapshot, retired-version and claimed-slot gauges, the current
+// version, the publication counters and the publish latency histogram
+// (sampled: see RecordTimedPublish). The current
+// version, published count, active snapshots and claimed slots carry
+// the /stats keys version, versions_published, active_snapshots and
+// claimed_slots.
 func (s MVCCSnapshot) Metrics() []Metric {
 	return []Metric{
 		{Name: "mvcc_active_snapshots", Help: "pinned reader epochs: mid-flight reads and held snapshots",
 			Kind: KindGauge, Value: float64(s.ActiveSnapshots), Stat: "active_snapshots"},
 		{Name: "mvcc_retired_versions", Help: "superseded versions the writers hold for reuse",
 			Kind: KindGauge, Value: float64(s.RetiredVersions)},
+		{Name: "mvcc_claimed_slots", Help: "epoch slots ever claimed by a reader: the slots a writer's drain reads",
+			Kind: KindGauge, Value: float64(s.ClaimedSlots), Stat: "claimed_slots"},
 		{Name: "mvcc_current_version", Help: "highest published version sequence",
 			Kind: KindGauge, Value: float64(s.CurrentVersion()), Stat: "version"},
 		{Name: "mvcc_published_versions_total", Help: "tree versions published by writers",

@@ -97,6 +97,22 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: one weighted observation reads as n equal
+// ones — count, bucket, sum and quantiles — so a sampled timer keeps the
+// histogram's scale.
+func TestHistogramObserveN(t *testing.T) {
+	var weighted, repeated Histogram
+	weighted.ObserveN(1000, 16)
+	weighted.ObserveN(-time.Nanosecond, 16) // clamped to 0
+	for i := 0; i < 16; i++ {
+		repeated.Observe(1000)
+		repeated.Observe(0)
+	}
+	if w, r := weighted.Read(), repeated.Read(); w != r {
+		t.Fatalf("ObserveN snapshot %+v, 16 Observes %+v", w, r)
+	}
+}
+
 func TestHistogramQuantileEmpty(t *testing.T) {
 	var s HistogramSnapshot
 	if q := s.QuantileNanos(0.99); q != 0 {

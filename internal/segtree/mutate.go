@@ -153,49 +153,45 @@ func (t *Tree[K, V]) fixChild(parent *node[K, V], i int) {
 	}
 }
 
+// borrowFromLeft moves the left sibling's last key (and value or child)
+// to the front of child and updates their separator in the parent: one
+// in-place delete, insert and key rewrite, not three rebuilt nodes.
 func (t *Tree[K, V]) borrowFromLeft(parent *node[K, V], i int) {
 	child, left := parent.children[i], parent.children[i-1]
-	lk := left.kt.Keys()
-	ck := child.kt.Keys()
-	pk := parent.kt.Keys()
-	last := len(lk) - 1
+	last := left.kt.Len() - 1
+	moved := left.kt.At(last)
+	left.kt.DeleteAt(last)
 	if child.leaf() {
-		child.vals = append([]V{left.vals[last]}, child.vals...)
-		left.vals = left.vals[:last]
-		t.setKeys(child, append([]K{lk[last]}, ck...))
-		t.setKeys(left, lk[:last])
-		pk[i-1] = lk[last]
-		t.setKeys(parent, pk)
+		child.kt.InsertAt(0, moved)
+		child.vals = slices.Insert(child.vals, 0, left.vals[last])
+		left.vals = slices.Delete(left.vals, last, last+1)
+		parent.kt.ReplaceAt(i-1, moved)
 		return
 	}
-	t.setKeys(child, append([]K{pk[i-1]}, ck...))
-	pk[i-1] = lk[last]
-	t.setKeys(parent, pk)
-	t.setKeys(left, lk[:last])
-	child.children = append([]*node[K, V]{left.children[len(left.children)-1]}, child.children...)
-	left.children = left.children[:len(left.children)-1]
+	child.kt.InsertAt(0, parent.kt.At(i-1))
+	parent.kt.ReplaceAt(i-1, moved)
+	lc := len(left.children) - 1
+	child.children = slices.Insert(child.children, 0, left.children[lc])
+	left.children = slices.Delete(left.children, lc, lc+1)
 }
 
+// borrowFromRight moves the right sibling's first key (and value or
+// child) to the end of child and updates their separator in the parent.
 func (t *Tree[K, V]) borrowFromRight(parent *node[K, V], i int) {
 	child, right := parent.children[i], parent.children[i+1]
-	rk := right.kt.Keys()
-	ck := child.kt.Keys()
-	pk := parent.kt.Keys()
+	moved := right.kt.At(0)
+	right.kt.DeleteAt(0)
 	if child.leaf() {
+		child.kt.InsertAt(child.kt.Len(), moved)
 		child.vals = append(child.vals, right.vals[0])
-		right.vals = right.vals[1:]
-		t.setKeys(child, append(ck, rk[0]))
-		t.setKeys(right, rk[1:])
-		pk[i] = rk[1]
-		t.setKeys(parent, pk)
+		right.vals = slices.Delete(right.vals, 0, 1)
+		parent.kt.ReplaceAt(i, right.kt.At(0))
 		return
 	}
-	t.setKeys(child, append(ck, pk[i]))
-	pk[i] = rk[0]
-	t.setKeys(parent, pk)
-	t.setKeys(right, rk[1:])
+	child.kt.InsertAt(child.kt.Len(), parent.kt.At(i))
+	parent.kt.ReplaceAt(i, moved)
 	child.children = append(child.children, right.children[0])
-	right.children = right.children[1:]
+	right.children = slices.Delete(right.children, 0, 1)
 }
 
 func (t *Tree[K, V]) merge(parent *node[K, V], j int) {

@@ -54,10 +54,10 @@ func (u *Uniform) Next(rng *rand.Rand) uint64 {
 // one Zipfian may be shared by any number of client goroutines.
 type Zipfian struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	top2  float64 // 1 + 0.5^theta: draws below it (scaled by zetan) are rank 0 or 1
 }
 
 // NewZipfian returns a zipfian chooser over [0, n) with skew theta. The
@@ -69,7 +69,7 @@ func NewZipfian(n int, theta float64) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: NewZipfian theta %g out of (0, 1)", theta)) //simdtree:allowpanic request-distribution domain validation
 	}
-	z := &Zipfian{n: uint64(n), theta: theta, alpha: 1 / (1 - theta)}
+	z := &Zipfian{n: uint64(n), alpha: 1 / (1 - theta), top2: 1 + math.Pow(0.5, theta)}
 	z.zetan = zeta(uint64(n), theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
 	return z
@@ -92,7 +92,7 @@ func (z *Zipfian) Next(rng *rand.Rand) uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.top2 {
 		return 1
 	}
 	idx := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -146,5 +147,35 @@ func TestChooserConstructorValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestZipfianHoistedPowMatchesPerDraw: hoisting 1 + 0.5^θ into
+// NewZipfian leaves every draw bit-identical to computing it per draw,
+// over 10^5 draws from a fixed seed for three skews.
+func TestZipfianHoistedPowMatchesPerDraw(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.99, 0.2} {
+		z := NewZipfian(100_000, theta)
+		perDraw := func(rng *rand.Rand) uint64 {
+			u := rng.Float64()
+			uz := u * z.zetan
+			if uz < 1 {
+				return 0
+			}
+			if uz < 1+math.Pow(0.5, theta) {
+				return 1
+			}
+			idx := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+			if idx >= z.n {
+				idx = z.n - 1
+			}
+			return idx
+		}
+		got, want := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+		for i := 0; i < 100_000; i++ {
+			if g, w := z.Next(got), perDraw(want); g != w {
+				t.Fatalf("theta %g draw %d: %d, per-draw formula %d", theta, i, g, w)
+			}
+		}
 	}
 }
