@@ -52,7 +52,7 @@ FUZZ_TARGETS = \
 	./internal/index:FuzzVersionedOps \
 	./internal/kary:FuzzNodeSearchKernels \
 	./internal/kary:FuzzInsertDelete \
-	./internal/segtree:FuzzTreeOps \
+	./internal/btree:FuzzTreeOps \
 	./internal/segtree:FuzzDeserialize \
 	./internal/segtrie:FuzzTrieOps \
 	./internal/simd:FuzzCompareKernels

@@ -1,16 +1,24 @@
-// Package btree is the paper's baseline: an in-memory B+-Tree whose inner
-// node search is classic binary search. Branching nodes hold separator keys
-// and child pointers; leaf nodes hold the data items and are linked to
-// support range queries (the sequence set). Every performance experiment
-// measures the adapted trees against this implementation.
+// Package btree is the in-memory B+-Tree of the paper, written once
+// (Skeleton) and generic over the key store that searches and holds
+// each node's keys. Branching nodes hold separator keys and child
+// pointers; leaf nodes hold the data items and are linked to support
+// range queries (the sequence set).
+//
+// Tree is the paper's baseline: a sorted key slice per node, searched by
+// classic binary search. Every performance experiment measures the
+// adapted trees against it. The Seg-Tree (package segtree) is the same
+// skeleton with a linearized k-ary search tree per node (§3.1).
 package btree
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/index"
 	"repro/internal/kary"
 	"repro/internal/keys"
 	"repro/internal/obs"
+	"repro/internal/shape"
 	"repro/internal/trace"
 )
 
@@ -46,35 +54,20 @@ func DefaultConfig[K keys.Key]() Config {
 	return Config{LeafCap: n, BranchCap: n}
 }
 
-func (c Config) validate() error {
-	if c.LeafCap < 2 || c.BranchCap < 2 {
-		return fmt.Errorf("btree: node capacities must be at least 2 (got leaf %d, branch %d)",
-			c.LeafCap, c.BranchCap)
-	}
-	return nil
+func spec[K keys.Key](c Config) Spec[sorted[K]] {
+	return Spec[sorted[K]]{Name: "btree", LeafCap: c.LeafCap, BranchCap: c.BranchCap}
 }
 
 // Tree is a B+-Tree mapping distinct keys of integer type K to values of
-// type V. The zero value is not usable; construct with New or BulkLoad.
+// type V, searching each node by binary search. The zero value is not
+// usable; construct with New or BulkLoad.
 type Tree[K keys.Key, V any] struct {
-	cfg   Config
-	root  *node[K, V]
-	first *node[K, V] // leftmost leaf, head of the sequence set
-	size  int
+	Skeleton[K, V, sorted[K], *sorted[K]]
+	cfg Config
 }
 
-// node is either a branching node (children != nil) or a leaf
-// (children == nil). In a branching node keys[i] separates children[i]
-// from children[i+1]: subtree i holds keys < keys[i], subtree i+1 keys
-// ≥ keys[i]. In a leaf, keys[i] is the key of vals[i].
-type node[K keys.Key, V any] struct {
-	keys     []K
-	vals     []V           // leaves only
-	children []*node[K, V] // branches only
-	next     *node[K, V]   // leaves only: right neighbour in the sequence set
-}
-
-func (n *node[K, V]) leaf() bool { return n.children == nil }
+// The baseline B+-Tree satisfies the module-wide index contract.
+var _ index.Index[uint32, int] = (*Tree[uint32, int])(nil)
 
 // New returns an empty tree with the given configuration. It is the
 // Must-style wrapper over NewChecked: it panics on an invalid
@@ -92,11 +85,11 @@ func New[K keys.Key, V any](cfg Config) *Tree[K, V] {
 // NewChecked is New propagating an invalid configuration as an error
 // instead of panicking.
 func NewChecked[K keys.Key, V any](cfg Config) (*Tree[K, V], error) {
-	if err := cfg.validate(); err != nil {
+	s, err := Build[K, V](spec[K](cfg), nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	leaf := &node[K, V]{}
-	return &Tree[K, V]{cfg: cfg, root: leaf, first: leaf}, nil
+	return &Tree[K, V]{s, cfg}, nil
 }
 
 // NewDefault returns an empty tree with DefaultConfig.
@@ -104,153 +97,70 @@ func NewDefault[K keys.Key, V any]() *Tree[K, V] {
 	return New[K, V](DefaultConfig[K]())
 }
 
-// Len reports the number of data items.
-func (t *Tree[K, V]) Len() int { return t.size }
+// BulkLoad builds a tree from strictly ascending keys and their values,
+// filling every node completely — the paper's initial-filling fast path
+// (§3.2 and §5.1). It panics on an invalid configuration, unsorted or
+// duplicate keys or mismatched slice lengths.
+func BulkLoad[K keys.Key, V any](cfg Config, ks []K, vs []V) *Tree[K, V] {
+	s, err := Build(spec[K](cfg), ks, vs)
+	if err != nil {
+		panic(err) //simdtree:allowpanic bulk-load input contract, documented above
+	}
+	return &Tree[K, V]{s, cfg}
+}
 
 // Config returns the tree's node configuration.
 func (t *Tree[K, V]) Config() Config { return t.cfg }
 
-// Height reports the number of levels (a lone leaf has height 1).
-func (t *Tree[K, V]) Height() int {
-	h := 1
-	for n := t.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
+// sorted is the baseline's key store: a node's keys in a sorted slice.
+type sorted[K keys.Key] struct{ ks []K }
+
+func (s *sorted[K]) Len() int               { return len(s.ks) }
+func (s *sorted[K]) At(i int) K             { return s.ks[i] }
+func (s *sorted[K]) AppendKeys(dst []K) []K { return append(dst, s.ks...) }
+func (s *sorted[K]) Reset(ks []K)           { s.ks = append(s.ks[:0], ks...) }
+func (s *sorted[K]) InsertAt(i int, k K)    { s.ks = slices.Insert(s.ks, i, k) }
+func (s *sorted[K]) DeleteAt(i int)         { s.ks = slices.Delete(s.ks, i, i+1) }
+func (s *sorted[K]) ReplaceAt(i int, k K)   { s.ks[i] = k }
+
+func (s *sorted[K]) SplitInsert(i int, k K, mid int, right *sorted[K]) {
+	s.ks = slices.Insert(s.ks, i, k)
+	right.Reset(s.ks[mid:])
+	s.ks = s.ks[:mid]
 }
 
-// The Get descent is a zero-allocation hot path; the directive keeps the
-// //simdtree:hotpath annotations checked by cmd/simdvet.
-//
-//simdtree:kernels ^(Tree\.GetTraced|lowerBound)$
-
-// Get returns the value stored under key, if present.
-func (t *Tree[K, V]) Get(key K) (V, bool) {
-	v, ok, _ := t.GetTraced(key, nil)
-	return v, ok
-}
-
-// GetTraced is Get additionally returning the lookup's §4 cost — one node
-// visit per level and the binary-search comparisons inside each node —
-// and recording the descent into tr: one node step per level, the
-// comparison count and the branch taken. The baseline has no SIMD
-// compares, so its traces contain only node, scalar and branch steps —
-// the contrast the adapted trees' traces are read against. A nil tr
-// records nothing.
+// rank is the baseline's node search, classic binary search
+// (kary.UpperBoundCount): the rank of v and whether v is present. Its
+// cost is one node visit and the comparison steps, and its trace one
+// scalar step: the baseline has no SIMD compares, the contrast the
+// adapted trees' traces are read against.
 //
 //simdtree:hotpath
-func (t *Tree[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
-	if tr != nil {
-		tr.SetStructure("btree")
-	}
-	n := t.root
-	for depth := 0; ; depth++ {
-		leaf := n.leaf()
-		if tr != nil {
-			role := "branch"
-			if leaf {
-				role = "leaf"
-			}
-			tr.Node(depth, len(n.keys), "", role)
-		}
-		i, steps := kary.UpperBoundCount(n.keys, key)
+func (s *sorted[K]) rank(v K, tr *trace.Trace, c *obs.Cost) (int, bool) {
+	i, steps := kary.UpperBoundCount(s.ks, v)
+	if c != nil {
 		c.NodeVisits++
 		c.ScalarComparisons += uint64(steps)
-		if tr != nil {
-			tr.Scalar(steps, i)
-		}
-		if leaf {
-			if i > 0 && n.keys[i-1] == key {
-				return n.vals[i-1], true, c
-			}
-			return v, false, c
-		}
-		if tr != nil {
-			tr.Branch(i)
-		}
-		n = n.children[i]
 	}
+	if tr != nil {
+		tr.Scalar(steps, i)
+	}
+	return i, i > 0 && s.ks[i-1] == v
 }
 
-// Contains reports whether key is present.
-func (t *Tree[K, V]) Contains(key K) bool {
-	_, ok := t.Get(key)
-	return ok
-}
-
-// Min returns the smallest key and its value; ok is false when empty.
-func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
-	n := t.first
-	if len(n.keys) == 0 {
-		return k, v, false
-	}
-	return n.keys[0], n.vals[0], true
-}
-
-// Max returns the largest key and its value; ok is false when empty.
-func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		return k, v, false
-	}
-	i := len(n.keys) - 1
-	return n.keys[i], n.vals[i], true
-}
-
-// Scan calls fn for every item with lo ≤ key ≤ hi in ascending key order,
-// walking the linked leaves, until fn returns false.
-func (t *Tree[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if lo > hi {
-		return
-	}
-	n := t.root
-	for !n.leaf() {
-		n = n.children[kary.UpperBound(n.keys, lo)]
-	}
-	// The first key ≥ lo sits at the upper bound of lo−1; compute it
-	// directly to avoid underflow at the domain minimum.
-	i := lowerBound(n.keys, lo)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// Ascend calls fn for every item in ascending key order until fn returns
-// false.
-func (t *Tree[K, V]) Ascend(fn func(K, V) bool) {
-	for n := t.first; n != nil; n = n.next {
-		for i := range n.keys {
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
+// Validate checks that the keys are strictly ascending.
+func (s *sorted[K]) Validate() error {
+	for i := 1; i < len(s.ks); i++ {
+		if s.ks[i-1] >= s.ks[i] {
+			return fmt.Errorf("keys out of order at index %d", i)
 		}
 	}
+	return nil
 }
 
-// lowerBound returns the index of the first element ≥ v.
-//
-//simdtree:hotpath
-func lowerBound[K keys.Key](xs []K, v K) int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// ShapeNode tallies the node with its configured capacity as its slots —
+// the classic B-Tree fill-factor denominator. The baseline performs no
+// SIMD loads, so registers, padding and replenishment stay zero.
+func (s *sorted[K]) ShapeNode(rep *shape.Report, depth, capacity int) {
+	rep.Node(depth, len(s.ks), capacity)
 }

@@ -1,21 +1,20 @@
 package btree
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/kary"
-	"repro/internal/keys"
+	"repro/internal/simd"
 )
 
 // Put stores val under key, returning true when the key was newly inserted
 // and false when an existing value was replaced.
-func (t *Tree[K, V]) Put(key K, val V) bool {
-	sep, right, added := t.insert(t.root, key, val)
+func (t *Skeleton[K, V, S, PS]) Put(key K, val V) bool {
+	sep, right, added := t.insert(t.root, key, kary.Prepare(key), val)
 	if right != nil {
-		t.root = &node[K, V]{
-			keys:     []K{sep},
-			children: []*node[K, V]{t.root, right},
-		}
+		root := t.newNode([]K{sep})
+		root.children = []*node[K, V, S, PS]{t.root, right}
+		t.root = root
 	}
 	if added {
 		t.size++
@@ -23,69 +22,67 @@ func (t *Tree[K, V]) Put(key K, val V) bool {
 	return added
 }
 
-// insert descends to the leaf, inserts, and propagates splits upward. When
-// the visited child splits, the new right sibling and its separator (the
-// smallest key reachable through it) are returned.
-func (t *Tree[K, V]) insert(n *node[K, V], key K, val V) (sep K, right *node[K, V], added bool) {
+// insert descends to the leaf, inserts, and propagates splits upward.
+// When the visited child splits, the new right sibling and its separator
+// (the smallest key reachable through it) are returned. search is key's
+// prepared register, broadcast once per Put.
+func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, search simd.Search, val V) (sep K, right *node[K, V, S, PS], added bool) {
+	ks := n.keys()
 	if n.leaf() {
-		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			n.vals[i] = val
+		pos, found := n.rank(key, search, t.spec.Evaluator, nil, true, nil)
+		if found {
+			n.vals[pos-1] = val
 			return sep, nil, false
 		}
-		n.keys = append(n.keys, key)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, val)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
-		if len(n.keys) <= t.cfg.LeafCap {
+		if ks.Len() < t.spec.LeafCap {
+			ks.InsertAt(pos, key)
+			n.vals = slices.Insert(n.vals, pos, val)
 			return sep, nil, true
 		}
-		mid := len(n.keys) / 2
-		r := &node[K, V]{
-			keys: append([]K(nil), n.keys[mid:]...),
-			vals: append([]V(nil), n.vals[mid:]...),
-			next: n.next,
-		}
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
+		// A full leaf splits into its first mid keys and the rest.
+		vs := slices.Insert(n.vals, pos, val)
+		mid := len(vs) / 2
+		r := t.newNode(nil)
+		ks.SplitInsert(pos, key, mid, r.keys())
+		r.vals = append([]V(nil), vs[mid:]...)
+		r.next = n.next
+		n.vals = vs[:mid]
 		n.next = r
-		return r.keys[0], r, true
+		return r.keys().At(0), r, true
 	}
 
-	idx := kary.UpperBound(n.keys, key)
-	sep, right, added = t.insert(n.children[idx], key, val)
+	pos, _ := n.rank(key, search, t.spec.Evaluator, nil, false, nil)
+	sep, right, added = t.insert(n.children[pos], key, search, val)
 	if right == nil {
 		return sep, nil, added
 	}
-	n.keys = append(n.keys, sep)
-	copy(n.keys[idx+1:], n.keys[idx:])
-	n.keys[idx] = sep
-	n.children = append(n.children, nil)
-	copy(n.children[idx+2:], n.children[idx+1:])
-	n.children[idx+1] = right
-	if len(n.keys) <= t.cfg.BranchCap {
+	// sep is the right half's minimum: above every key before pos and
+	// below the key at pos.
+	if ks.Len() < t.spec.BranchCap {
+		ks.InsertAt(pos, sep)
+		n.children = slices.Insert(n.children, pos+1, right)
 		return sep, nil, added
 	}
-	mid := len(n.keys) / 2
-	upSep := n.keys[mid]
-	r := &node[K, V]{
-		keys:     append([]K(nil), n.keys[mid+1:]...),
-		children: append([]*node[K, V](nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	return upSep, r, added
+	// Of the overflowing keys, the first mid stay and the next moves up:
+	// it leaves the right half, which takes the children above it.
+	mid := (ks.Len() + 1) / 2
+	r := t.newNode(nil)
+	ks.SplitInsert(pos, sep, mid, r.keys())
+	up := r.keys().At(0)
+	r.keys().DeleteAt(0)
+	cs := slices.Insert(n.children, pos+1, right)
+	r.children = append([]*node[K, V, S, PS](nil), cs[mid+1:]...)
+	n.children = cs[:mid+1]
+	return up, r, added
 }
 
 // Delete removes key, reporting whether it was present.
-func (t *Tree[K, V]) Delete(key K) bool {
-	removed := t.remove(t.root, key)
+func (t *Skeleton[K, V, S, PS]) Delete(key K) bool {
+	removed := t.remove(t.root, key, kary.Prepare(key))
 	if removed {
 		t.size--
 	}
-	if !t.root.leaf() && len(t.root.keys) == 0 {
+	if !t.root.leaf() && t.root.keys().Len() == 0 {
 		t.root = t.root.children[0]
 	}
 	return removed
@@ -93,53 +90,46 @@ func (t *Tree[K, V]) Delete(key K) bool {
 
 // remove deletes key below n and repairs any child underflow on the way
 // back up.
-func (t *Tree[K, V]) remove(n *node[K, V], key K) bool {
-	if n.leaf() {
-		i := lowerBound(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
-			return false
+func (t *Skeleton[K, V, S, PS]) remove(n *node[K, V, S, PS], key K, search simd.Search) bool {
+	leaf := n.leaf()
+	pos, found := n.rank(key, search, t.spec.Evaluator, nil, leaf, nil)
+	if leaf {
+		if found {
+			n.keys().DeleteAt(pos - 1)
+			n.vals = slices.Delete(n.vals, pos-1, pos)
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return true
+		return found
 	}
-	idx := kary.UpperBound(n.keys, key)
-	removed := t.remove(n.children[idx], key)
+	removed := t.remove(n.children[pos], key, search)
 	if removed {
-		t.fixChild(n, idx)
+		t.fixChild(n, pos)
 	}
 	return removed
 }
 
 // minKeys returns the underflow threshold for a node.
-func (t *Tree[K, V]) minKeys(n *node[K, V]) int {
+func (t *Skeleton[K, V, S, PS]) minKeys(n *node[K, V, S, PS]) int {
 	if n.leaf() {
-		return t.cfg.LeafCap / 2
+		return t.spec.LeafCap / 2
 	}
-	return t.cfg.BranchCap / 2
+	return t.spec.BranchCap / 2
 }
 
 // fixChild restores the minimum fill of parent.children[i] by borrowing
 // from a sibling or merging with one.
-func (t *Tree[K, V]) fixChild(parent *node[K, V], i int) {
+func (t *Skeleton[K, V, S, PS]) fixChild(parent *node[K, V, S, PS], i int) {
 	child := parent.children[i]
 	min := t.minKeys(child)
-	if len(child.keys) >= min {
+	if child.keys().Len() >= min {
 		return
 	}
-	if i > 0 {
-		left := parent.children[i-1]
-		if len(left.keys) > min {
-			t.borrowFromLeft(parent, i)
-			return
-		}
+	if i > 0 && parent.children[i-1].keys().Len() > min {
+		t.borrowFromLeft(parent, i)
+		return
 	}
-	if i+1 < len(parent.children) {
-		right := parent.children[i+1]
-		if len(right.keys) > min {
-			t.borrowFromRight(parent, i)
-			return
-		}
+	if i+1 < len(parent.children) && parent.children[i+1].keys().Len() > min {
+		t.borrowFromRight(parent, i)
+		return
 	}
 	if i > 0 {
 		t.merge(parent, i-1)
@@ -148,167 +138,121 @@ func (t *Tree[K, V]) fixChild(parent *node[K, V], i int) {
 	}
 }
 
-func (t *Tree[K, V]) borrowFromLeft(parent *node[K, V], i int) {
+// borrowFromLeft moves the left sibling's last key (and value or child)
+// to the front of child and updates their separator in the parent: one
+// in-place delete, insert and key rewrite. A branch rotates through the
+// parent's separator so every separator stays the lower fence of its
+// right subtree.
+func (t *Skeleton[K, V, S, PS]) borrowFromLeft(parent *node[K, V, S, PS], i int) {
 	child, left := parent.children[i], parent.children[i-1]
-	last := len(left.keys) - 1
+	ck, lk, pk := child.keys(), left.keys(), parent.keys()
+	last := lk.Len() - 1
+	moved := lk.At(last)
+	lk.DeleteAt(last)
 	if child.leaf() {
-		child.keys = append([]K{left.keys[last]}, child.keys...)
-		child.vals = append([]V{left.vals[last]}, child.vals...)
-		left.keys = left.keys[:last]
-		left.vals = left.vals[:last]
-		parent.keys[i-1] = child.keys[0]
+		ck.InsertAt(0, moved)
+		child.vals = slices.Insert(child.vals, 0, left.vals[last])
+		left.vals = slices.Delete(left.vals, last, last+1)
+		pk.ReplaceAt(i-1, moved)
 		return
 	}
-	// Rotate through the parent separator so every separator stays the
-	// lower fence of its right subtree.
-	child.keys = append([]K{parent.keys[i-1]}, child.keys...)
-	parent.keys[i-1] = left.keys[last]
-	left.keys = left.keys[:last]
-	child.children = append([]*node[K, V]{left.children[len(left.children)-1]}, child.children...)
-	left.children = left.children[:len(left.children)-1]
+	ck.InsertAt(0, pk.At(i-1))
+	pk.ReplaceAt(i-1, moved)
+	lc := len(left.children) - 1
+	child.children = slices.Insert(child.children, 0, left.children[lc])
+	left.children = slices.Delete(left.children, lc, lc+1)
 }
 
-func (t *Tree[K, V]) borrowFromRight(parent *node[K, V], i int) {
+// borrowFromRight moves the right sibling's first key (and value or
+// child) to the end of child and updates their separator in the parent.
+func (t *Skeleton[K, V, S, PS]) borrowFromRight(parent *node[K, V, S, PS], i int) {
 	child, right := parent.children[i], parent.children[i+1]
+	ck, rk, pk := child.keys(), right.keys(), parent.keys()
+	moved := rk.At(0)
+	rk.DeleteAt(0)
 	if child.leaf() {
-		child.keys = append(child.keys, right.keys[0])
+		ck.InsertAt(ck.Len(), moved)
 		child.vals = append(child.vals, right.vals[0])
-		right.keys = right.keys[1:]
-		right.vals = right.vals[1:]
-		parent.keys[i] = right.keys[0]
+		right.vals = slices.Delete(right.vals, 0, 1)
+		pk.ReplaceAt(i, rk.At(0))
 		return
 	}
-	child.keys = append(child.keys, parent.keys[i])
-	parent.keys[i] = right.keys[0]
-	right.keys = right.keys[1:]
+	ck.InsertAt(ck.Len(), pk.At(i))
+	pk.ReplaceAt(i, moved)
 	child.children = append(child.children, right.children[0])
-	right.children = right.children[1:]
+	right.children = slices.Delete(right.children, 0, 1)
 }
 
-// merge combines parent.children[j] and parent.children[j+1] into the left
-// node and drops the separating key.
-func (t *Tree[K, V]) merge(parent *node[K, V], j int) {
+// merge folds parent.children[j+1] into parent.children[j] and drops the
+// right node: its keys append to the left node in place (a branch first
+// takes down their separator), and the separator leaves the parent with
+// one in-place delete. No node is rebuilt.
+func (t *Skeleton[K, V, S, PS]) merge(parent *node[K, V, S, PS], j int) {
 	left, right := parent.children[j], parent.children[j+1]
+	lk, rk, pk := left.keys(), right.keys(), parent.keys()
 	if left.leaf() {
-		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
 	} else {
-		left.keys = append(left.keys, parent.keys[j])
-		left.keys = append(left.keys, right.keys...)
+		lk.InsertAt(lk.Len(), pk.At(j))
 		left.children = append(left.children, right.children...)
 	}
-	parent.keys = append(parent.keys[:j], parent.keys[j+1:]...)
-	parent.children = append(parent.children[:j+1], parent.children[j+2:]...)
+	for i := range rk.Len() {
+		lk.InsertAt(lk.Len(), rk.At(i))
+	}
+	pk.DeleteAt(j)
+	parent.children = slices.Delete(parent.children, j+1, j+2)
 }
 
-// BulkLoad builds a tree from strictly ascending keys and their values,
-// filling every node completely — the paper's initial-filling fast path
-// (§3.2 and §5.1, "all nodes are completely filled"). It panics on
-// unsorted or duplicate keys or mismatched slice lengths.
-func BulkLoad[K keys.Key, V any](cfg Config, ks []K, vs []V) *Tree[K, V] {
-	if err := cfg.validate(); err != nil {
-		panic(err) //simdtree:allowpanic bulk-load input contract, documented above
-	}
-	if len(ks) != len(vs) {
-		panic(fmt.Sprintf("btree: %d keys but %d values", len(ks), len(vs))) //simdtree:allowpanic bulk-load input contract, documented above
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i-1] >= ks[i] {
-			panic(fmt.Sprintf("btree: bulk-load keys not strictly ascending at index %d", i)) //simdtree:allowpanic bulk-load input contract, documented above
-		}
-	}
-	t := New[K, V](cfg)
+// load fills the empty tree t with the sorted ks and vs: completely
+// filled leaves, then branch levels bottom up, each level's last node
+// topped up from its left neighbour so that only the root can be
+// underfull. Each node's store is built once, from its final keys.
+func (t *Skeleton[K, V, S, PS]) load(ks []K, vs []V) {
 	if len(ks) == 0 {
-		return t
+		t.root = t.newNode(nil)
+		t.first = t.root
+		return
 	}
-	t.size = len(ks)
-
-	// Build the sequence set: completely filled leaves, with the tail
-	// rebalanced so the last leaf never underflows.
-	var leaves []*node[K, V]
-	for off := 0; off < len(ks); off += cfg.LeafCap {
-		end := off + cfg.LeafCap
-		if end > len(ks) {
-			end = len(ks)
+	off := 0
+	var level []*node[K, V, S, PS]
+	var mins []K // mins[i] is the smallest key reachable through level[i]
+	for _, end := range runs(len(ks), t.spec.LeafCap, t.spec.LeafCap/2) {
+		n := t.newNode(ks[off:end])
+		n.vals = append([]V(nil), vs[off:end]...)
+		if len(level) > 0 {
+			level[len(level)-1].next = n
 		}
-		leaves = append(leaves, &node[K, V]{
-			keys: append([]K(nil), ks[off:end]...),
-			vals: append([]V(nil), vs[off:end]...),
-		})
+		level, mins = append(level, n), append(mins, ks[off])
+		off = end
 	}
-	rebalanceTail(leaves, cfg.LeafCap/2)
-	for i := 0; i+1 < len(leaves); i++ {
-		leaves[i].next = leaves[i+1]
-	}
-	t.first = leaves[0]
-
-	// Build branch levels bottom-up; mins[i] is the smallest key reachable
-	// through level[i].
-	level := leaves
-	mins := make([]K, len(level))
-	for i, l := range level {
-		mins[i] = l.keys[0]
-	}
+	t.first, t.size = level[0], len(ks)
 	for len(level) > 1 {
-		fanout := cfg.BranchCap + 1
-		var parents []*node[K, V]
+		off = 0
+		var parents []*node[K, V, S, PS]
 		var parentMins []K
-		for off := 0; off < len(level); off += fanout {
-			end := off + fanout
-			if end > len(level) {
-				end = len(level)
-			}
-			p := &node[K, V]{
-				children: append([]*node[K, V](nil), level[off:end]...),
-				keys:     append([]K(nil), mins[off+1:end]...),
-			}
-			parents = append(parents, p)
-			parentMins = append(parentMins, mins[off])
+		for _, end := range runs(len(level), t.spec.BranchCap+1, t.spec.BranchCap/2+1) {
+			p := t.newNode(mins[off+1 : end])
+			p.children = append([]*node[K, V, S, PS](nil), level[off:end]...)
+			parents, parentMins = append(parents, p), append(parentMins, mins[off])
+			off = end
 		}
-		fixBranchTail(parents, &parentMins, cfg.BranchCap/2)
-		level = parents
-		mins = parentMins
+		level, mins = parents, parentMins
 	}
 	t.root = level[0]
-	return t
 }
 
-// rebalanceTail moves items from the second-to-last leaf into an
-// underfull last leaf.
-func rebalanceTail[K keys.Key, V any](leaves []*node[K, V], min int) {
-	n := len(leaves)
-	if n < 2 {
-		return
+// runs cuts n ≥ 0 items into consecutive runs of size and returns their
+// ends. When there are several, the last run is topped up to at least
+// min items from the one before it.
+func runs(n, size, min int) []int {
+	var ends []int
+	for end := size; end < n; end += size {
+		ends = append(ends, end)
 	}
-	last, prev := leaves[n-1], leaves[n-2]
-	if len(last.keys) >= min {
-		return
+	ends = append(ends, n)
+	if k := len(ends); k >= 2 && n-ends[k-2] < min {
+		ends[k-2] = n - min
 	}
-	need := min - len(last.keys)
-	cut := len(prev.keys) - need
-	last.keys = append(append([]K(nil), prev.keys[cut:]...), last.keys...)
-	last.vals = append(append([]V(nil), prev.vals[cut:]...), last.vals...)
-	prev.keys = prev.keys[:cut]
-	prev.vals = prev.vals[:cut]
-}
-
-// fixBranchTail repairs an underfull last branch node by shifting children
-// from its left neighbour.
-func fixBranchTail[K keys.Key, V any](parents []*node[K, V], mins *[]K, min int) {
-	n := len(parents)
-	if n < 2 {
-		return
-	}
-	last, prev := parents[n-1], parents[n-2]
-	for len(last.keys) < min {
-		// Move prev's last child to the front of last, rotating the
-		// separator: the moved subtree's min becomes last's min.
-		movedMin := prev.keys[len(prev.keys)-1]
-		last.keys = append([]K{(*mins)[n-1]}, last.keys...)
-		(*mins)[n-1] = movedMin
-		prev.keys = prev.keys[:len(prev.keys)-1]
-		last.children = append([]*node[K, V]{prev.children[len(prev.children)-1]}, last.children...)
-		prev.children = prev.children[:len(prev.children)-1]
-	}
+	return ends
 }

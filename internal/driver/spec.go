@@ -164,11 +164,13 @@ func (s Spec) String() string {
 //
 //	read=95,write=5;dist=zipfian:0.99;clients=64
 //
-// Setting dur clears the default op budget (and vice versa), so a
-// time-bounded spec needs no explicit ops=0. The result is validated.
+// Naming any op weight replaces the default mix, so the weights a spec
+// does not name are 0: "write=100" is a write-only run. Setting dur
+// clears the default op budget (and vice versa), so a time-bounded spec
+// needs no explicit ops=0. The result is validated.
 func ParseSpec(text string) (Spec, error) {
 	s := DefaultSpec()
-	sawOps, sawDur := false, false
+	sawMix, sawOps, sawDur := false, false, false
 	for _, tok := range strings.FieldsFunc(text, func(r rune) bool { return r == ';' || r == ',' }) {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -177,6 +179,10 @@ func ParseSpec(text string) (Spec, error) {
 		name, val, ok := strings.Cut(tok, "=")
 		if !ok {
 			return Spec{}, fmt.Errorf("driver: malformed spec token %q (want key=value)", tok)
+		}
+		if !sawMix && (name == "read" || name == "write" || name == "scan" || name == "batch") {
+			s.Read, s.Write, s.Scan, s.Batch = 0, 0, 0, 0
+			sawMix = true
 		}
 		var err error
 		switch name {

@@ -48,6 +48,14 @@ func TestSpecParseRoundTrip(t *testing.T) {
 			},
 		},
 		{
+			name: "one weight named, the others zero",
+			text: "write=100;keys=1000",
+			want: func(s Spec) Spec {
+				s.Read, s.Write, s.Keys = 0, 100, 1000
+				return s
+			},
+		},
+		{
 			name: "sequential long form, interchangeable separators",
 			text: "read=1;write=1,dist=sequential,keys=42",
 			want: func(s Spec) Spec {

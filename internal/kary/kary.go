@@ -24,6 +24,7 @@ package kary
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/keys"
 	"repro/internal/simd"
@@ -77,8 +78,8 @@ type Tree[K keys.Key] struct {
 
 // Prepare broadcasts the search key v into a reusable SIMD search
 // register. A tree descent (Seg-Tree, Seg-Trie) prepares once and passes
-// the register to SearchP/LookupP at every node, hoisting the loop-
-// invariant work out of the path — the same hoisting real SSE code does.
+// the register to every node search, hoisting the loop-invariant work
+// out of the path — the same hoisting real SSE code does.
 func Prepare[K keys.Key](v K) simd.Search {
 	w := keys.Width[K]()
 	return simd.NewSearch(w, keys.OrderedBits(v))
@@ -159,6 +160,21 @@ func (t *Tree[K]) build(sorted []K, layout Layout) {
 	for s, x := range sorted {
 		keys.PutAt(t.data, int(t.slots.slot[s]), x)
 	}
+}
+
+// Reset makes t a fresh linearization of the strictly ascending keys
+// sorted, in t's layout; sorted is not retained.
+func (t *Tree[K]) Reset(sorted []K) { t.build(sorted, t.layout) }
+
+// SplitInsert inserts x at sorted index pos into the tree, whose
+// geometry is full, keeps the first mid keys and makes right a fresh
+// linearization of the others, in t's layout. Both halves are built
+// straight from the sorted keys: linearizing the overfull node first
+// would only be thrown away.
+func (t *Tree[K]) SplitInsert(pos int, x K, mid int, right *Tree[K]) {
+	ks := slices.Insert(t.AppendKeys(make([]K, 0, t.n+1)), pos, x)
+	right.build(ks[mid:], t.layout)
+	t.build(ks[:mid], t.layout)
 }
 
 // Layout reports the linearization order of the tree.

@@ -24,13 +24,7 @@ import (
 // tree level, as Algorithm 5 (breadth-first) or Algorithm 4
 // (depth-first), and evaluates each comparison with ev.
 func (t *Tree[K]) Search(v K, ev bitmask.Evaluator) int {
-	return t.SearchP(v, Prepare(v), ev)
-}
-
-// SearchP is Search with a caller-prepared search register (see Prepare),
-// so one tree descent broadcasts the key only once.
-func (t *Tree[K]) SearchP(v K, search simd.Search, ev bitmask.Evaluator) int {
-	rank, _ := t.lookup(v, search, ev, nil, false, nil)
+	rank, _ := t.lookup(v, Prepare(v), ev, nil, false, nil)
 	return rank
 }
 
@@ -42,10 +36,11 @@ func (t *Tree[K]) SearchT(v K, ev bitmask.Evaluator, tr *trace.Trace) int {
 	return t.SearchPT(v, Prepare(v), ev, tr, nil)
 }
 
-// SearchPT is SearchP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level) that adds the
-// search's §4 cost to c (nil adds nothing). It is the rank of the same
-// descent LookupPT runs.
+// SearchPT is Search with a caller-prepared search register (see
+// Prepare), so one tree descent broadcasts the key only once, and with
+// per-level trace recording into tr (nil records nothing and costs one
+// pointer comparison per level) that adds the search's §4 cost to c (nil
+// adds nothing). It is the rank of the same descent LookupPT runs.
 //
 //simdtree:hotpath
 func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) int {
@@ -60,17 +55,13 @@ func (t *Tree[K]) SearchPT(v K, search simd.Search, ev bitmask.Evaluator, tr *tr
 // callers avoid the position transformation a separate At(rank-1)
 // comparison would cost.
 func (t *Tree[K]) Lookup(v K, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.LookupP(v, Prepare(v), ev)
+	return t.lookup(v, Prepare(v), ev, nil, true, nil)
 }
 
-// LookupP is Lookup with a caller-prepared search register (see Prepare).
-func (t *Tree[K]) LookupP(v K, search simd.Search, ev bitmask.Evaluator) (rank int, found bool) {
-	return t.lookup(v, search, ev, nil, true, nil)
-}
-
-// LookupPT is LookupP with per-level trace recording into tr (nil records
-// nothing and costs one pointer comparison per level) that adds the
-// search's §4 cost to c (nil adds nothing).
+// LookupPT is Lookup with a caller-prepared search register (see
+// Prepare) and per-level trace recording into tr (nil records nothing
+// and costs one pointer comparison per level) that adds the search's §4
+// cost to c (nil adds nothing).
 //
 //simdtree:hotpath
 func (t *Tree[K]) LookupPT(v K, search simd.Search, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) (rank int, found bool) {

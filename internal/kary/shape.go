@@ -72,6 +72,20 @@ func (t *Tree[K]) RegisterStats() (total, full int) {
 	return t.stored / lanes, t.slots.fullRegisters(t.n, lanes)
 }
 
+// ShapeNode tallies the tree as one node of an enclosing structure (a
+// Seg-Tree's btree.Store, a Seg-Trie node) at the given depth of rep:
+// its stored slots, which make the §3.3 replenishment waste visible in
+// the fill degree, its 16-byte register loads, and its pads at the key
+// width. The capacity argument is unused: a k-ary node's slots are the
+// ones it stores.
+func (t *Tree[K]) ShapeNode(rep *shape.Report, depth, _ int) {
+	rep.Node(depth, t.n, t.stored)
+	rep.Register(t.RegisterStats())
+	pads := t.stored - t.n
+	rep.PaddingBytes += int64(pads * int(t.w))
+	rep.ReplenishedSlots += pads
+}
+
 // Shape implements shape.Shaper for a raw linearization: every k-ary
 // node is one level-tagged shape node and one register; padding is the
 // §3.3 replenishment.

@@ -45,7 +45,7 @@ func (t *Tree[K, V]) Serialize(w io.Writer, encodeValue func(io.Writer, V) error
 	var fixed [16]byte
 	binary.LittleEndian.PutUint32(fixed[0:], uint32(t.cfg.LeafCap))
 	binary.LittleEndian.PutUint32(fixed[4:], uint32(t.cfg.BranchCap))
-	binary.LittleEndian.PutUint64(fixed[8:], uint64(t.size))
+	binary.LittleEndian.PutUint64(fixed[8:], uint64(t.Len()))
 	if _, err := bw.Write(fixed[:]); err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func Deserialize[K keys.Key, V any](r io.Reader, decodeValue func(io.Reader) (V,
 		Layout:    kary.Layout(header[2]),
 		Evaluator: bitmask.Evaluator(header[3]),
 	}
-	if err := cfg.validate(); err != nil {
+	if err := spec[K](cfg).Check(); err != nil {
 		return nil, err
 	}
 	count := binary.LittleEndian.Uint64(fixed[8:])

@@ -26,12 +26,8 @@ func (t *Trie[K, V]) Shape() shape.Report {
 	rep.Levels = t.levels
 	var walk func(n *node[V], level int)
 	walk = func(n *node[V], level int) {
-		nk, stored := n.kt.Len(), n.kt.Stored()
-		rep.Node(level, nk, stored)
-		rep.Register(n.kt.RegisterStats())
-		rep.KeyBytes += int64(nk)
-		rep.PaddingBytes += int64(stored - nk)
-		rep.ReplenishedSlots += stored - nk
+		n.kt.ShapeNode(&rep, level, 0)
+		rep.KeyBytes += int64(n.kt.Len())
 		if level == t.levels-1 {
 			rep.PointerBytes += int64(len(n.vals)) * 8
 			return
@@ -63,12 +59,8 @@ func (t *Optimized[K, V]) Shape() shape.Report {
 		if depth+1 > rep.Levels {
 			rep.Levels = depth + 1
 		}
-		nk, stored := n.kt.Len(), n.kt.Stored()
-		rep.Node(depth, nk, stored)
-		rep.Register(n.kt.RegisterStats())
-		rep.KeyBytes += int64(nk) + int64(len(n.prefix))
-		rep.PaddingBytes += int64(stored - nk)
-		rep.ReplenishedSlots += stored - nk
+		n.kt.ShapeNode(&rep, depth, 0)
+		rep.KeyBytes += int64(n.kt.Len()) + int64(len(n.prefix))
 		rep.OmittedLevels += len(n.prefix)
 		rep.PrefixBytes += len(n.prefix)
 		if n.last() {
