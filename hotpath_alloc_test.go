@@ -9,6 +9,7 @@ import (
 
 	simdtree "repro"
 	"repro/internal/bitmask"
+	"repro/internal/btree"
 	"repro/internal/driver"
 	"repro/internal/invariants"
 	"repro/internal/kary"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
 	"repro/internal/segtree"
+	"repro/internal/shape"
 )
 
 // TestGetIsAllocationFree is the dynamic counterpart of the hotalloc
@@ -461,6 +463,66 @@ func TestPutAllocations(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per Put, want at most %.2f", tc.name, perPut, limit)
 		} else {
 			t.Logf("%s: %.3f allocations per Put", tc.name, perPut)
+		}
+	}
+}
+
+// TestMergeGrowsOnce measures one Delete that merges two half-full
+// 64-bit leaves, in a Seg-Tree and in the baseline. The left leaf's store
+// grows once to the merged size before the right leaf's keys append to
+// it, instead of regrowing through each allocator size class on the way;
+// with the rebuild of the root the merge empties, at most 2 allocations
+// remain.
+func TestMergeGrowsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate the size-class growth twice; this gate runs without -race")
+	}
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	type tree interface {
+		Put(uint64, int) bool
+		Delete(uint64) bool
+		Shape() shape.Report
+	}
+	for name, mk := range map[string]func() tree{
+		"segtree": func() tree { return segtree.NewDefault[uint64, int]() },
+		"btree":   func() tree { return btree.NewDefault[uint64, int]() },
+	} {
+		leaves := func(tr tree) (nodes, keys int) {
+			lf := tr.Shape().LevelFill
+			return lf[len(lf)-1].Nodes, lf[len(lf)-1].Keys
+		}
+		// A full root leaf split in its middle: fresh halves of 121 and
+		// 122 keys, then one delete takes the right one to 121 as well.
+		half := func() tree {
+			tr := mk()
+			const leafCap = 242
+			for i := range leafCap {
+				tr.Put(uint64(i)*2, i)
+			}
+			tr.Put(leafCap+1, -1)
+			tr.Delete((leafCap - 1) * 2)
+			if n, k := leaves(tr); n != 2 || k != 242 {
+				t.Fatalf("%s: setup has %d leaves holding %d keys, want 2 holding 242", name, n, k)
+			}
+			return tr
+		}
+		trees := []tree{half(), half()} // AllocsPerRun runs once more to warm up
+		next := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			trees[next].Delete(0)
+			next++
+		})
+		for _, tr := range trees {
+			if n, k := leaves(tr); n != 1 || k != 241 {
+				t.Fatalf("%s: after the merge %d leaves hold %d keys, want 1 holding 241", name, n, k)
+			}
+		}
+		if allocs > 2 {
+			t.Errorf("%s: merging Delete made %.0f allocations, want at most 2", name, allocs)
+		} else {
+			t.Logf("%s: merging Delete made %.0f allocations", name, allocs)
 		}
 	}
 }

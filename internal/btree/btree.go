@@ -122,6 +122,7 @@ func (s *sorted[K]) Reset(ks []K)           { s.ks = append(s.ks[:0], ks...) }
 func (s *sorted[K]) InsertAt(i int, k K)    { s.ks = slices.Insert(s.ks, i, k) }
 func (s *sorted[K]) DeleteAt(i int)         { s.ks = slices.Delete(s.ks, i, i+1) }
 func (s *sorted[K]) ReplaceAt(i int, k K)   { s.ks[i] = k }
+func (s *sorted[K]) Reserve(n int)          { s.ks = slices.Grow(s.ks, max(n-len(s.ks), 0)) }
 
 func (s *sorted[K]) SplitInsert(i int, k K, mid int, right *sorted[K]) {
 	s.ks = slices.Insert(s.ks, i, k)

@@ -48,6 +48,10 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{3, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 138, 148, 158, 168})
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 129, 130, 131, 132, 133, 0, 128})
 	f.Add([]byte{6, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 138, 148, 158, 168})
+	// An ascending run fills leaves by appends, then deletes at the right
+	// edge drain the 1-key rightmost leaf, borrow and merge.
+	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 141, 140, 139, 138, 137, 136, 135, 134, 133, 132})
+	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 141, 140, 139, 138, 137, 136, 135, 134, 133, 132})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return

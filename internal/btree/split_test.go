@@ -27,8 +27,10 @@ func checkFreshNodes(t *testing.T, tr *Skeleton[uint64, int, kary.Tree[uint64], 
 
 // TestSplitFullLeaf overflows a full 64-bit root leaf at its first, a
 // middle and its last position, for both layouts of the k-ary store and
-// for the sorted store: the halves hold 121 and 122 keys, the separator
-// is the right half's minimum, and k-ary nodes are fresh
+// for the sorted store. The first two split it into halves of 121 and
+// 122 keys. The last is an append to the rightmost leaf: the leaf keeps
+// its 242 keys and the new key starts a 1-key leaf. In each case the
+// separator is the right node's minimum and k-ary nodes are fresh
 // linearizations.
 func TestSplitFullLeaf(t *testing.T) {
 	cfg := DefaultConfig[uint64]()
@@ -42,12 +44,13 @@ func splitFullLeaf[S Stores[uint64], PS Store[uint64, S]](t *testing.T, sp Spec[
 	t.Helper()
 	const step = math.MaxUint64 / 512
 	for _, tc := range []struct {
-		name string
-		key  uint64
+		name        string
+		key         uint64
+		left, right int // keys in the two leaves afterwards
 	}{
-		{"first", 1},
-		{"middle", 121*2*step + 1},
-		{"last", math.MaxUint64},
+		{"first", 1, 121, 122},
+		{"middle", 121*2*step + 1, 121, 122},
+		{"last", math.MaxUint64, sp.LeafCap, 1},
 	} {
 		name := sp.Name + "/" + sp.Layout + "/" + tc.name
 		tr := build[uint64, int, S, PS](t, sp, nil, nil)
@@ -63,8 +66,8 @@ func splitFullLeaf[S Stores[uint64], PS Store[uint64, S]](t *testing.T, sp Spec[
 			t.Fatalf("%s: root after the split has %d keys", name, root.keys().Len())
 		}
 		l, r := root.children[0], root.children[1]
-		if l.keys().Len() != 121 || r.keys().Len() != 122 {
-			t.Fatalf("%s: halves hold %d and %d keys, want 121 and 122", name, l.keys().Len(), r.keys().Len())
+		if l.keys().Len() != tc.left || r.keys().Len() != tc.right {
+			t.Fatalf("%s: leaves hold %d and %d keys, want %d and %d", name, l.keys().Len(), r.keys().Len(), tc.left, tc.right)
 		}
 		if sep, min := root.keys().At(0), r.keys().At(0); sep != min {
 			t.Fatalf("%s: separator %d, right half starts at %d", name, sep, min)
@@ -81,6 +84,44 @@ func splitFullLeaf[S Stores[uint64], PS Store[uint64, S]](t *testing.T, sp Spec[
 		if check != nil {
 			check(t, tr)
 		}
+	}
+}
+
+// TestSplitFullLeafWithRightNeighbour overflows a full 64-bit leaf at its
+// last position while another leaf follows it, for both layouts of the
+// k-ary store and for the sorted store: only the rightmost leaf takes
+// appends whole, so this leaf still splits into halves of 121 and 122
+// keys.
+func TestSplitFullLeafWithRightNeighbour(t *testing.T) {
+	cfg := DefaultConfig[uint64]()
+	for _, layout := range kary.Layouts {
+		splitFullLeafWithRightNeighbour(t, karySpec[uint64](cfg.LeafCap, cfg.BranchCap, layout), checkFreshNodes)
+	}
+	splitFullLeafWithRightNeighbour(t, spec[uint64](cfg), nil)
+}
+
+func splitFullLeafWithRightNeighbour[S Stores[uint64], PS Store[uint64, S]](t *testing.T, sp Spec[S], check func(*testing.T, *Skeleton[uint64, int, S, PS])) {
+	t.Helper()
+	name := sp.Name + "/" + sp.Layout
+	n := 2 * sp.LeafCap
+	ks, vs := make([]uint64, n), make([]int, n)
+	for i := range ks {
+		ks[i], vs[i] = uint64(i+1)*4, i
+	}
+	tr := build[uint64, int, S, PS](t, sp, ks, vs) // two full leaves
+	key := ks[sp.LeafCap-1] + 1                    // above the first leaf's keys, below the second's
+	tr.Put(key, -1)
+	if got, want := leafCounts(tr), []int{121, 122, sp.LeafCap}; !slices.Equal(got, want) {
+		t.Fatalf("%s: leaves hold %v keys, want %v", name, got, want)
+	}
+	if v, ok := tr.Get(key); !ok || v != -1 {
+		t.Fatalf("%s: inserted key lost", name)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if check != nil {
+		check(t, tr)
 	}
 }
 

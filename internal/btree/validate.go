@@ -9,8 +9,9 @@ import (
 
 // Validate checks every structural invariant of the tree: each key
 // store's own invariants, uniform leaf depth, node fill bounds (root
-// exempt), separator fences, an intact leaf chain, and a consistent size
-// counter. It returns the first violation found.
+// exempt, and the rightmost leaf from the lower one), separator fences,
+// an intact leaf chain, and a consistent size counter. It returns the
+// first violation found.
 func (t *Skeleton[K, V, S, PS]) Validate() error {
 	type bound struct {
 		has bool
@@ -45,8 +46,14 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("%s: leaves at depths %d and %d", name, leafDepth, depth)
 			}
-			if n != t.root && nk < t.spec.LeafCap/2 {
+			// The rightmost leaf is exempt from the half-full bound: an
+			// append starts it with one key (see insert). It is never
+			// empty below the root, since a delete repair refills it.
+			switch {
+			case n != t.root && n.next != nil && nk < t.spec.LeafCap/2:
 				return fmt.Errorf("%s: leaf underflow (%d keys)", name, nk)
+			case n != t.root && nk == 0:
+				return fmt.Errorf("%s: empty rightmost leaf", name)
 			}
 			if nk > t.spec.LeafCap {
 				return fmt.Errorf("%s: leaf overflow (%d keys)", name, nk)
@@ -106,9 +113,10 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 
 // Shape implements shape.Shaper: one shape node per B+-Tree node, level 0
 // at the root. Each key store tallies its own slots, registers and
-// padding (ShapeNode); the byte split is the §5.1 accounting IndexStats
-// projects: real keys cost the key width, child and value pointers eight
-// bytes.
+// padding (ShapeNode), and every node its configured capacity, so both
+// stores report the same CapacityFill for the same node sizes. The byte
+// split is the §5.1 accounting IndexStats projects: real keys cost the
+// key width, child and value pointers eight bytes.
 func (t *Skeleton[K, V, S, PS]) Shape() shape.Report {
 	rep := shape.New(t.spec.Name)
 	rep.Keys = t.size
@@ -120,10 +128,12 @@ func (t *Skeleton[K, V, S, PS]) Shape() shape.Report {
 		rep.KeyBytes += int64(ks.Len()) * w
 		if n.leaf() {
 			ks.ShapeNode(&rep, depth, t.spec.LeafCap)
+			rep.NodeCapacity(depth, t.spec.LeafCap)
 			rep.PointerBytes += int64(len(n.vals)) * 8
 			return
 		}
 		ks.ShapeNode(&rep, depth, t.spec.BranchCap)
+		rep.NodeCapacity(depth, t.spec.BranchCap)
 		rep.PointerBytes += int64(len(n.children)) * 8
 		for _, c := range n.children {
 			walk(c, depth+1)

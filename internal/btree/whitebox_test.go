@@ -15,6 +15,8 @@ func TestValidateCatchesValueCountMismatch(t *testing.T) { validateCatches(t, "v
 func TestValidateCatchesFenceViolation(t *testing.T)     { validateCatches(t, "fence violation") }
 func TestValidateCatchesUnevenLeafDepth(t *testing.T)    { validateCatches(t, "uneven leaf depth") }
 func TestValidateCatchesOverflowingNode(t *testing.T)    { validateCatches(t, "overflowing node") }
+func TestValidateCatchesUnderfullLeaf(t *testing.T)      { validateCatches(t, "underfull leaf") }
+func TestValidateCatchesEmptyRightmostLeaf(t *testing.T) { validateCatches(t, "empty rightmost leaf") }
 
 // validateCatches applies the named damage to a small valid tree of each
 // key store; Validate must reject every result.
@@ -65,6 +67,17 @@ func damages[S Stores[uint32], PS Store[uint32, S]]() map[string]func(*Skeleton[
 			root := tr.root
 			root.children[len(root.children)-1] = leaf
 		},
+		"underfull leaf": func(tr *Skeleton[uint32, int, S, PS]) {
+			// Only the rightmost leaf may hold fewer than LeafCap/2 keys.
+			trimLeaf(tr, tr.first, 1)
+		},
+		"empty rightmost leaf": func(tr *Skeleton[uint32, int, S, PS]) {
+			last := tr.first
+			for last.next != nil {
+				last = last.next
+			}
+			trimLeaf(tr, last, 0)
+		},
 		"overflowing node": func(tr *Skeleton[uint32, int, S, PS]) {
 			ks := tr.first.keys().AppendKeys(nil)
 			for i := 0; i < 10; i++ {
@@ -77,5 +90,15 @@ func damages[S Stores[uint32], PS Store[uint32, S]]() map[string]func(*Skeleton[
 			}
 			tr.size += 10
 		},
+	}
+}
+
+// trimLeaf deletes the leaf's largest keys until it holds keep, keeping
+// its values and the size counter consistent.
+func trimLeaf[S Stores[uint32], PS Store[uint32, S]](tr *Skeleton[uint32, int, S, PS], l *node[uint32, int, S, PS], keep int) {
+	for n := l.keys().Len(); n > keep; n-- {
+		l.keys().DeleteAt(n - 1)
+		l.vals = l.vals[:n-1]
+		tr.size--
 	}
 }

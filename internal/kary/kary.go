@@ -133,28 +133,23 @@ func BuildChecked[K keys.Key](sorted []K, layout Layout) (*Tree[K], error) {
 // Seg-Tree) that maintain sorted keys themselves.
 func BuildUnchecked[K keys.Key](sorted []K, layout Layout) *Tree[K] {
 	t := &Tree[K]{}
-	t.build(sorted, layout)
+	t.build(sorted, layout, nil)
 	return t
 }
 
 // build makes t a fresh linearization of sorted: every slot of the
 // storage starts as a pad holding S_max, then each key is written to its
-// slot through the geometry's slot map.
-func (t *Tree[K]) build(sorted []K, layout Layout) {
+// slot through the geometry's slot map. The linearization is written into
+// storage's array when it fits there (storage may be t's own, emptied),
+// else into a new one.
+func (t *Tree[K]) build(sorted []K, layout Layout, storage []byte) {
 	k, w, n := keys.K[K](), keys.Width[K](), len(sorted)
-	*t = Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1)}
+	*t = Tree[K]{layout: layout, n: n, w: uint8(w), k: uint8(k), lanes: uint8(k - 1), data: storage[:0]}
 	if n == 0 {
 		return
 	}
-	t.r = levels(n, k)
-	t.smax = sorted[n-1]
-	g := geometry{layout: layout, k: k, r: t.r}
-	if layout == BreadthFirst {
-		// Complete tree: upper r−1 levels are full (k^(r−1)−1 keys), the
-		// last level holds m left-packed nodes.
-		t.m = (n - pow(k, t.r-1) + k - 1) / (k - 1)
-		g.m = t.m
-	}
+	g := geometryOf[K](n, layout)
+	t.r, t.m, t.smax = g.r, g.m, sorted[n-1]
 	t.slots = slotsFor(g)
 	t.resize(int(t.slots.bound[n]))
 	for s, x := range sorted {
@@ -162,9 +157,37 @@ func (t *Tree[K]) build(sorted []K, layout Layout) {
 	}
 }
 
+// geometryOf returns the geometry a fresh Build of n > 0 keys of type K
+// has in layout. A breadth-first tree is complete: its upper r−1 levels
+// are full (k^(r−1)−1 keys) and its last level holds m left-packed
+// nodes.
+func geometryOf[K keys.Key](n int, layout Layout) geometry {
+	k := keys.K[K]()
+	g := geometry{layout: layout, k: k, r: levels(n, k)}
+	if layout == BreadthFirst {
+		g.m = (n - pow(k, g.r-1) + k - 1) / (k - 1)
+	}
+	return g
+}
+
+// Reserve makes the storage large enough for n keys, so that inserts
+// growing the tree to n keys allocate no storage, geometry changes
+// included: a fresh Build's storage only grows with its key count.
+func (t *Tree[K]) Reserve(n int) {
+	if n <= t.n {
+		return
+	}
+	need := int(slotsFor(geometryOf[K](n, t.layout)).bound[n]) * keys.Width[K]()
+	if need > cap(t.data) {
+		grown := sizeClassed(need)[:len(t.data)]
+		copy(grown, t.data)
+		t.data = grown
+	}
+}
+
 // Reset makes t a fresh linearization of the strictly ascending keys
 // sorted, in t's layout; sorted is not retained.
-func (t *Tree[K]) Reset(sorted []K) { t.build(sorted, t.layout) }
+func (t *Tree[K]) Reset(sorted []K) { t.build(sorted, t.layout, nil) }
 
 // SplitInsert inserts x at sorted index pos into the tree, whose
 // geometry is full, keeps the first mid keys and makes right a fresh
@@ -173,8 +196,8 @@ func (t *Tree[K]) Reset(sorted []K) { t.build(sorted, t.layout) }
 // would only be thrown away.
 func (t *Tree[K]) SplitInsert(pos int, x K, mid int, right *Tree[K]) {
 	ks := slices.Insert(t.AppendKeys(make([]K, 0, t.n+1)), pos, x)
-	right.build(ks[mid:], t.layout)
-	t.build(ks[:mid], t.layout)
+	right.build(ks[mid:], t.layout, nil)
+	t.build(ks[:mid], t.layout, nil)
 }
 
 // Layout reports the linearization order of the tree.

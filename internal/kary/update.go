@@ -42,7 +42,9 @@ func (t *Tree[K]) InsertAt(pos int, x K) {
 			"kary: InsertAt(%d, %v) is not the rank of an absent key", pos, x)
 	}
 	if t.slots == nil || n == len(t.slots.slot) {
-		t.build(slices.Insert(t.Keys(), pos, x), t.layout)
+		// A geometry change rebuilds the node in the storage it has, so
+		// room a Reserve made is kept.
+		t.build(slices.Insert(t.Keys(), pos, x), t.layout, t.data)
 		return
 	}
 	t.resize(int(t.slots.bound[n+1]))
@@ -70,7 +72,7 @@ func (t *Tree[K]) Delete(x K) bool {
 func (t *Tree[K]) DeleteAt(pos int) {
 	n := t.n
 	if n-1 < t.slots.minN {
-		t.build(slices.Delete(t.Keys(), pos, pos+1), t.layout)
+		t.build(slices.Delete(t.Keys(), pos, pos+1), t.layout, nil)
 		return
 	}
 	v, path := t.view(), t.slots.slot[pos:n]

@@ -1,11 +1,15 @@
 package kary
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
+
+	"repro/internal/keys"
 )
 
 func TestInsertAscendingUsesFastPathAndStaysCorrect(t *testing.T) {
@@ -172,5 +176,53 @@ func TestAppendGrowsBySizeClass(t *testing.T) {
 	t.Logf("storage replaced %d times", replaced)
 	if fresh := Build(tree.Keys(), DepthFirst); !reflect.DeepEqual(tree.Linearized(), fresh.Linearized()) {
 		t.Fatal("appended node differs from a fresh Build")
+	}
+}
+
+// TestReserveKeepsStorage reserves room for a Table 3 node's keys and
+// grows the tree to them, by appends and by inserts at random ranks, in
+// both layouts: the storage array is never replaced, geometry changes
+// included, and the node stays byte-identical to a fresh Build. A
+// Reserve on a tree with keys keeps them.
+func TestReserveKeepsStorage(t *testing.T) {
+	reserveKeepsStorage[uint64](t, 242)
+	reserveKeepsStorage[uint32](t, 338)
+	reserveKeepsStorage[uint8](t, 254)
+}
+
+func reserveKeepsStorage[K keys.Key](t *testing.T, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	for _, layout := range Layouts {
+		for _, order := range []string{"append", "random"} {
+			name := fmt.Sprintf("%d-bit/%v/%s", 8*keys.Width[K](), layout, order)
+			tree := BuildUnchecked[K](nil, layout)
+			tree.Reserve(n)
+			reserved := unsafe.SliceData(tree.data)
+			var ks []K
+			for len(ks) < n {
+				x := K(rng.Uint64())
+				if order == "append" {
+					x = K(len(ks))
+				}
+				pos, found := slices.BinarySearch(ks, x)
+				if found {
+					continue
+				}
+				tree.InsertAt(pos, x)
+				ks = slices.Insert(ks, pos, x)
+				if unsafe.SliceData(tree.data) != reserved {
+					t.Fatalf("%s: storage replaced at %d keys", name, len(ks))
+				}
+			}
+			if fresh := Build(ks, layout); !reflect.DeepEqual(tree.Linearized(), fresh.Linearized()) {
+				t.Fatalf("%s: reserved node differs from a fresh Build", name)
+			}
+			tree.DeleteAt(0)
+			tree.Reserve(2 * n)
+			if err := tree.Validate(); err != nil || !slices.Equal(tree.Keys(), ks[1:]) {
+				t.Fatalf("%s: Reserve on a tree with keys lost them (%v)", name, err)
+			}
+		}
 	}
 }

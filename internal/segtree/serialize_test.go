@@ -28,6 +28,49 @@ func decInt(r io.Reader) (int, error) {
 	return int(binary.LittleEndian.Uint64(b[:])), nil
 }
 
+// TestSerializeRoundTripOneKeyRightmostLeaf round-trips an appended tree
+// whose rightmost leaf holds a single key: the restored tree is
+// bulk-loaded, so its two leaves share the keys, and it holds the same
+// items in the same order.
+func TestSerializeRoundTripOneKeyRightmostLeaf(t *testing.T) {
+	cfg := DefaultConfig[uint64]()
+	tr := New[uint64, int](cfg)
+	n := cfg.LeafCap + 1
+	for i := range n {
+		tr.Put(uint64(i)*5, i)
+	}
+	// A full 64-bit depth-first leaf stores its 242 keys in 242 slots, a
+	// 1-key leaf stores one 2-lane register.
+	if lf := tr.Shape().LevelFill; len(lf) != 2 || lf[1].Nodes != 2 || lf[1].Slots != cfg.LeafCap+2 {
+		t.Fatalf("appended tree levels %+v, want a full leaf and a 1-key leaf", lf)
+	}
+	var buf bytes.Buffer
+	if err := tr.Serialize(&buf, encInt); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Deserialize[uint64, int](&buf, decInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n || got.Config() != cfg {
+		t.Fatalf("restored len %d config %+v, want %d %+v", got.Len(), got.Config(), n, cfg)
+	}
+	i := 0
+	got.Ascend(func(k uint64, v int) bool {
+		if k != uint64(i)*5 || v != i {
+			t.Fatalf("item %d: got %d=%d", i, k, v)
+		}
+		i++
+		return true
+	})
+	if i != n {
+		t.Fatalf("restored tree ascends %d items, want %d", i, n)
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	cfg := Config{LeafCap: 9, BranchCap: 7, Layout: kary.DepthFirst, Evaluator: bitmask.SwitchCase}
 	tr := New[int32, int](cfg)

@@ -54,6 +54,11 @@ type LevelFill struct {
 	Slots int `json:"slots"`
 	// Fill is Keys/Slots.
 	Fill float64 `json:"fill"`
+	// Capacity sums the configured key capacities of the level's nodes
+	// (0 where nodes have none).
+	Capacity int `json:"capacity,omitempty"`
+	// CapacityFill is Keys/Capacity.
+	CapacityFill float64 `json:"capacity_fill,omitempty"`
 }
 
 // Report is the structure-independent shape summary. Counts and byte
@@ -87,6 +92,15 @@ type Report struct {
 	Slots int `json:"slots"`
 	// FillDegree is SlotKeys/Slots — the paper's §6 fill-degree axis.
 	FillDegree float64 `json:"fill_degree"`
+	// Capacity sums the configured key capacities of the nodes, for
+	// structures whose nodes have one (the B+-Trees' LeafCap and
+	// BranchCap); 0 for the others. Slots can differ from it: a k-ary
+	// node stores only the slots its keys need.
+	Capacity int `json:"capacity,omitempty"`
+	// CapacityFill is SlotKeys/Capacity: how full the nodes are against
+	// what they may hold, the classic B-Tree fill factor. A half-full
+	// k-ary node reads about 0.5 here even where FillDegree is near 1.
+	CapacityFill float64 `json:"capacity_fill,omitempty"`
 
 	// KeyBytes is storage holding real keys (stored prefixes included).
 	KeyBytes int64 `json:"key_bytes"`
@@ -138,14 +152,26 @@ func (r *Report) Node(level, keys, slots int) {
 	r.Nodes++
 	r.SlotKeys += keys
 	r.Slots += slots
-	for len(r.LevelFill) <= level {
-		r.LevelFill = append(r.LevelFill, LevelFill{Level: len(r.LevelFill)})
-	}
-	lf := &r.LevelFill[level]
+	lf := r.level(level)
 	lf.Nodes++
 	lf.Keys += keys
 	lf.Slots += slots
 	r.FillHistogram[fillBucket(keys, slots)]++
+}
+
+// NodeCapacity tallies the configured key capacity of one node on the
+// given level, beside its Node call.
+func (r *Report) NodeCapacity(level, capacity int) {
+	r.Capacity += capacity
+	r.level(level).Capacity += capacity
+}
+
+// level returns the level's entry of LevelFill, adding levels up to it.
+func (r *Report) level(level int) *LevelFill {
+	for len(r.LevelFill) <= level {
+		r.LevelFill = append(r.LevelFill, LevelFill{Level: len(r.LevelFill)})
+	}
+	return &r.LevelFill[level]
 }
 
 // fillBucket maps a node's fill ratio to its histogram decile.
@@ -181,6 +207,7 @@ func (r *Report) Finalize() Report {
 	} else {
 		r.FillDegree = 0
 	}
+	r.CapacityFill = ratio(r.SlotKeys, r.Capacity)
 	if r.Registers > 0 {
 		r.RegisterUtilization = float64(r.FullRegisters) / float64(r.Registers)
 	} else {
@@ -191,8 +218,17 @@ func (r *Report) Finalize() Report {
 		if lf.Slots > 0 {
 			lf.Fill = float64(lf.Keys) / float64(lf.Slots)
 		}
+		lf.CapacityFill = ratio(lf.Keys, lf.Capacity)
 	}
 	return *r
+}
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b int) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 // Merge accumulates o into r — the per-shard aggregation of the Sharded
@@ -207,6 +243,7 @@ func (r *Report) Merge(o Report) {
 	r.Nodes += o.Nodes
 	r.SlotKeys += o.SlotKeys
 	r.Slots += o.Slots
+	r.Capacity += o.Capacity
 	r.KeyBytes += o.KeyBytes
 	r.PointerBytes += o.PointerBytes
 	r.PaddingBytes += o.PaddingBytes
@@ -220,13 +257,11 @@ func (r *Report) Merge(o Report) {
 		r.FillHistogram[i] += o.FillHistogram[i]
 	}
 	for _, lf := range o.LevelFill {
-		for len(r.LevelFill) <= lf.Level {
-			r.LevelFill = append(r.LevelFill, LevelFill{Level: len(r.LevelFill)})
-		}
-		dst := &r.LevelFill[lf.Level]
+		dst := r.level(lf.Level)
 		dst.Nodes += lf.Nodes
 		dst.Keys += lf.Keys
 		dst.Slots += lf.Slots
+		dst.Capacity += lf.Capacity
 	}
 }
 
@@ -239,11 +274,19 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, " shards=%d", r.Shards)
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "fill: degree=%.4f slots=%d/%d histogram=%v\n",
+	fmt.Fprintf(&b, "fill: degree=%.4f slots=%d/%d histogram=%v",
 		r.FillDegree, r.SlotKeys, r.Slots, r.FillHistogram)
+	if r.Capacity > 0 {
+		fmt.Fprintf(&b, " capacity-fill=%.4f", r.CapacityFill)
+	}
+	b.WriteByte('\n')
 	for _, lf := range r.LevelFill {
-		fmt.Fprintf(&b, "  level %d: nodes=%d keys=%d/%d fill=%.4f\n",
+		fmt.Fprintf(&b, "  level %d: nodes=%d keys=%d/%d fill=%.4f",
 			lf.Level, lf.Nodes, lf.Keys, lf.Slots, lf.Fill)
+		if lf.Capacity > 0 {
+			fmt.Fprintf(&b, " capacity=%d capacity-fill=%.4f", lf.Capacity, lf.CapacityFill)
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "memory: total=%d key=%d pointer=%d padding=%d bytes/key=%.2f\n",
 		r.TotalBytes, r.KeyBytes, r.PointerBytes, r.PaddingBytes, r.BytesPerKey)

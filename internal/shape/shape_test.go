@@ -159,3 +159,37 @@ func TestStringAndJSON(t *testing.T) {
 		t.Errorf("JSON round trip mismatch: got %+v", back)
 	}
 }
+
+// TestCapacityFill tallies configured capacities beside the slots: the
+// capacity fill reads keys over capacity per level and overall, merges
+// across reports, and stays 0 for nodes without a capacity.
+func TestCapacityFill(t *testing.T) {
+	rep := New("btree")
+	rep.Node(0, 1, 2)
+	rep.NodeCapacity(0, 4)
+	rep.Node(1, 4, 4)
+	rep.NodeCapacity(1, 4)
+	rep.Node(1, 2, 2) // a k-ary node stores only the slots its keys need
+	rep.NodeCapacity(1, 4)
+	rep.Finalize()
+	if rep.Capacity != 12 || rep.CapacityFill != 7.0/12.0 || rep.FillDegree != 7.0/8.0 {
+		t.Errorf("capacity %d fill %v degree %v, want 12, 7/12, 7/8", rep.Capacity, rep.CapacityFill, rep.FillDegree)
+	}
+	if lf := rep.LevelFill[1]; lf.Capacity != 8 || lf.CapacityFill != 0.75 {
+		t.Errorf("level 1 = %+v, want capacity 8 and capacity fill 0.75", lf)
+	}
+	if s := rep.String(); !strings.Contains(s, "capacity-fill=0.5833") || !strings.Contains(s, "capacity=8 capacity-fill=0.7500") {
+		t.Errorf("String() lacks the capacity fill:\n%s", s)
+	}
+	m := New("sharded")
+	m.Merge(rep)
+	m.Merge(rep)
+	if m.Finalize(); m.Capacity != 24 || m.LevelFill[1].Capacity != 16 || m.CapacityFill != rep.CapacityFill {
+		t.Errorf("merged capacity %d/%d fill %v", m.Capacity, m.LevelFill[1].Capacity, m.CapacityFill)
+	}
+	trie := New("segtrie")
+	trie.Node(0, 3, 16)
+	if trie.Finalize(); trie.CapacityFill != 0 || strings.Contains(trie.String(), "capacity") {
+		t.Errorf("a report without capacities reads capacity fill %v:\n%s", trie.CapacityFill, trie.String())
+	}
+}
