@@ -160,7 +160,7 @@ func (p *parts[K, V]) GetBatchInto(ks []K, vals []V, found []bool) {
 		tree, slot := p.trees[part], (*epochSlot)(nil)
 		if p.live != nil {
 			var v *version[K, V]
-			v, slot = p.live[part].pin()
+			v, slot = p.live[part].pin(readerSlotHint())
 			tree = v.tree
 		}
 		for _, i := range r.order[lo:hi] {

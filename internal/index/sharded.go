@@ -103,7 +103,7 @@ func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 		slots: make([]*epochSlot, len(s.shards)),
 	}
 	for i, sh := range s.shards {
-		v, sl := sh.pin()
+		v, sl := sh.pin(readerSlotHint())
 		snap.trees[i] = v.tree
 		snap.seqs[i] = v.seq
 		snap.slots[i] = sl

@@ -291,6 +291,43 @@ func TestShardedLoadClaimsNoSlots(t *testing.T) {
 	}
 }
 
+// TestShapeReusesOneSlot: the shape walks behind /stats and /metrics pin
+// from one fixed slot, so renders from any goroutine or stack depth claim
+// one slot between them and claimed_slots does not move between renders.
+func TestShapeReusesOneSlot(t *testing.T) {
+	ix := newVersionedSegTree()
+	for i := uint32(0); i < 500; i++ {
+		ix.Put(i, int(i))
+	}
+	var deep func(depth int)
+	deep = func(depth int) {
+		var pad [256]byte
+		if depth > 0 {
+			deep(depth - 1)
+			return
+		}
+		_ = ix.Shape()
+		_ = ix.IndexStats()
+		_ = pad
+	}
+	_ = ix.Shape()
+	want := ix.MVCCInfo().ClaimedSlots
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for depth := 0; depth < 40; depth += 3 {
+				deep(depth)
+			}
+		}()
+		wg.Wait()
+	}
+	if got := ix.MVCCInfo().ClaimedSlots; want == 0 || got != want {
+		t.Fatalf("ClaimedSlots after one shape walk %d, after many %d: want the same, non-zero", want, got)
+	}
+}
+
 // FuzzVersionedOps checks Versioned against a map model on all four
 // structures. The script is a list of (op, key) byte pairs: Put, Delete
 // (hit or miss), Snapshot and Release, run in one goroutine. After every
