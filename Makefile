@@ -55,7 +55,8 @@ FUZZ_TARGETS = \
 	./internal/btree:FuzzTreeOps \
 	./internal/segtree:FuzzDeserialize \
 	./internal/segtrie:FuzzTrieOps \
-	./internal/simd:FuzzCompareKernels
+	./internal/simd:FuzzCompareKernels \
+	./internal/reqtrace:FuzzParseTraceparent
 
 SERVE_ARGS ?= -structure opt-segtrie -shards 16 -preload 100000
 

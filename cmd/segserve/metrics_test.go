@@ -242,3 +242,44 @@ func TestCapacityFillExported(t *testing.T) {
 		t.Errorf("a Seg-Trie server's /stats reports shape_capacity_fill:\n%s", stats)
 	}
 }
+
+// TestLaneNodesExported preloads a Seg-Tree server with consecutive keys
+// and reads the shape_lane_nodes family from /stats and /metrics: every
+// leaf of dense keys searches 1-byte lanes, and the family has one TYPE
+// line and one row per width. A baseline B+-Tree server exports none.
+func TestLaneNodesExported(t *testing.T) {
+	s, err := newServer(serverConfig{structure: "segtree", shards: 1, preload: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+	_, stats := get(t, ts.URL+"/stats")
+	var narrow float64
+	for _, line := range strings.Split(stats, "\n") {
+		if v, ok := strings.CutPrefix(line, "shape_lane_nodes_w1 "); ok {
+			narrow, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if narrow < 5000/242 {
+		t.Errorf("/stats shape_lane_nodes_w1 = %v, want every leaf of 5,000 dense keys:\n%s", narrow, stats)
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	if n := strings.Count(metrics, "# TYPE segserve_shape_lane_nodes gauge"); n != 1 {
+		t.Errorf("/metrics has %d TYPE lines for segserve_shape_lane_nodes, want 1", n)
+	}
+	for _, w := range []string{"1", "2", "4", "8"} {
+		if !strings.Contains(metrics, `segserve_shape_lane_nodes{width="`+w+`"} `) {
+			t.Errorf("/metrics lacks the width=%s lane-node row", w)
+		}
+	}
+	b, err := newServer(serverConfig{structure: "btree", shards: 1, preload: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := httptest.NewServer(b.mux())
+	defer bs.Close()
+	if _, stats := get(t, bs.URL+"/stats"); strings.Contains(stats, "shape_lane_nodes") {
+		t.Errorf("a B+-Tree server's /stats reports lane nodes:\n%s", stats)
+	}
+}

@@ -294,8 +294,8 @@ func nodeSearchAllocs[K keys.Key](t *testing.T, name string, n int) {
 				node.Search(miss, ev)
 				node.Lookup(hit, ev)
 				node.Lookup(miss, ev)
-				node.SearchPT(hit, kary.Prepare(hit), ev, nil, &c)
-				node.LookupPT(miss, kary.Prepare(miss), ev, nil, &c)
+				node.SearchPT(hit, new(kary.Register), ev, nil, &c)
+				node.LookupPT(miss, new(kary.Register), ev, nil, &c)
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%v/%v: node search allocates %.1f times per hit+miss pair", name, layout, ev, allocs)
@@ -463,6 +463,37 @@ func TestPutAllocations(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per Put, want at most %.2f", tc.name, perPut, limit)
 		} else {
 			t.Logf("%s: %.3f allocations per Put", tc.name, perPut)
+		}
+	}
+}
+
+// TestAscendingPutAllocationsBothLayouts loads 20,000 ascending 64-bit
+// keys by Put into Seg-Trees of both layouts and both lane policies. A
+// breadth-first node changes geometry every k−1 keys; the rebuild moves
+// its lanes through a stack buffer, not a key list, so both layouts stay
+// near one allocation per filled leaf (about 0.02 per Put) instead of
+// about one per Put.
+func TestAscendingPutAllocationsBothLayouts(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	const n = 20000
+	const limit = 0.1
+	for _, layout := range kary.Layouts {
+		for _, lanes := range []kary.LanePolicy{kary.KeyLanes, kary.NarrowLanes} {
+			cfg := segtree.DefaultConfig[uint64]()
+			cfg.Layout, cfg.Lanes = layout, lanes
+			allocs := testing.AllocsPerRun(1, func() {
+				tr := segtree.New[uint64, int](cfg)
+				for i := 0; i < n; i++ {
+					tr.Put(uint64(i)<<24, i)
+				}
+			})
+			if perPut := allocs / n; perPut > limit {
+				t.Errorf("%v %v lanes: %.3f allocations per Put, want at most %.2f", layout, lanes, perPut, limit)
+			} else {
+				t.Logf("%v %v lanes: %.3f allocations per Put", layout, lanes, perPut)
+			}
 		}
 	}
 }

@@ -160,8 +160,10 @@ func (s *sorted[K]) Validate() error {
 }
 
 // ShapeNode tallies the node with its configured capacity as its slots —
-// the classic B-Tree fill-factor denominator. The baseline performs no
-// SIMD loads, so registers, padding and replenishment stay zero.
+// the classic B-Tree fill-factor denominator — and its keys at the key
+// width. The baseline performs no SIMD loads, so registers, lanes,
+// padding and replenishment stay zero.
 func (s *sorted[K]) ShapeNode(rep *shape.Report, depth, capacity int) {
 	rep.Node(depth, len(s.ks), capacity)
+	rep.KeyBytes += int64(len(s.ks) * keys.Width[K]())
 }

@@ -23,6 +23,13 @@ func karySpec[K keys.Key](leafCap, branchCap int, layout kary.Layout) Spec[kary.
 	}
 }
 
+// narrowSpec is karySpec with NarrowLanes key stores.
+func narrowSpec[K keys.Key](leafCap, branchCap int, layout kary.Layout) Spec[kary.Tree[K]] {
+	sp := karySpec[K](leafCap, branchCap, layout)
+	sp.Empty = kary.Empty[K](layout, kary.NarrowLanes)
+	return sp
+}
+
 // build is Build for specs the test knows to be valid.
 func build[K keys.Key, V any, S Stores[K], PS Store[K, S]](t *testing.T, sp Spec[S], ks []K, vs []V) *Skeleton[K, V, S, PS] {
 	t.Helper()
@@ -37,10 +44,12 @@ func build[K keys.Key, V any, S Stores[K], PS Store[K, S]](t *testing.T, sp Spec
 // a reference map. The first byte picks the key store (bit 2: the
 // baseline's sorted slice, else a k-ary tree whose layout is bit 0) and
 // the key type (bit 1: uint8 keys, or uint64 keys spread evenly over the
-// whole 64-bit range); every later byte is a Put (high bit clear) or a
-// Delete of one of 128 keys. The structural invariants are checked after
-// every operation that changes the node count — each split, merge and
-// root change — and at the end.
+// whole 64-bit range); bit 3 makes the k-ary stores NarrowLanes, with
+// int32 keys across zero whose node spans cross 2^8 and 2^16 (bit 1
+// clear) or uint64 keys whose spans cross 2^32 (bit 1 set). Every later
+// byte is a Put (high bit clear) or a Delete of one of 128 keys. The
+// structural invariants are checked after every operation that changes
+// the node count — each split, merge and root change — and at the end.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 128, 1, 64, 200, 255})
 	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 129, 130, 131, 132, 133})
@@ -52,6 +61,9 @@ func FuzzTreeOps(f *testing.F) {
 	// edge drain the 1-key rightmost leaf, borrow and merge.
 	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 141, 140, 139, 138, 137, 136, 135, 134, 133, 132})
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 141, 140, 139, 138, 137, 136, 135, 134, 133, 132})
+	// Narrow stores: an ascending run, then deletes from the left edge.
+	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 129, 130, 131, 132, 133, 134, 135, 136})
+	f.Add([]byte{11, 127, 1, 126, 2, 125, 3, 124, 64, 65, 66, 67, 68, 255, 129, 254, 130, 253})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -59,7 +71,11 @@ func FuzzTreeOps(f *testing.F) {
 		small := func(b byte) uint8 { return b }
 		wide := func(b byte) uint64 { return uint64(b) * (math.MaxUint64 / 127) }
 		layout := kary.Layouts[ops[0]&1]
-		switch sortedStore, wideKeys := ops[0]&4 != 0, ops[0]&2 != 0; {
+		switch sortedStore, wideKeys, narrow := ops[0]&4 != 0, ops[0]&2 != 0, ops[0]&8 != 0; {
+		case narrow && wideKeys:
+			fuzzTreeOps(t, narrowSpec[uint64](4, 4, layout), ops[1:], func(b byte) uint64 { return 1<<40 + uint64(b)<<26 })
+		case narrow:
+			fuzzTreeOps(t, narrowSpec[int32](4, 4, layout), ops[1:], func(b byte) int32 { return (int32(b) - 64) * 3 << (b & 15) })
 		case sortedStore && wideKeys:
 			fuzzTreeOps(t, spec[uint64](Config{LeafCap: 4, BranchCap: 4}), ops[1:], wide)
 		case sortedStore:

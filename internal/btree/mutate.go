@@ -4,13 +4,13 @@ import (
 	"slices"
 
 	"repro/internal/kary"
-	"repro/internal/simd"
 )
 
 // Put stores val under key, returning true when the key was newly inserted
 // and false when an existing value was replaced.
 func (t *Skeleton[K, V, S, PS]) Put(key K, val V) bool {
-	sep, right, added := t.insert(t.root, key, kary.Prepare(key), val)
+	var reg kary.Register
+	sep, right, added := t.insert(t.root, key, &reg, val)
 	if right != nil {
 		root := t.newNode([]K{sep})
 		root.children = []*node[K, V, S, PS]{t.root, right}
@@ -24,12 +24,12 @@ func (t *Skeleton[K, V, S, PS]) Put(key K, val V) bool {
 
 // insert descends to the leaf, inserts, and propagates splits upward.
 // When the visited child splits, the new right sibling and its separator
-// (the smallest key reachable through it) are returned. search is key's
-// prepared register, broadcast once per Put.
-func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, search simd.Search, val V) (sep K, right *node[K, V, S, PS], added bool) {
+// (the smallest key reachable through it) are returned. reg is the
+// descent's search register (see node.rank).
+func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, reg *kary.Register, val V) (sep K, right *node[K, V, S, PS], added bool) {
 	ks := n.keys()
 	if n.leaf() {
-		pos, found := n.rank(key, search, t.spec.Evaluator, nil, true, nil)
+		pos, found := n.rank(key, reg, t.spec.Evaluator, nil, true, nil)
 		if found {
 			n.vals[pos-1] = val
 			return sep, nil, false
@@ -43,9 +43,11 @@ func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, search simd.
 			// An append to the rightmost leaf (§3.2 continuous filling):
 			// the full leaf stays full and the key starts a new rightmost
 			// leaf, with room to fill up to LeafCap without regrowing.
+			// The key goes in first, so a k-ary store reserves at the
+			// lane width its key picks.
 			r := t.newNode(nil)
-			r.keys().Reserve(t.spec.LeafCap)
 			r.keys().InsertAt(0, key)
+			r.keys().Reserve(t.spec.LeafCap)
 			r.vals = append(make([]V, 0, t.spec.LeafCap), val)
 			n.next = r
 			return key, r, true
@@ -62,8 +64,8 @@ func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, search simd.
 		return r.keys().At(0), r, true
 	}
 
-	pos, _ := n.rank(key, search, t.spec.Evaluator, nil, false, nil)
-	sep, right, added = t.insert(n.children[pos], key, search, val)
+	pos, _ := n.rank(key, reg, t.spec.Evaluator, nil, false, nil)
+	sep, right, added = t.insert(n.children[pos], key, reg, val)
 	if right == nil {
 		return sep, nil, added
 	}
@@ -89,7 +91,8 @@ func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, search simd.
 
 // Delete removes key, reporting whether it was present.
 func (t *Skeleton[K, V, S, PS]) Delete(key K) bool {
-	removed := t.remove(t.root, key, kary.Prepare(key))
+	var reg kary.Register
+	removed := t.remove(t.root, key, &reg)
 	if removed {
 		t.size--
 	}
@@ -101,9 +104,9 @@ func (t *Skeleton[K, V, S, PS]) Delete(key K) bool {
 
 // remove deletes key below n and repairs any child underflow on the way
 // back up.
-func (t *Skeleton[K, V, S, PS]) remove(n *node[K, V, S, PS], key K, search simd.Search) bool {
+func (t *Skeleton[K, V, S, PS]) remove(n *node[K, V, S, PS], key K, reg *kary.Register) bool {
 	leaf := n.leaf()
-	pos, found := n.rank(key, search, t.spec.Evaluator, nil, leaf, nil)
+	pos, found := n.rank(key, reg, t.spec.Evaluator, nil, leaf, nil)
 	if leaf {
 		if found {
 			n.keys().DeleteAt(pos - 1)
@@ -111,7 +114,7 @@ func (t *Skeleton[K, V, S, PS]) remove(n *node[K, V, S, PS], key K, search simd.
 		}
 		return found
 	}
-	removed := t.remove(n.children[pos], key, search)
+	removed := t.remove(n.children[pos], key, reg)
 	if removed {
 		t.fixChild(n, pos)
 	}

@@ -3,7 +3,6 @@ package btree
 import (
 	"fmt"
 
-	"repro/internal/keys"
 	"repro/internal/shape"
 )
 
@@ -112,20 +111,19 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 }
 
 // Shape implements shape.Shaper: one shape node per B+-Tree node, level 0
-// at the root. Each key store tallies its own slots, registers and
-// padding (ShapeNode), and every node its configured capacity, so both
-// stores report the same CapacityFill for the same node sizes. The byte
-// split is the §5.1 accounting IndexStats projects: real keys cost the
-// key width, child and value pointers eight bytes.
+// at the root. Each key store tallies its own slots, registers, key and
+// padding bytes (ShapeNode), and every node its configured capacity, so
+// both stores report the same CapacityFill for the same node sizes. The
+// byte split is the §5.1 accounting IndexStats projects: real keys cost
+// the store's lane width (the key width, or a narrower k-ary lane),
+// child and value pointers eight bytes.
 func (t *Skeleton[K, V, S, PS]) Shape() shape.Report {
 	rep := shape.New(t.spec.Name)
 	rep.Keys = t.size
 	rep.Levels = t.Height()
-	w := int64(keys.Width[K]())
 	var walk func(n *node[K, V, S, PS], depth int)
 	walk = func(n *node[K, V, S, PS], depth int) {
 		ks := n.keys()
-		rep.KeyBytes += int64(ks.Len()) * w
 		if n.leaf() {
 			ks.ShapeNode(&rep, depth, t.spec.LeafCap)
 			rep.NodeCapacity(depth, t.spec.LeafCap)

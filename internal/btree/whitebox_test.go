@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/kary"
@@ -100,5 +102,52 @@ func trimLeaf[S Stores[uint32], PS Store[uint32, S]](tr *Skeleton[uint32, int, S
 		l.keys().DeleteAt(n - 1)
 		l.vals = l.vals[:n-1]
 		tr.size--
+	}
+}
+
+// TestKeyWidthNodesMatchBuild runs random Puts and Deletes through
+// Seg-Tree skeletons of both lane policies and both layouts, then
+// compares every node at the key type's width with a fresh Build of its
+// keys, the KeyLanes node: same stored slots and the same linearized
+// lanes. A node at K's width has base 0, where a lane is the key's own
+// realigned bytes, so equal lanes are equal bytes. Every KeyLanes node
+// is at K's width; a NarrowLanes tree of full-range keys must have such
+// nodes too.
+func TestKeyWidthNodesMatchBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, layout := range kary.Layouts {
+		for _, sp := range []Spec[kary.Tree[uint64]]{karySpec[uint64](16, 16, layout), narrowSpec[uint64](16, 16, layout)} {
+			tr := build[uint64, int, kary.Tree[uint64], *kary.Tree[uint64]](t, sp, nil, nil)
+			for i := 0; i < 4000; i++ {
+				k := rng.Uint64() >> (rng.Intn(4) * 16) // spans of every lane width
+				if rng.Intn(3) == 0 {
+					tr.Delete(k)
+				} else {
+					tr.Put(k, i)
+				}
+			}
+			compared := 0
+			var walk func(n *node[uint64, int, kary.Tree[uint64], *kary.Tree[uint64]])
+			walk = func(n *node[uint64, int, kary.Tree[uint64], *kary.Tree[uint64]]) {
+				ks := n.keys()
+				if sp.Empty.Lanes() == kary.KeyLanes && ks.Width() != 8 {
+					t.Fatalf("%v: a KeyLanes node at %d-byte lanes", layout, ks.Width())
+				}
+				if ks.Width() == 8 {
+					fresh := kary.Build(ks.Keys(), layout)
+					if ks.Stored() != fresh.Stored() || !slices.Equal(ks.Linearized(), fresh.Linearized()) {
+						t.Fatalf("%v %v lanes: a key-width node differs from a fresh Build", layout, sp.Empty.Lanes())
+					}
+					compared++
+				}
+				for _, c := range n.children {
+					walk(c)
+				}
+			}
+			walk(tr.root)
+			if compared == 0 {
+				t.Fatalf("%v %v lanes: no key-width node compared", layout, sp.Empty.Lanes())
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -311,9 +312,10 @@ type MetricsSnapshot struct {
 // Metrics returns the snapshot as metric-table rows: one
 // op_latency_seconds histogram per op (label op=, /stats key op_<op>),
 // the point-lookup cost counters, and the index shape as gauges (keys,
-// height, nodes, memory_bytes and key_memory_bytes also on /stats, as is
-// shape_capacity_fill, which only structures whose nodes have a
-// configured capacity report).
+// height, nodes, memory_bytes and key_memory_bytes also on /stats, as
+// are shape_capacity_fill, which only structures whose nodes have a
+// configured capacity report, and the shape_lane_nodes family, one row
+// per lane width, which only structures with SIMD nodes report).
 func (s MetricsSnapshot) Metrics() []obs.Metric {
 	sh := &s.Shape
 	gauges := []struct {
@@ -349,6 +351,15 @@ func (s MetricsSnapshot) Metrics() []obs.Metric {
 		// the figure would read 0, which looks like an empty index.
 		rows = append(rows, obs.Metric{Name: "shape_capacity_fill", Help: "slot keys over configured node capacity: the B-Tree fill factor",
 			Kind: obs.KindGauge, Value: sh.CapacityFill, Stat: "shape_capacity_fill"})
+	}
+	if sh.LaneNodes != [len(shape.LaneWidths)]int{} {
+		// Only structures that search with SIMD registers have lanes;
+		// the baseline would read four zeros.
+		for i, w := range shape.LaneWidths {
+			rows = append(rows, obs.Metric{Name: "shape_lane_nodes", Help: "nodes searching SIMD lanes of the labelled width in bytes",
+				Kind: obs.KindGauge, Label: "width", LabelValue: strconv.Itoa(w), Value: float64(sh.LaneNodes[i]),
+				Stat: "shape_lane_nodes_w" + strconv.Itoa(w)})
+		}
 	}
 	rows = append(rows, s.Counters.Metrics()...)
 	for i := range s.Ops {

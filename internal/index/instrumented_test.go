@@ -1,12 +1,14 @@
 package index_test
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bitmask"
+	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/kary"
 	"repro/internal/obs"
@@ -219,5 +221,41 @@ func TestInstrumentedWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestLaneNodesMetric reads the shape_lane_nodes family off an
+// instrumented Seg-Tree. Dense keys put every leaf at 1-byte lanes; random
+// 64-bit keys keep every node at 8-byte lanes; a baseline B+-Tree, which
+// searches no SIMD lanes, exports no such rows.
+func TestLaneNodesMetric(t *testing.T) {
+	lanes := func(ix index.Index[uint64, int]) (rows map[string]float64, nodes, leaves int) {
+		snap := index.NewInstrumented(ix).Snapshot()
+		rows = map[string]float64{}
+		for _, m := range snap.Metrics() {
+			if m.Name == "shape_lane_nodes" {
+				rows[m.LabelValue] = m.Value
+			}
+		}
+		lf := snap.Shape.LevelFill
+		return rows, snap.Shape.Nodes, lf[len(lf)-1].Nodes
+	}
+	dense := segtree.NewDefault[uint64, int]()
+	rng := rand.New(rand.NewSource(3))
+	for _, i := range rng.Perm(20_000) {
+		dense.Put(uint64(i), i)
+	}
+	if rows, nodes, leaves := lanes(dense); rows["1"] < float64(leaves) || rows["1"]+rows["2"] != float64(nodes) {
+		t.Errorf("dense keys: lane nodes %v for %d nodes, %d leaves; want every leaf at width 1", rows, nodes, leaves)
+	}
+	random := segtree.NewDefault[uint64, int]()
+	for i := range 20_000 {
+		random.Put(rng.Uint64(), i)
+	}
+	if rows, nodes, _ := lanes(random); rows["8"] != float64(nodes) || rows["1"]+rows["2"]+rows["4"] != 0 {
+		t.Errorf("random keys: lane nodes %v for %d nodes; want all at width 8", rows, nodes)
+	}
+	if rows, _, _ := lanes(btree.NewDefault[uint64, int]()); len(rows) != 0 {
+		t.Errorf("baseline B+-Tree exports lane nodes %v", rows)
 	}
 }

@@ -17,11 +17,11 @@ import (
 func TestSkipPathCosts(t *testing.T) {
 	search := func(tree *Tree[uint64], v uint64, ev bitmask.Evaluator) (int, obs.Cost) {
 		var c obs.Cost
-		return tree.SearchPT(v, Prepare(v), ev, nil, &c), c
+		return tree.SearchPT(v, new(Register), ev, nil, &c), c
 	}
 	lookup := func(tree *Tree[uint64], v uint64, ev bitmask.Evaluator) (int, obs.Cost) {
 		var c obs.Cost
-		r, _ := tree.LookupPT(v, Prepare(v), ev, nil, &c)
+		r, _ := tree.LookupPT(v, new(Register), ev, nil, &c)
 		return r, c
 	}
 	// Breadth-first, k=3: the root holds 6 and 8, the single leaf 2 and 4;
@@ -70,7 +70,7 @@ func TestSkipPathCosts(t *testing.T) {
 	for v := uint64(0); v < 90; v++ {
 		tr := trace.New("search", "")
 		var got obs.Cost
-		if rank := df.SearchPT(v, Prepare(v), bitmask.Popcount, tr, &got); got != want || rank != UpperBound(sorted, v) {
+		if rank := df.SearchPT(v, new(Register), bitmask.Popcount, tr, &got); got != want || rank != UpperBound(sorted, v) {
 			t.Fatalf("df Search(%d): rank %d, costs %+v; want rank %d, costs %+v", v, rank, got, UpperBound(sorted, v), want)
 		}
 		for _, s := range tr.Steps {

@@ -75,20 +75,22 @@ func (t *Tree[K]) RegisterStats() (total, full int) {
 // ShapeNode tallies the tree as one node of an enclosing structure (a
 // Seg-Tree's btree.Store, a Seg-Trie node) at the given depth of rep:
 // its stored slots, which make the §3.3 replenishment waste visible in
-// the fill degree, its 16-byte register loads, and its pads at the key
-// width. The capacity argument is unused: a k-ary node's slots are the
-// ones it stores.
+// the fill degree, its 16-byte register loads, its lane width, and its
+// keys and pads at that width. The capacity argument is unused: a k-ary
+// node's slots are the ones it stores.
 func (t *Tree[K]) ShapeNode(rep *shape.Report, depth, _ int) {
 	rep.Node(depth, t.n, t.stored)
 	rep.Register(t.RegisterStats())
+	rep.Lanes(int(t.w), 1)
 	pads := t.stored - t.n
+	rep.KeyBytes += int64(t.n * int(t.w))
 	rep.PaddingBytes += int64(pads * int(t.w))
 	rep.ReplenishedSlots += pads
 }
 
 // Shape implements shape.Shaper for a raw linearization: every k-ary
-// node is one level-tagged shape node and one register; padding is the
-// §3.3 replenishment.
+// node is one level-tagged shape node and one register at the tree's
+// lane width; padding is the §3.3 replenishment.
 func (t *Tree[K]) Shape() shape.Report {
 	name := "kary-bf"
 	if t.layout == DepthFirst {
@@ -118,6 +120,7 @@ func (t *Tree[K]) Shape() shape.Report {
 		}
 		rep.Register(1, fullReg)
 	}
+	rep.Lanes(w, t.stored/lanes)
 	rep.KeyBytes = int64(t.n * w)
 	rep.PaddingBytes = int64((t.stored - t.n) * w)
 	rep.ReplenishedSlots = t.stored - t.n

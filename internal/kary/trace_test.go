@@ -35,7 +35,7 @@ func TestTracedSearchMatchesUntraced(t *testing.T) {
 					verifySIMDSteps(t, tr, uint64(probe), name)
 					ltr := trace.New("lookup", fmt.Sprint(probe))
 					var c obs.Cost
-					r1, f1 := tree.LookupPT(probe, Prepare(probe), ev, ltr, &c)
+					r1, f1 := tree.LookupPT(probe, new(Register), ev, ltr, &c)
 					r2, f2 := tree.Lookup(probe, ev)
 					if r1 != r2 || f1 != f2 {
 						t.Fatalf("%s: LookupPT(%d) = (%d,%v), Lookup = (%d,%v)", name, probe, r1, f1, r2, f2)

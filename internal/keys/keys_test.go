@@ -145,20 +145,6 @@ func TestRealignmentMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestPackUnpack(t *testing.T) {
-	xs := []uint32{0, 1, 2, 1 << 30, math.MaxUint32}
-	b := Pack(xs)
-	if len(b) != len(xs)*4 {
-		t.Fatalf("packed length %d", len(b))
-	}
-	got := Unpack[uint32](b)
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Fatalf("index %d: got %v want %v", i, got[i], xs[i])
-		}
-	}
-}
-
 func TestPutAtGetAt(t *testing.T) {
 	b := make([]byte, 8*3)
 	PutAt(b, 0, int64(-5))

@@ -13,6 +13,8 @@
 package segtree
 
 import (
+	"fmt"
+
 	"repro/internal/bitmask"
 	"repro/internal/btree"
 	"repro/internal/index"
@@ -33,10 +35,16 @@ type Config struct {
 	// Evaluator selects the bitmask evaluation algorithm (§2.1); the
 	// paper settles on popcount (§5.2).
 	Evaluator bitmask.Evaluator
+	// Lanes selects the nodes' lane width: KeyLanes is the paper's node,
+	// every key at K's width; NarrowLanes stores each node's keys
+	// relative to its smallest, in the narrowest width that spans them
+	// (DESIGN.md, "Narrow-lane nodes").
+	Lanes kary.LanePolicy
 }
 
 // DefaultConfig sizes nodes with the paper's Table 3 key counts and uses
-// the paper's preferred depth-first layout and popcount evaluation.
+// the paper's preferred depth-first layout and popcount evaluation, with
+// narrow-lane nodes. The paper's experiments pin KeyLanes.
 func DefaultConfig[K keys.Key]() Config {
 	n := btree.TableThreeLeafCap[K]()
 	return Config{
@@ -44,6 +52,7 @@ func DefaultConfig[K keys.Key]() Config {
 		BranchCap: n,
 		Layout:    kary.DepthFirst,
 		Evaluator: bitmask.Popcount,
+		Lanes:     kary.NarrowLanes,
 	}
 }
 
@@ -54,8 +63,16 @@ func spec[K keys.Key](c Config) btree.Spec[kary.Tree[K]] {
 		LeafCap:   c.LeafCap,
 		BranchCap: c.BranchCap,
 		Evaluator: c.Evaluator,
-		Empty:     *kary.BuildUnchecked[K](nil, c.Layout),
+		Empty:     kary.Empty[K](c.Layout, c.Lanes),
 	}
+}
+
+// build is btree.Build for a Seg-Tree of cfg, which it checks first.
+func build[K keys.Key, V any](cfg Config, ks []K, vs []V) (btree.Skeleton[K, V, kary.Tree[K], *kary.Tree[K]], error) {
+	if cfg.Lanes > kary.NarrowLanes {
+		return btree.Skeleton[K, V, kary.Tree[K], *kary.Tree[K]]{}, fmt.Errorf("segtree: unknown lane policy %d", cfg.Lanes)
+	}
+	return btree.Build[K, V](spec[K](cfg), ks, vs)
 }
 
 // Tree is a Seg-Tree mapping distinct keys of integer type K to values of
@@ -83,7 +100,7 @@ func New[K keys.Key, V any](cfg Config) *Tree[K, V] {
 // NewChecked is New propagating an invalid configuration as an error
 // instead of panicking.
 func NewChecked[K keys.Key, V any](cfg Config) (*Tree[K, V], error) {
-	s, err := btree.Build[K, V](spec[K](cfg), nil, nil)
+	s, err := build[K, V](cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +117,7 @@ func NewDefault[K keys.Key, V any]() *Tree[K, V] {
 // which linearizes each node exactly once. It panics on an invalid
 // configuration, unsorted or duplicate keys or mismatched slice lengths.
 func BulkLoad[K keys.Key, V any](cfg Config, ks []K, vs []V) *Tree[K, V] {
-	s, err := btree.Build(spec[K](cfg), ks, vs)
+	s, err := build(cfg, ks, vs)
 	if err != nil {
 		panic(err) //simdtree:allowpanic bulk-load input contract, documented above
 	}

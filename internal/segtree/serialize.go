@@ -23,8 +23,15 @@ import (
 //	magic "SGT1" | width u8 | signed u8 | layout u8 | evaluator u8
 //	leafCap u32 | branchCap u32 | count u64
 //	count × ( key lanes (width bytes) | value )
+//
+// Bit 7 of the layout byte is the lane policy (set: NarrowLanes), so a
+// stream written before the policy existed reads back as KeyLanes, which
+// wrote it. The keys are written at their full width either way.
 
 var magic = [4]byte{'S', 'G', 'T', '1'}
+
+// narrowBit marks a NarrowLanes tree in the layout byte.
+const narrowBit = 0x80
 
 // Serialize writes a snapshot of the tree. encodeValue writes one value
 // to w; it must produce a format decodeValue can read back.
@@ -38,7 +45,11 @@ func (t *Tree[K, V]) Serialize(w io.Writer, encodeValue func(io.Writer, V) error
 	if keys.Signed[K]() {
 		signed = 1
 	}
-	header := []byte{byte(width), signed, byte(t.cfg.Layout), byte(t.cfg.Evaluator)}
+	layout := byte(t.cfg.Layout)
+	if t.cfg.Lanes == kary.NarrowLanes {
+		layout |= narrowBit
+	}
+	header := []byte{byte(width), signed, layout, byte(t.cfg.Evaluator)}
 	if _, err := bw.Write(header); err != nil {
 		return err
 	}
@@ -93,8 +104,12 @@ func Deserialize[K keys.Key, V any](r io.Reader, decodeValue func(io.Reader) (V,
 	if header[1] != signed {
 		return nil, fmt.Errorf("segtree: stream key signedness mismatch")
 	}
-	if header[2] > byte(kary.DepthFirst) {
-		return nil, fmt.Errorf("segtree: unknown layout %d", header[2])
+	layout, lanes := header[2]&^narrowBit, kary.KeyLanes
+	if header[2]&narrowBit != 0 {
+		lanes = kary.NarrowLanes
+	}
+	if layout > byte(kary.DepthFirst) {
+		return nil, fmt.Errorf("segtree: unknown layout byte %#x", header[2])
 	}
 	if header[3] > byte(bitmask.Popcount) {
 		return nil, fmt.Errorf("segtree: unknown evaluator %d", header[3])
@@ -106,8 +121,9 @@ func Deserialize[K keys.Key, V any](r io.Reader, decodeValue func(io.Reader) (V,
 	cfg := Config{
 		LeafCap:   int(binary.LittleEndian.Uint32(fixed[0:])),
 		BranchCap: int(binary.LittleEndian.Uint32(fixed[4:])),
-		Layout:    kary.Layout(header[2]),
+		Layout:    kary.Layout(layout),
 		Evaluator: bitmask.Evaluator(header[3]),
+		Lanes:     lanes,
 	}
 	if err := spec[K](cfg).Check(); err != nil {
 		return nil, err

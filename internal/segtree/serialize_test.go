@@ -34,6 +34,7 @@ func decInt(r io.Reader) (int, error) {
 // items in the same order.
 func TestSerializeRoundTripOneKeyRightmostLeaf(t *testing.T) {
 	cfg := DefaultConfig[uint64]()
+	cfg.Lanes = kary.KeyLanes // the slot counts below are 64-bit lanes
 	tr := New[uint64, int](cfg)
 	n := cfg.LeafCap + 1
 	for i := range n {
@@ -227,6 +228,7 @@ func FuzzDeserialize(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(withLayoutByte(buf.Bytes(), 0x40|byte(kary.DepthFirst))) // an unknown layout bit
 	f.Add(hostileHeader(0))
 	f.Add(hostileHeader(1 << 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -245,4 +247,51 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("round trip changed the stream:\n in %x\nout %x", data, out.Bytes())
 		}
 	})
+}
+
+// withLayoutByte returns a copy of the stream with its layout byte set.
+func withLayoutByte(stream []byte, b byte) []byte {
+	out := bytes.Clone(stream)
+	out[len(magic)+2] = b
+	return out
+}
+
+// TestSerializeRecordsLanePolicy round-trips a NarrowLanes and a KeyLanes
+// tree: each comes back with its policy. A stream without the lane bit,
+// as every stream was written before the policy existed, reads back as
+// KeyLanes, and any other bit of the layout byte is rejected.
+func TestSerializeRecordsLanePolicy(t *testing.T) {
+	for _, lanes := range []kary.LanePolicy{kary.KeyLanes, kary.NarrowLanes} {
+		cfg := DefaultConfig[uint64]()
+		cfg.Lanes = lanes
+		tr := New[uint64, int](cfg)
+		for i := range 1000 {
+			tr.Put(uint64(i)*3, i)
+		}
+		var buf bytes.Buffer
+		if err := tr.Serialize(&buf, encInt); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Deserialize[uint64, int](bytes.NewReader(buf.Bytes()), decInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Config() != cfg || got.Len() != 1000 {
+			t.Fatalf("%v: restored config %+v (%d keys), want %+v", lanes, got.Config(), got.Len(), cfg)
+		}
+		ln := got.Shape().LaneNodes
+		if narrowed := ln[0]+ln[1]+ln[2] > 0; narrowed != (lanes == kary.NarrowLanes) {
+			t.Fatalf("%v: restored lane nodes %v", lanes, got.Shape().LaneNodes)
+		}
+		old, err := Deserialize[uint64, int](bytes.NewReader(withLayoutByte(buf.Bytes(), byte(kary.DepthFirst))), decInt)
+		if err != nil || old.Config().Lanes != kary.KeyLanes {
+			t.Fatalf("%v: a stream without the lane bit read back as %+v (%v)", lanes, old.Config(), err)
+		}
+		for bit := 1; bit < 7; bit++ {
+			bad := withLayoutByte(buf.Bytes(), buf.Bytes()[len(magic)+2]|1<<bit)
+			if _, err := Deserialize[uint64, int](bytes.NewReader(bad), decInt); err == nil {
+				t.Fatalf("%v: layout byte %#x accepted", lanes, bad[len(magic)+2])
+			}
+		}
+	}
 }

@@ -145,7 +145,8 @@ func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace,
 		}
 		return int(pk), true
 	}
-	pos, found := kt.LookupPT(pk, kary.Prepare(pk), ev, tr, c)
+	var reg kary.Register // each level searches its own partial key
+	pos, found := kt.LookupPT(pk, &reg, ev, tr, c)
 	if found {
 		return pos - 1, true
 	}

@@ -27,7 +27,6 @@ func (t *Trie[K, V]) Shape() shape.Report {
 	var walk func(n *node[V], level int)
 	walk = func(n *node[V], level int) {
 		n.kt.ShapeNode(&rep, level, 0)
-		rep.KeyBytes += int64(n.kt.Len())
 		if level == t.levels-1 {
 			rep.PointerBytes += int64(len(n.vals)) * 8
 			return
@@ -60,7 +59,7 @@ func (t *Optimized[K, V]) Shape() shape.Report {
 			rep.Levels = depth + 1
 		}
 		n.kt.ShapeNode(&rep, depth, 0)
-		rep.KeyBytes += int64(n.kt.Len()) + int64(len(n.prefix))
+		rep.KeyBytes += int64(len(n.prefix))
 		rep.OmittedLevels += len(n.prefix)
 		rep.PrefixBytes += len(n.prefix)
 		if n.last() {

@@ -127,6 +127,12 @@ type Report struct {
 	// (Zhou & Ross's utilization argument).
 	RegisterUtilization float64 `json:"register_utilization"`
 
+	// LaneNodes counts the nodes that search with SIMD registers by lane
+	// width: index i counts nodes of 1<<i-byte lanes (see LaneWidths).
+	// A k-ary node at its key type's width is the paper's; a narrower
+	// one stores its keys relative to a base.
+	LaneNodes [len(LaneWidths)]int `json:"lane_nodes"`
+
 	// ReplenishedSlots counts the §3.3 S_max replenishment pads.
 	ReplenishedSlots int `json:"replenished_slots"`
 	// OmittedLevels counts trie levels compressed into stored prefixes
@@ -140,6 +146,10 @@ type Report struct {
 	// costs one stored prefix byte.
 	OmittedSavingsBytes int64 `json:"omitted_savings_bytes"`
 }
+
+// LaneWidths lists the lane widths in bytes that Report.LaneNodes counts,
+// in its order.
+var LaneWidths = [...]int{1, 2, 4, 8}
 
 // New returns an empty report for the named structure.
 func New(structure string) Report {
@@ -191,6 +201,15 @@ func fillBucket(keys, slots int) int {
 func (r *Report) Register(total, full int) {
 	r.Registers += total
 	r.FullRegisters += full
+}
+
+// Lanes tallies nodes searching with lanes of w bytes (1, 2, 4 or 8).
+func (r *Report) Lanes(w, nodes int) {
+	for i, lw := range LaneWidths {
+		if lw == w {
+			r.LaneNodes[i] += nodes
+		}
+	}
 }
 
 // Finalize computes the derived ratios from the accumulated tallies and
@@ -256,6 +275,9 @@ func (r *Report) Merge(o Report) {
 	for i := range o.FillHistogram {
 		r.FillHistogram[i] += o.FillHistogram[i]
 	}
+	for i := range o.LaneNodes {
+		r.LaneNodes[i] += o.LaneNodes[i]
+	}
 	for _, lf := range o.LevelFill {
 		dst := r.level(lf.Level)
 		dst.Nodes += lf.Nodes
@@ -290,8 +312,15 @@ func (r Report) String() string {
 	}
 	fmt.Fprintf(&b, "memory: total=%d key=%d pointer=%d padding=%d bytes/key=%.2f\n",
 		r.TotalBytes, r.KeyBytes, r.PointerBytes, r.PaddingBytes, r.BytesPerKey)
-	fmt.Fprintf(&b, "simd: registers=%d full=%d utilization=%.4f\n",
+	fmt.Fprintf(&b, "simd: registers=%d full=%d utilization=%.4f",
 		r.Registers, r.FullRegisters, r.RegisterUtilization)
+	if r.LaneNodes != [len(LaneWidths)]int{} {
+		b.WriteString(" lane-nodes:")
+		for i, w := range LaneWidths {
+			fmt.Fprintf(&b, " w%d=%d", w, r.LaneNodes[i])
+		}
+	}
+	b.WriteByte('\n')
 	fmt.Fprintf(&b, "replenished-slots=%d omitted-levels=%d prefix-bytes=%d omitted-savings-bytes=%d\n",
 		r.ReplenishedSlots, r.OmittedLevels, r.PrefixBytes, r.OmittedSavingsBytes)
 	return b.String()

@@ -193,3 +193,26 @@ func TestCapacityFill(t *testing.T) {
 		t.Errorf("a report without capacities reads capacity fill %v:\n%s", trie.CapacityFill, trie.String())
 	}
 }
+
+// TestLaneNodes tallies nodes by lane width, merges them across reports
+// and prints them on the simd line; a report without lanes prints none.
+func TestLaneNodes(t *testing.T) {
+	r := New("segtree")
+	r.Lanes(1, 3)
+	r.Lanes(8, 2)
+	r.Lanes(3, 7) // not a lane width: ignored
+	o := New("segtree")
+	o.Lanes(1, 1)
+	o.Lanes(2, 4)
+	r.Merge(o)
+	if want := [len(LaneWidths)]int{4, 4, 0, 2}; r.LaneNodes != want {
+		t.Fatalf("LaneNodes = %v, want %v", r.LaneNodes, want)
+	}
+	if s := r.Finalize().String(); !strings.Contains(s, "lane-nodes: w1=4 w2=4 w4=0 w8=2\n") {
+		t.Errorf("rendering lacks the lane nodes:\n%s", s)
+	}
+	b := New("btree")
+	if s := b.Finalize().String(); strings.Contains(s, "lane-nodes") {
+		t.Errorf("a report without lanes renders them:\n%s", s)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	simdtree "repro"
+	"repro/internal/kary"
 )
 
 // countGet runs one lookup and returns the cost it reports.
@@ -145,8 +146,10 @@ func TestOptionsAPI(t *testing.T) {
 		t.Errorf("NewSegTree options not applied: %+v", cfg)
 	}
 	// Zero-option calls apply the paper's defaults: Table 3 node sizing
-	// (338 keys for 32-bit keys), depth-first layout, popcount.
-	want := simdtree.SegTreeConfig{LeafCap: 338, BranchCap: 338, Layout: simdtree.DepthFirst, Evaluator: simdtree.Popcount}
+	// (338 keys for 32-bit keys), depth-first layout, popcount, with
+	// narrow-lane nodes.
+	want := simdtree.SegTreeConfig{LeafCap: 338, BranchCap: 338, Layout: simdtree.DepthFirst, Evaluator: simdtree.Popcount,
+		Lanes: kary.NarrowLanes}
 	if got := simdtree.NewSegTree[uint32, int]().Config(); got != want {
 		t.Errorf("zero-option NewSegTree config %+v, want default %+v", got, want)
 	}

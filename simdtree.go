@@ -85,8 +85,8 @@ type SegTreeConfig = segtree.Config
 
 // NewSegTree returns an empty Seg-Tree. Without options it uses the
 // paper's Table 3 node sizing, depth-first layout and popcount
-// evaluation; WithLayout, WithEvaluator, WithLeafCap and WithBranchCap
-// override individual parameters:
+// evaluation, with narrow-lane nodes; WithLayout, WithEvaluator,
+// WithLeafCap and WithBranchCap override individual parameters:
 //
 //	t := simdtree.NewSegTree[uint64, string](
 //		simdtree.WithLayout(simdtree.BreadthFirst),
