@@ -36,7 +36,7 @@ func TestValidateCatchesDuplicateKeys(t *testing.T) {
 
 func TestValidateCatchesSMaxMismatch(t *testing.T) {
 	tree := Build([]uint32{1, 2, 3}, BreadthFirst)
-	tree.smax = 999
+	tree.top = keys.OrderedBits(uint32(999))
 	if err := tree.Validate(); err == nil {
 		t.Fatal("smax mismatch accepted")
 	}
