@@ -7,17 +7,23 @@
 //
 // Keys are split most-significant segment first on their order-preserving
 // bit pattern (keys.OrderedBits), so trie order equals key order and the
-// structure supports ordered iteration besides point lookups. The three
-// §4 fast paths are implemented: an empty node terminates the search, a
-// single-key node is compared directly, and a completely full node indexes
-// its pointer array like a hash table.
+// structure supports ordered iteration besides point lookups. The §4
+// fast paths are implemented: a single-key node is compared directly and
+// a completely full node indexes its pointer array like a hash table. An
+// empty trie has no root, so its search ends before any node.
 //
-// The optimized Seg-Trie (level omission / lazy expansion with stored
-// prefixes) lives in optimized.go.
+// One Trie type is both of the paper's tries. They differ only in the §4
+// level-omission policy, fixed by the constructor: New materializes every
+// level, so the height is r = m/8; NewOptimized omits the levels that
+// would hold a single partial key and keeps their segments as the prefix
+// of the node below (lazy expansion). The policy acts in two places —
+// tail, which builds the path below a miss, and Delete's repair — and
+// Validate checks its rule; every read walks node prefixes, which the
+// plain trie leaves empty.
 package segtrie
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/bitmask"
 	"repro/internal/kary"
@@ -42,33 +48,34 @@ func DefaultConfig() Config {
 }
 
 // Trie is a Seg-Trie mapping distinct keys of integer type K to values of
-// type V. The number of levels is fixed at Width(K) — the paper's
-// invariant-height property. The zero value is not usable; construct with
-// New.
+// type V. The zero value is not usable; construct with New or
+// NewOptimized.
 type Trie[K keys.Key, V any] struct {
 	cfg    Config
-	root   *node[V]
+	root   *node[V] // nil when empty
 	size   int
-	levels int
+	levels int  // r = Width(K): segments per key
+	omit   bool // §4 level omission, set by NewOptimized
 }
 
-// node holds up to 256 partial keys. An inner node has one child per
-// partial key; a last-level node has one value per partial key. Children
-// and values are kept in partial-key order, indexed by the position the
-// 17-ary search returns.
+// node discriminates one trie level after its prefix: the segments of
+// the omitted levels above it, always empty in the plain trie. An inner
+// node has one child per partial key; a last-level node has one value
+// per partial key. Children and values are kept in partial-key order,
+// indexed by the position the 17-ary search returns. The search header
+// comes first and the prefix right after it, so the prefix-length check
+// of every level reads next to the fields the node search reads.
 type node[V any] struct {
 	kt       kary.Tree[uint8]
+	prefix   []uint8
 	children []*node[V]
 	vals     []V
 }
 
-// New returns an empty trie.
+// New returns an empty Seg-Trie that materializes every level, so its
+// height is fixed at Width(K) — the paper's invariant-height property.
 func New[K keys.Key, V any](cfg Config) *Trie[K, V] {
-	return &Trie[K, V]{
-		cfg:    cfg,
-		root:   &node[V]{kt: *kary.BuildUnchecked[uint8](nil, cfg.Layout)},
-		levels: keys.Width[K](),
-	}
+	return &Trie[K, V]{cfg: cfg, levels: keys.Width[K]()}
 }
 
 // NewDefault returns an empty trie with DefaultConfig.
@@ -76,15 +83,42 @@ func NewDefault[K keys.Key, V any]() *Trie[K, V] {
 	return New[K, V](DefaultConfig())
 }
 
+// NewOptimized returns an empty optimized Seg-Trie (§4, last paragraphs):
+// levels that would hold only one partial key are omitted, following the
+// expanding-tries idea of Boehm et al. and the lazy expansion of Leis et
+// al. A lookup compares a run of omitted levels as plain prefix bytes and
+// performs the 17-ary SIMD search only on levels that distinguish keys.
+// For consecutive tuple IDs this collapses a 64-bit trie to one or two
+// levels (Figure 11).
+func NewOptimized[K keys.Key, V any](cfg Config) *Trie[K, V] {
+	t := New[K, V](cfg)
+	t.omit = true
+	return t
+}
+
+// NewOptimizedDefault returns an empty optimized trie with DefaultConfig.
+func NewOptimizedDefault[K keys.Key, V any]() *Trie[K, V] {
+	return NewOptimized[K, V](DefaultConfig())
+}
+
 // Len reports the number of stored keys.
 func (t *Trie[K, V]) Len() int { return t.size }
 
-// Levels reports the fixed trie height r = m/L (§4: invariant, independent
-// of the number of stored keys).
+// Levels reports the nominal trie height r = m/L (§4: invariant,
+// independent of the number of stored keys). The optimized trie's stored
+// structure may be much shallower.
 func (t *Trie[K, V]) Levels() int { return t.levels }
 
 // Config returns the trie's configuration.
 func (t *Trie[K, V]) Config() Config { return t.cfg }
+
+// name is the structure's name in traces and shape reports.
+func (t *Trie[K, V]) name() string {
+	if t.omit {
+		return "opt-segtrie"
+	}
+	return "segtrie"
+}
 
 // The Get descent is a zero-allocation hot path; the directive keeps the
 // //simdtree:hotpath annotations checked by cmd/simdvet.
@@ -99,12 +133,12 @@ func (t *Trie[K, V]) segment(u uint64, level int) uint8 {
 	return uint8(u >> (8 * uint(t.levels-1-level)))
 }
 
-// find locates pk inside a node's partial keys kt — of either trie
-// variant — recording into tr and adding the node search's §4 cost to c,
-// each when non-nil. On a hit, idx is the position of pk's child or
-// value; on a miss, idx is the insertion position. It applies the §4
-// fast paths: a single-key node is compared directly and a full node is
-// indexed without any search.
+// find locates pk inside a node's partial keys kt, recording into tr and
+// adding the node search's §4 cost to c, each when non-nil. On a hit, idx
+// is the position of pk's child or value; on a miss, idx is the insertion
+// position. It applies the §4 fast paths: a single-key node is compared
+// directly and a full node is indexed without any search. Trie nodes are
+// never empty.
 //
 //simdtree:hotpath
 func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace, c *obs.Cost) (idx int, ok bool) {
@@ -113,12 +147,6 @@ func find(kt *kary.Tree[uint8], pk uint8, ev bitmask.Evaluator, tr *trace.Trace,
 		c = &discard
 	}
 	switch kt.Len() {
-	case 0:
-		c.NodeVisits++
-		if tr != nil {
-			tr.FastPath("empty-node", 0)
-		}
-		return 0, false
 	case 1:
 		// A single-key node holds exactly its maximum.
 		c.NodeVisits++
@@ -161,23 +189,42 @@ func (t *Trie[K, V]) Get(key K) (V, bool) {
 	return v, ok
 }
 
-// GetTraced is Get additionally returning the lookup's §4 cost — per trie
-// level one node visit plus the fast path's scalar compare or the two
-// SIMD compares of its 17-ary search — and recording the descent into
-// tr: per level the extracted segment byte, the node entered, the fast
-// path or SIMD compares resolving it, and the branch followed. A nil tr
-// records nothing.
+// GetTraced is Get additionally returning the lookup's §4 cost — per
+// node visited one node visit plus the fast path's scalar compare or the
+// two SIMD compares of its 17-ary search; prefix byte compares are not
+// counted — and recording the descent into tr: each node's prefix
+// comparison (lazy expansion, §4), the segment byte and node of every
+// materialized level, the fast path or SIMD compares resolving it, and
+// the branch followed. A nil tr records nothing.
 //
 //simdtree:hotpath
 func (t *Trie[K, V]) GetTraced(key K, tr *trace.Trace) (v V, ok bool, c obs.Cost) {
 	if tr != nil {
-		tr.SetStructure("segtrie")
+		tr.SetStructure(t.name())
+	}
+	n := t.root
+	if n == nil {
+		if tr != nil {
+			tr.FastPath("empty-trie", 0)
+		}
+		return v, false, c
 	}
 	u := keys.OrderedBits(key)
-	n := t.root
 	for level := 0; ; level++ {
+		for matched, p := range n.prefix {
+			if t.segment(u, level) != p {
+				if tr != nil {
+					tr.PrefixSkip(level-matched, matched, false)
+				}
+				return v, false, c
+			}
+			level++
+		}
 		pk := t.segment(u, level)
 		if tr != nil {
+			if m := len(n.prefix); m > 0 {
+				tr.PrefixSkip(level-m, m, true)
+			}
 			tr.Segment(level, pk)
 			tr.Node(level, n.kt.Len(), t.cfg.Layout.String(), "trie")
 		}
@@ -201,209 +248,154 @@ func (t *Trie[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Put stores val under key, returning true when the key was newly inserted
-// and false when an existing value was replaced.
+// Put stores val under key, returning true when the key was newly
+// inserted and false when an existing value was replaced. A miss hangs
+// the rest of the key below the node as one tail; a key diverging inside
+// a stored prefix splits the node there (lazy expansion, §4).
 func (t *Trie[K, V]) Put(key K, val V) bool {
 	u := keys.OrderedBits(key)
-	n := t.root
+	if t.root == nil {
+		t.root = t.tail(u, 0, val)
+		t.size = 1
+		return true
+	}
+	link := &t.root
 	for level := 0; ; level++ {
+		n := *link
+		for d, p := range n.prefix {
+			if t.segment(u, level) != p {
+				*link = t.split(n, d, u, level, val)
+				t.size++
+				return true
+			}
+			level++
+		}
 		pk := t.segment(u, level)
 		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil, nil)
 		last := level == t.levels-1
+		if hit && last {
+			n.vals[idx] = val
+			return false
+		}
 		if hit {
-			if last {
-				n.vals[idx] = val
-				return false
-			}
-			n = n.children[idx]
+			link = &n.children[idx]
 			continue
 		}
-		n.kt.Insert(pk)
+		n.kt.InsertAt(idx, pk)
 		if last {
-			n.vals = append(n.vals, val)
-			copy(n.vals[idx+1:], n.vals[idx:])
-			n.vals[idx] = val
-			t.size++
-			return true
+			n.vals = slices.Insert(n.vals, idx, val)
+		} else {
+			n.children = slices.Insert(n.children, idx, t.tail(u, level+1, val))
 		}
-		child := &node[V]{kt: *kary.BuildUnchecked[uint8](nil, t.cfg.Layout)}
-		n.children = append(n.children, nil)
-		copy(n.children[idx+1:], n.children[idx:])
-		n.children[idx] = child
-		n = child
+		t.size++
+		return true
 	}
 }
 
-// Delete removes key, reporting whether it was present. Nodes emptied by
-// the removal are unlinked bottom-up (§4: "a node that becomes empty due
-// to deleting all partial keys will be removed").
-func (t *Trie[K, V]) Delete(key K) bool {
-	u := keys.OrderedBits(key)
-	type step struct {
-		n   *node[V]
-		pk  uint8
-		idx int
+// tail builds the path holding key u from level down to a value node
+// for val. It is one half of the level-omission policy: the optimized
+// trie builds one node whose prefix holds the segments above the last
+// level, the plain trie one single-key node per level.
+func (t *Trie[K, V]) tail(u uint64, level int, val V) *node[V] {
+	last := t.levels - 1
+	n := &node[V]{kt: t.single(t.segment(u, last)), vals: []V{val}}
+	if t.omit {
+		n.prefix = make([]uint8, last-level)
+		for i := range n.prefix {
+			n.prefix[i] = t.segment(u, level+i)
+		}
+		return n
 	}
-	path := make([]step, 0, t.levels)
+	for l := last - 1; l >= level; l-- {
+		n = &node[V]{kt: t.single(t.segment(u, l)), children: []*node[V]{n}}
+	}
+	return n
+}
+
+// single builds a node search over one partial key.
+func (t *Trie[K, V]) single(pk uint8) kary.Tree[uint8] {
+	return *kary.BuildUnchecked([]uint8{pk}, t.cfg.Layout)
+}
+
+// split handles key u diverging from n's prefix at prefix index d, trie
+// level `level`: a new two-way node takes the prefix above d and holds
+// n, which keeps the prefix below d, beside the tail of u.
+func (t *Trie[K, V]) split(n *node[V], d int, u uint64, level int, val V) *node[V] {
+	old, pk := n.prefix[d], t.segment(u, level)
+	up := &node[V]{prefix: slices.Clone(n.prefix[:d])}
+	n.prefix = slices.Clone(n.prefix[d+1:])
+	pks, kids := []uint8{old, pk}, []*node[V]{n, t.tail(u, level+1, val)}
+	if pk < old {
+		slices.Reverse(pks)
+		slices.Reverse(kids)
+	}
+	up.kt = *kary.BuildUnchecked(pks, t.cfg.Layout)
+	up.children = kids
+	return up
+}
+
+// step is one node of a Delete descent and the position it followed.
+type step[V any] struct {
+	n   *node[V]
+	idx int
+}
+
+// Delete removes key, reporting whether it was present. The descent path
+// lives in a stack array — a key has at most 8 segments — so a Delete
+// that unlinks no node allocates nothing.
+func (t *Trie[K, V]) Delete(key K) bool {
+	var path [8]step[V]
+	u := keys.OrderedBits(key)
 	n := t.root
-	for level := 0; ; level++ {
-		pk := t.segment(u, level)
-		idx, hit := find(&n.kt, pk, t.cfg.Evaluator, nil, nil)
+	for depth, level := 0, 0; n != nil; depth, level = depth+1, level+1 {
+		for _, p := range n.prefix {
+			if t.segment(u, level) != p {
+				return false
+			}
+			level++
+		}
+		idx, hit := find(&n.kt, t.segment(u, level), t.cfg.Evaluator, nil, nil)
 		if !hit {
 			return false
 		}
-		path = append(path, step{n, pk, idx})
+		path[depth] = step[V]{n, idx}
 		if level == t.levels-1 {
-			break
+			t.remove(path[:depth+1])
+			return true
 		}
 		n = n.children[idx]
 	}
-	// Remove the leaf entry, then unlink empty nodes upward.
-	leaf := path[len(path)-1]
-	leaf.n.kt.Delete(leaf.pk)
-	leaf.n.vals = append(leaf.n.vals[:leaf.idx], leaf.n.vals[leaf.idx+1:]...)
-	for i := len(path) - 2; i >= 0 && path[i+1].n.kt.Len() == 0; i-- {
-		p := path[i]
-		p.n.kt.Delete(p.pk)
-		p.n.children = append(p.n.children[:p.idx], p.n.children[p.idx+1:]...)
-	}
+	return false
+}
+
+// remove deletes the value path ends at, then repairs the path bottom-up.
+// It is the other half of the level-omission policy. Both tries unlink
+// emptied nodes (§4: "a node that becomes empty due to deleting all
+// partial keys will be removed"); the optimized trie then splices an
+// inner node left with one key into its child, merging the prefixes —
+// the inverse of lazy expansion.
+func (t *Trie[K, V]) remove(path []step[V]) {
+	i := len(path) - 1
+	leaf := path[i]
+	leaf.n.kt.DeleteAt(leaf.idx)
+	leaf.n.vals = slices.Delete(leaf.n.vals, leaf.idx, leaf.idx+1)
 	t.size--
-	return true
-}
-
-// Min returns the smallest key and its value; ok is false when empty.
-func (t *Trie[K, V]) Min() (k K, v V, ok bool) {
-	if t.size == 0 {
-		return k, v, false
+	for ; i > 0 && path[i].n.kt.Len() == 0; i-- {
+		p := path[i-1]
+		p.n.kt.DeleteAt(p.idx)
+		p.n.children = slices.Delete(p.n.children, p.idx, p.idx+1)
 	}
-	var u uint64
-	n := t.root
-	for level := 0; ; level++ {
-		u = u<<8 | uint64(n.kt.At(0))
-		if level == t.levels-1 {
-			return keys.FromOrderedBits[K](u), n.vals[0], true
-		}
-		n = n.children[0]
+	n := path[i].n
+	link := &t.root
+	if i > 0 {
+		link = &path[i-1].n.children[path[i-1].idx]
 	}
-}
-
-// Max returns the largest key and its value; ok is false when empty.
-func (t *Trie[K, V]) Max() (k K, v V, ok bool) {
-	if t.size == 0 {
-		return k, v, false
+	switch {
+	case n.kt.Len() == 0:
+		*link = nil // only the root can empty here
+	case t.omit && n.kt.Len() == 1 && len(n.children) == 1:
+		child := n.children[0]
+		child.prefix = slices.Concat(n.prefix, []uint8{n.kt.At(0)}, child.prefix)
+		*link = child
 	}
-	var u uint64
-	n := t.root
-	for level := 0; ; level++ {
-		i := n.kt.Len() - 1
-		u = u<<8 | uint64(n.kt.At(i))
-		if level == t.levels-1 {
-			return keys.FromOrderedBits[K](u), n.vals[i], true
-		}
-		n = n.children[i]
-	}
-}
-
-// Ascend calls fn for every item in ascending key order until fn returns
-// false.
-func (t *Trie[K, V]) Ascend(fn func(K, V) bool) {
-	t.walk(t.root, 0, 0, func(u uint64, v V) bool {
-		return fn(keys.FromOrderedBits[K](u), v)
-	})
-}
-
-func (t *Trie[K, V]) walk(n *node[V], level int, prefix uint64, fn func(uint64, V) bool) bool {
-	for i, pk := range n.kt.Keys() {
-		u := prefix<<8 | uint64(pk)
-		if level == t.levels-1 {
-			if !fn(u, n.vals[i]) {
-				return false
-			}
-			continue
-		}
-		if !t.walk(n.children[i], level+1, u, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Scan calls fn for every item with lo ≤ key ≤ hi in ascending key order
-// until fn returns false, pruning subtrees outside the range.
-func (t *Trie[K, V]) Scan(lo, hi K, fn func(K, V) bool) {
-	if lo > hi || t.size == 0 {
-		return
-	}
-	t.scan(t.root, 0, 0, keys.OrderedBits(lo), keys.OrderedBits(hi), fn)
-}
-
-func (t *Trie[K, V]) scan(n *node[V], level int, prefix, lo, hi uint64, fn func(K, V) bool) bool {
-	rem := uint(8 * (t.levels - 1 - level))
-	for i, pk := range n.kt.Keys() {
-		u := prefix<<8 | uint64(pk)
-		// The subtree below u covers [u<<rem, (u<<rem)|maxFill].
-		min := u << rem
-		max := min | (uint64(1)<<rem - 1)
-		if max < lo {
-			continue
-		}
-		if min > hi {
-			return true
-		}
-		if level == t.levels-1 {
-			if !fn(keys.FromOrderedBits[K](u), n.vals[i]) {
-				return false
-			}
-			continue
-		}
-		if !t.scan(n.children[i], level+1, u, lo, hi, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks the structural invariants: per-node kary invariants,
-// children/values parallel to the partial keys, and a size counter that
-// matches the stored keys.
-func (t *Trie[K, V]) Validate() error {
-	count := 0
-	var walk func(n *node[V], level int) error
-	walk = func(n *node[V], level int) error {
-		if err := n.kt.Validate(); err != nil {
-			return fmt.Errorf("segtrie: level %d: %w", level, err)
-		}
-		if n != t.root && n.kt.Len() == 0 {
-			return fmt.Errorf("segtrie: empty non-root node at level %d", level)
-		}
-		if level == t.levels-1 {
-			if len(n.vals) != n.kt.Len() {
-				return fmt.Errorf("segtrie: level %d: %d keys but %d values", level, n.kt.Len(), len(n.vals))
-			}
-			if n.children != nil {
-				return fmt.Errorf("segtrie: last-level node with children")
-			}
-			count += n.kt.Len()
-			return nil
-		}
-		if len(n.children) != n.kt.Len() {
-			return fmt.Errorf("segtrie: level %d: %d keys but %d children", level, n.kt.Len(), len(n.children))
-		}
-		if n.vals != nil {
-			return fmt.Errorf("segtrie: inner node with values at level %d", level)
-		}
-		for _, c := range n.children {
-			if err := walk(c, level+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("segtrie: size %d but %d keys present", t.size, count)
-	}
-	return nil
 }

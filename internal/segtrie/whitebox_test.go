@@ -3,10 +3,12 @@ package segtrie
 import (
 	"testing"
 
+	"repro/internal/invariants"
 	"repro/internal/kary"
 )
 
-// White-box corruption tests for both trie variants.
+// White-box corruption tests on the one node type, under both level
+// policies.
 
 func TestValidateCatchesChildCountMismatch(t *testing.T) {
 	tr := NewDefault[uint64, int]()
@@ -51,6 +53,27 @@ func TestValidateCatchesEmptyInteriorNode(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesPlainTriePrefix: the plain trie materializes every
+// level, so a prefix on any of its nodes breaks its level policy even
+// where the level arithmetic still adds up.
+func TestValidateCatchesPlainTriePrefix(t *testing.T) {
+	tr := NewDefault[uint16, int]()
+	tr.Put(0x0102, 1)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Fold the root into its child the way the optimized trie would.
+	leaf := tr.root.children[0]
+	leaf.prefix = []uint8{0x01}
+	tr.root = leaf
+	if got, ok := tr.Get(0x0102); !ok || got != 1 {
+		t.Fatalf("corrupted trie still reads: got %d, %v", got, ok)
+	}
+	if err := tr.Validate(); err == nil {
+		t.Fatal("plain trie node with a prefix accepted")
+	}
+}
+
 func TestOptimizedValidateCatchesUncompressedChain(t *testing.T) {
 	opt := NewOptimizedDefault[uint64, int]()
 	opt.Put(0x0101, 1)
@@ -60,9 +83,8 @@ func TestOptimizedValidateCatchesUncompressedChain(t *testing.T) {
 	}
 	// An inner node with a single key must have been compressed away;
 	// fabricate one.
-	bad := &onode[int]{kt: *kary.BuildUnchecked([]uint8{1}, opt.cfg.Layout)}
-	bad.children = []*onode[int]{opt.root.children[0]}
-	bad.prefix = nil
+	bad := &node[int]{kt: *kary.BuildUnchecked([]uint8{1}, opt.cfg.Layout)}
+	bad.children = []*node[int]{opt.root.children[0]}
 	opt.root.children[0] = bad
 	if err := opt.Validate(); err == nil {
 		t.Fatal("uncompressed chain accepted")
@@ -85,5 +107,37 @@ func TestOptimizedValidateCatchesPhantomSize(t *testing.T) {
 	opt.size = 3
 	if err := opt.Validate(); err == nil {
 		t.Fatal("phantom size accepted")
+	}
+}
+
+// TestDeleteIsAllocationFree: Delete keeps its descent path in a stack
+// array, so a miss and a hit that unlinks no node allocate nothing in
+// either trie. The trie holds keys 0…299 (last-level nodes of 256 and 44
+// keys); the timed deletes take keys 100…110 from the full node, which
+// keeps its 17-ary geometry (r = 2, m = 15) from 256 down to 241 keys.
+func TestDeleteIsAllocationFree(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	for name, tr := range map[string]*Trie[uint64, int]{
+		"segtrie": NewDefault[uint64, int](), "opt-segtrie": NewOptimizedDefault[uint64, int](),
+	} {
+		for k := range uint64(300) {
+			tr.Put(k, int(k))
+		}
+		miss := testing.AllocsPerRun(10, func() { tr.Delete(1 << 40) })
+		k := uint64(100)
+		hit := testing.AllocsPerRun(10, func() {
+			if !tr.Delete(k) {
+				t.Fatalf("%s: delete %d missed", name, k)
+			}
+			k++
+		})
+		if miss != 0 || hit != 0 {
+			t.Errorf("%s: Delete allocates %.1f per miss and %.1f per hit, want 0", name, miss, hit)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

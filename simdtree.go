@@ -8,9 +8,9 @@
 //   - SegTree — a B+-Tree whose inner-node search is k-ary search on
 //     linearized key arrays, executed with an emulated 128-bit SIMD unit
 //     (§3 of the paper).
-//   - SegTrie and OptimizedSegTrie — a prefix B-Tree over 8-bit key
-//     segments whose nodes are 17-ary searched, transferring 8-bit SIMD
-//     search performance to 64-bit keys (§4).
+//   - SegTrie — a prefix B-Tree over 8-bit key segments whose nodes are
+//     17-ary searched (§4), with or without the optimized trie's level
+//     omission (NewOptimizedSegTrie).
 //   - BPlusTree — the classic B+-Tree with binary inner-node search, the
 //     paper's baseline.
 //
@@ -113,12 +113,12 @@ func BulkLoadSegTree[K Key, V any](ks []K, vs []V, opts ...Option) *SegTree[K, V
 // segments with 17-ary SIMD node search.
 type SegTrie[K Key, V any] = segtrie.Trie[K, V]
 
-// OptimizedSegTrie is the §4 optimized variant: single-key levels are
-// omitted and stored as in-node prefixes (lazy expansion), giving the
-// paper's constant speedup and memory reduction on dense key ranges.
-type OptimizedSegTrie[K Key, V any] = segtrie.Optimized[K, V]
+// OptimizedSegTrie is SegTrie built by NewOptimizedSegTrie: single-key
+// levels are omitted and stored as in-node prefixes (lazy expansion, §4),
+// giving the paper's constant speedup on dense key ranges.
+type OptimizedSegTrie[K Key, V any] = segtrie.Trie[K, V]
 
-// SegTrieConfig parameterizes both trie variants.
+// SegTrieConfig parameterizes both tries.
 type SegTrieConfig = segtrie.Config
 
 // NewSegTrie returns an empty Seg-Trie; WithLayout and WithEvaluator
