@@ -23,7 +23,7 @@
 #                      -vettool, then govulncheck
 #   make invariants  - full test suite with -race and -tags=invariants:
 #                      the debug-build assertions in internal/invariants
-#                      (MVCC writer reuse, epoch-pin validation,
+#                      (path-copying stamps, epoch-pin validation,
 #                      single-owner rotation) are compiled in and armed,
 #                      plus an assertion-armed MVCC stress run
 #   make staticcheck - staticcheck ./... (skips when the tool is absent)
@@ -92,33 +92,39 @@ race:
 	$(GO) test -race ./...
 
 # Long mixed-load run over the MVCC snapshot machinery under the race
-# detector: concurrent writers rotate versions while readers pin
-# snapshots and assert isolation invariants, goroutines interleaving
-# lookups on instrumented indexes must attribute every cost count to the
-# index that paid it, a batch racing a writer must read each shard from
-# one pinned version, and the seed scripts of the MVCC model check
-# (FuzzVersionedOps) replay against a map model. STRESS_OPS scales the
-# per worker operation count of the MVCC tests (the short default inside
-# the tests is sized for `make race`; CI runs this target with a much
-# larger budget).
+# detector: concurrent writers publish path-copied versions while
+# readers pin snapshots and assert isolation invariants, goroutines
+# interleaving lookups on instrumented indexes must attribute every cost
+# count to the index that paid it, a batch racing a writer must read
+# each shard from one pinned version, the seed scripts of the MVCC model
+# check (FuzzVersionedOps) replay against a map model, recycling must
+# respect held and probed pins, and every node a held snapshot reaches
+# must keep its bytes through 10,000 writes in both trees
+# (TestPublishedNodesNeverChange). STRESS_OPS scales the per worker
+# operation count of the MVCC tests (the short default inside the tests
+# is sized for `make race`; CI runs this target with a much larger
+# budget).
+MVCC_TESTS = TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps|TestVersionedPathCopying|TestVersionedHeldSnapshotDefersRecycling|TestVersionedRecyclingSeesProbedSlot|TestPublishedNodesNeverChange
+MVCC_PKGS = ./internal/index/ ./internal/btree/ ./internal/segtrie/
+
 stress:
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -count=2 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps' \
-		./internal/index/ -v
+		-run '$(MVCC_TESTS)' $(MVCC_PKGS) -v
 
 # Debug build with runtime invariant checks compiled in (DESIGN.md §5c):
 # the -tags=invariants build arms the assertions in internal/invariants —
-# the MVCC writer reusing only the version one op behind the published
-# one and catching it up to the published content, announce-then-validate
-# epoch pinning, single-owner window rotation — across the full suite
-# under the race detector, then re-runs the MVCC stress tests and the
-# MVCC model check with the same assertions armed. SIMDTREE_STRESS_OPS scales the stress budget the
+# a write changes only nodes carrying its own stamp, a fork is for a
+# later sequence than its source and reuses only nodes retired at or
+# below every sequence a claimed slot announces (and every announcing
+# slot is claimed), announce-then-validate epoch pinning, single-owner
+# window rotation — across the full suite under the race detector, then
+# re-runs the MVCC stress tests and the MVCC model check with the same
+# assertions armed. SIMDTREE_STRESS_OPS scales the stress budget the
 # same way `make stress` does.
 invariants:
 	$(GO) test -race -tags=invariants ./...
 	SIMDTREE_STRESS_OPS=$(STRESS_OPS) $(GO) test -race -tags=invariants -count=1 -timeout 20m \
-		-run 'TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps' \
-		./internal/index/
+		-run '$(MVCC_TESTS)' $(MVCC_PKGS)
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -566,8 +566,9 @@ func BenchmarkGeneralizedTrieVsSegTrie(b *testing.B) {
 }
 
 // BenchmarkRangeScan measures ordered iteration throughput: the B+-Tree
-// sequence set (paper §1: linked leaves "speedup sequential processing")
-// against the trie walks, scanning 1000-key windows.
+// leaf walk (paper §1: the sequence set of leaves "speedup sequential
+// processing"; here walked along a root-to-leaf stack, since path copying
+// has no leaf links) against the trie walks, scanning 1000-key windows.
 func BenchmarkRangeScan(b *testing.B) {
 	const n = 1 << 20
 	ks := workload.Ascending[uint64](n)

@@ -787,9 +787,9 @@ func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot reports the MVCC publication state — per-shard version
-// sequence numbers, currently pinned reader epochs, superseded versions
-// the writers hold for reuse (0 or 1 per shard), and the
-// publish/reclaim/clone counters — as JSON.
+// sequence numbers, currently pinned reader epochs, the versions whose
+// retired nodes a pinned reader holds back, and the publish, reclaim
+// and node-copy counters — as JSON.
 func (s *server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	mv, ok := s.ix.MVCCInfo()
 	if !ok {

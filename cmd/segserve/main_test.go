@@ -161,7 +161,7 @@ func TestVersionObservability(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/stats = %d", code)
 	}
-	for _, want := range []string{"version ", "versions_published ", "active_snapshots "} {
+	for _, want := range []string{"version ", "versions_published ", "versions_reclaimed ", "copied_nodes ", "active_snapshots "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/stats missing %q:\n%s", want, body)
 		}
@@ -181,6 +181,9 @@ func TestVersionObservability(t *testing.T) {
 	if mv.Published == 0 || mv.CurrentVersion() == 0 {
 		t.Errorf("/debug/snapshot reports no publications: %+v", mv)
 	}
+	if mv.CopiedNodes == 0 || mv.Cloned != 0 {
+		t.Errorf("/debug/snapshot: %d nodes copied and %d trees cloned, want some and none", mv.CopiedNodes, mv.Cloned)
+	}
 
 	_, metrics := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
@@ -188,6 +191,7 @@ func TestVersionObservability(t *testing.T) {
 		"# TYPE segserve_mvcc_active_snapshots gauge",
 		"# TYPE segserve_mvcc_published_versions_total counter",
 		"# TYPE segserve_mvcc_reclaimed_versions_total counter",
+		"# TYPE segserve_mvcc_copied_nodes_total counter",
 		"# TYPE segserve_mvcc_publish_latency_seconds histogram",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -38,7 +38,7 @@ func main() {
 	v, _ := tree.Get(20)
 	fmt.Printf("after update: Get(20) = %q\n", v)
 
-	// Ordered iteration over the linked leaves.
+	// Ordered iteration over the leaves, left to right.
 	fmt.Print("ascending: ")
 	tree.Ascend(func(k uint32, v string) bool {
 		fmt.Printf("%d=%s ", k, v)
@@ -46,7 +46,7 @@ func main() {
 	})
 	fmt.Println()
 
-	// Range scans use the B+-Tree sequence set.
+	// Range scans walk the B+-Tree's leaves from the first key in range.
 	fmt.Print("scan [10,30]: ")
 	tree.Scan(10, 30, func(k uint32, v string) bool {
 		fmt.Printf("%d=%s ", k, v)

@@ -1,7 +1,7 @@
 // Range scans over a main-memory order table: an OLAP-style scenario
 // exercising the Seg-Tree as a secondary index. Orders are indexed by a
 // 32-bit order date (days since epoch); queries fetch revenue over date
-// windows through the B+-Tree sequence set while point updates trickle in.
+// windows through the B+-Tree's leaves while point updates trickle in.
 package main
 
 import (

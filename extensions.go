@@ -22,16 +22,19 @@ type Index[K Key, V any] = index.Index[K, V]
 // Index reports through IndexStats().
 type IndexStats = index.Stats
 
-// ShardedIndex key-range-partitions any Index across N shards, each an
-// independent MVCC snapshot publisher — the scalable concurrent path:
-// writes to different key ranges proceed in parallel, and reads are
-// lock-free everywhere (each read pins its shard's published version).
-// Ordered operations stay ordered because the partition follows key
-// order.
+// ShardedIndex key-range-partitions a tree structure of the module
+// across N shards, each an independent MVCC snapshot publisher — the
+// scalable concurrent path: writes to different key ranges proceed in
+// parallel, and reads are lock-free everywhere (each read pins its
+// shard's published version). Ordered operations stay ordered because
+// the partition follows key order.
 type ShardedIndex[K Key, V any] = index.Sharded[K, V]
 
 // NewShardedIndex builds a sharded index over shardCount instances
-// produced by newIndex (one per shard, each must start empty):
+// produced by newIndex (one per shard, each must start empty). Each must
+// implement the path-copying write interface index.Forker, as the
+// SegTree, SegTrie, OptimizedSegTrie and BPlusTree do; it panics on one
+// that does not:
 //
 //	s := simdtree.NewShardedIndex[uint64, string](16, func() simdtree.Index[uint64, string] {
 //		return simdtree.NewSegTree[uint64, string]()
@@ -40,12 +43,14 @@ func NewShardedIndex[K Key, V any](shardCount int, newIndex func() Index[K, V]) 
 	return index.NewSharded[K, V](shardCount, newIndex)
 }
 
-// VersionedIndex wraps any single index in MVCC copy-on-write snapshot
-// publication: Get/GetBatch and every other read run lock-free against
-// an immutable published version while one writer at a time builds and
-// atomically publishes the next. It is the unsharded concurrent index;
-// combine with sharding via NewIndex(WithShards(n)), whose shards are
-// each a VersionedIndex already.
+// VersionedIndex wraps one tree structure in MVCC snapshot publication:
+// Get/GetBatch and every other read run lock-free against an immutable
+// published version while one writer at a time builds and atomically
+// publishes the next. A write forks the published tree in O(1) and
+// copies only the nodes on its path (path copying), reusing the storage
+// of nodes no reader can reach any more. It is the unsharded concurrent
+// index; combine with sharding via NewIndex(WithShards(n)), whose shards
+// are each a VersionedIndex already.
 type VersionedIndex[K Key, V any] = index.Versioned[K, V]
 
 // NewVersionedIndex wraps an index built by newIndex in MVCC snapshot
@@ -55,7 +60,8 @@ type VersionedIndex[K Key, V any] = index.Versioned[K, V]
 //		return simdtree.NewSegTree[uint64, string]()
 //	})
 //
-// Every tree newIndex returns must start empty.
+// newIndex is called once; the tree it returns must start empty and
+// implement index.Forker (NewVersionedIndex panics otherwise).
 func NewVersionedIndex[K Key, V any](newIndex func() Index[K, V]) *VersionedIndex[K, V] {
 	return index.NewVersioned[K, V](newIndex)
 }
@@ -72,9 +78,10 @@ type IndexSnapshotView[K Key, V any] = index.Snapshot[K, V]
 type Snapshotter[K Key, V any] = index.Snapshotter[K, V]
 
 // MVCCStats is the point-in-time health of an index's snapshot
-// publication: current versions, pinned readers, superseded versions
-// held for reuse (0 or 1 per shard), and the publish/reclaim/clone
-// counters with publish latency.
+// publication: current versions, pinned readers, the versions whose
+// retired nodes a pinned reader still holds back, and the publish,
+// reclaim and node-copy counters with publish latency (the clone
+// counter of the earlier two-tree writer always reads 0).
 type MVCCStats = obs.MVCCSnapshot
 
 // TakeSnapshot returns a pinned read view of ix when it publishes

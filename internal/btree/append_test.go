@@ -4,12 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/kary"
+	"repro/internal/keys"
 )
+
+// leaves lists the tree's leaves, left to right.
+func leaves[K keys.Key, V any, S Stores[K], PS Store[K, S]](tr *Skeleton[K, V, S, PS]) []*node[K, V, S, PS] {
+	var ls []*node[K, V, S, PS]
+	var c cursor[K, V, S, PS]
+	for l := c.down(tr.root, leftmost); l != nil; l = c.next() {
+		ls = append(ls, l)
+	}
+	return ls
+}
 
 // leafCounts lists the key count of every leaf, left to right.
 func leafCounts[S Stores[uint64], PS Store[uint64, S]](tr *Skeleton[uint64, int, S, PS]) []int {
 	var counts []int
-	for l := tr.first; l != nil; l = l.next {
+	for _, l := range leaves(tr) {
 		counts = append(counts, l.keys().Len())
 	}
 	return counts

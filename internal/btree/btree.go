@@ -1,8 +1,11 @@
 // Package btree is the in-memory B+-Tree of the paper, written once
 // (Skeleton) and generic over the key store that searches and holds
 // each node's keys. Branching nodes hold separator keys and child
-// pointers; leaf nodes hold the data items and are linked to support
-// range queries (the sequence set).
+// pointers; leaf nodes hold the data items. Range queries walk the
+// leaves along a root-to-leaf stack rather than a leaf chain, so a write
+// can copy the nodes on its path without touching their neighbours:
+// the skeleton's trees implement index.Forker, the path-copying write
+// interface the MVCC layer (index.Versioned) publishes through.
 //
 // Tree is the paper's baseline: a sorted key slice per node, searched by
 // classic binary search. Every performance experiment measures the
@@ -66,8 +69,9 @@ type Tree[K keys.Key, V any] struct {
 	cfg Config
 }
 
-// The baseline B+-Tree satisfies the module-wide index contract.
-var _ index.Index[uint32, int] = (*Tree[uint32, int])(nil)
+// The baseline B+-Tree satisfies the module-wide index contract and the
+// MVCC layer's path-copying write interface.
+var _ index.Forker[uint32, int] = (*Tree[uint32, int])(nil)
 
 // New returns an empty tree with the given configuration. It is the
 // Must-style wrapper over NewChecked: it panics on an invalid
@@ -112,17 +116,29 @@ func BulkLoad[K keys.Key, V any](cfg Config, ks []K, vs []V) *Tree[K, V] {
 // Config returns the tree's node configuration.
 func (t *Tree[K, V]) Config() Config { return t.cfg }
 
+// Fork implements index.Forker: a fork of the tree, in dst's header when
+// dst is a tree (see Skeleton.ForkTo).
+func (t *Tree[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker[K, V] {
+	f, _ := dst.(*Tree[K, V])
+	if f == nil {
+		f = &Tree[K, V]{cfg: t.cfg}
+	}
+	t.ForkTo(&f.Skeleton, gen, safe)
+	return f
+}
+
 // sorted is the baseline's key store: a node's keys in a sorted slice.
 type sorted[K keys.Key] struct{ ks []K }
 
-func (s *sorted[K]) Len() int               { return len(s.ks) }
-func (s *sorted[K]) At(i int) K             { return s.ks[i] }
-func (s *sorted[K]) AppendKeys(dst []K) []K { return append(dst, s.ks...) }
-func (s *sorted[K]) Reset(ks []K)           { s.ks = append(s.ks[:0], ks...) }
-func (s *sorted[K]) InsertAt(i int, k K)    { s.ks = slices.Insert(s.ks, i, k) }
-func (s *sorted[K]) DeleteAt(i int)         { s.ks = slices.Delete(s.ks, i, i+1) }
-func (s *sorted[K]) ReplaceAt(i int, k K)   { s.ks[i] = k }
-func (s *sorted[K]) Reserve(n int)          { s.ks = slices.Grow(s.ks, max(n-len(s.ks), 0)) }
+func (s *sorted[K]) Len() int                { return len(s.ks) }
+func (s *sorted[K]) At(i int) K              { return s.ks[i] }
+func (s *sorted[K]) AppendKeys(dst []K) []K  { return append(dst, s.ks...) }
+func (s *sorted[K]) Reset(ks []K)            { s.ks = append(s.ks[:0], ks...) }
+func (s *sorted[K]) InsertAt(i int, k K)     { s.ks = slices.Insert(s.ks, i, k) }
+func (s *sorted[K]) DeleteAt(i int)          { s.ks = slices.Delete(s.ks, i, i+1) }
+func (s *sorted[K]) ReplaceAt(i int, k K)    { s.ks[i] = k }
+func (s *sorted[K]) Reserve(n int)           { s.ks = slices.Grow(s.ks, max(n-len(s.ks), 0)) }
+func (s *sorted[K]) CopyFrom(src *sorted[K]) { s.ks = index.Clone(s.ks, src.ks) }
 
 func (s *sorted[K]) SplitInsert(i int, k K, mid int, right *sorted[K]) {
 	s.ks = slices.Insert(s.ks, i, k)

@@ -41,6 +41,10 @@ type Store[K keys.Key, S Stores[K]] interface {
 	// Reserve makes room for n keys, so that growing the store to n keys
 	// allocates nothing more.
 	Reserve(n int)
+	// CopyFrom makes the store a copy of src that shares no storage with
+	// it, at src's capacity, reusing the store's own storage when that
+	// holds as much.
+	CopyFrom(src *S)
 	// SplitInsert inserts k at sorted index i into the full store, keeps
 	// the first mid keys and moves the others into the empty store right.
 	SplitInsert(i int, k K, mid int, right *S)
@@ -80,29 +84,52 @@ func (s Spec[S]) Check() error {
 }
 
 // Skeleton is the B+-Tree both structures share: branching nodes hold
-// separator keys and child pointers, leaves hold the data items and are
-// linked into the sequence set. Descent, splits, borrows, merges, bulk
-// loading and every walk are here once; only the node search and the
-// key moves vary with the key store S (§3.1: the traversal and the
-// split and merge machinery are unaffected by the adaption). The zero
-// value is not usable; construct with Build.
+// separator keys and child pointers, leaves hold the data items.
+// Descent, splits, borrows, merges, bulk loading and every walk are here
+// once; only the node search and the key moves vary with the key store S
+// (§3.1: the traversal and the split and merge machinery are unaffected
+// by the adaption). The zero value is not usable; construct with Build.
+//
+// A Skeleton is also the version header of path copying: ForkTo copies
+// the header, which is what a Fork of the trees built on it does
+// (index.Forker), and the fork's writes copy each node they change that
+// an older write stamped (own). There is no leaf chain: a copied leaf
+// could not relink its left neighbour without copying that too, so
+// ordered walks keep a root-to-leaf stack (cursor).
 type Skeleton[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
-	root  *node[K, V, S, PS]
-	first *node[K, V, S, PS] // leftmost leaf, head of the sequence set
-	size  int
-	spec  Spec[S]
+	root *node[K, V, S, PS]
+	size int
+	spec Spec[S]
+	// gen stamps the nodes the running write creates; a node stamped
+	// below it is copied before it changes. It is 0 in a tree never
+	// forked, whose nodes are all stamped 0. safe is the sequence at or
+	// below which retired nodes may be reused, copied counts this fork's
+	// copies, and pool is shared by every fork of one tree (nil until
+	// the first Fork).
+	gen    uint64
+	safe   uint64
+	copied int
+	pool   *pool[K, V, S, PS]
+}
+
+// pool is the writer state every fork of one tree shares: the nodes its
+// writes retired, one recycler per node kind, so a reused node's storage
+// is the size of the kind it copies.
+type pool[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
+	leaves, branches index.Recycler[node[K, V, S, PS]]
 }
 
 // node is a branching node (children != nil) or a leaf. In a branching
 // node key i separates children[i] from children[i+1]: subtree i holds
 // keys below it, subtree i+1 keys at or above it. In a leaf key i is the
 // key of vals[i]. Children and values are in sorted order beside the key
-// store, indexed by the rank its search returns.
+// store, indexed by the rank its search returns. gen is the stamp of the
+// write that created the node.
 type node[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
 	store    S
 	vals     []V                  // leaves only
 	children []*node[K, V, S, PS] // branches only
-	next     *node[K, V, S, PS]   // leaves only: right neighbour in the sequence set
+	gen      uint64
 }
 
 func (n *node[K, V, S, PS]) keys() PS { return &n.store }
@@ -130,9 +157,10 @@ func (n *node[K, V, S, PS]) rank(key K, reg *kary.Register, ev bitmask.Evaluator
 	return any(n.keys()).(*sorted[K]).rank(key, tr, c)
 }
 
-// newNode returns a node whose store holds ks.
+// newNode returns a node whose store holds ks, stamped with the running
+// write's gen.
 func (t *Skeleton[K, V, S, PS]) newNode(ks []K) *node[K, V, S, PS] {
-	n := &node[K, V, S, PS]{store: t.spec.Empty}
+	n := &node[K, V, S, PS]{store: t.spec.Empty, gen: t.gen}
 	if len(ks) > 0 {
 		n.keys().Reset(ks)
 	}
@@ -241,7 +269,10 @@ func (t *Skeleton[K, V, S, PS]) Contains(key K) bool {
 
 // Min returns the smallest key and its value; ok is false when empty.
 func (t *Skeleton[K, V, S, PS]) Min() (k K, v V, ok bool) {
-	n := t.first
+	n := t.root
+	for !n.leaf() {
+		n = n.children[0]
+	}
 	if n.keys().Len() == 0 {
 		return k, v, false
 	}
@@ -261,25 +292,68 @@ func (t *Skeleton[K, V, S, PS]) Max() (k K, v V, ok bool) {
 	return n.keys().At(i), n.vals[i], true
 }
 
+// maxHeight bounds a cursor's stack: every node but the root has at least
+// two children, so 64 levels hold more keys than an int counts.
+const maxHeight = 64
+
+// cursor walks the leaves left to right along the path from the root:
+// path[d] is the branch at depth d and the child the walk is in.
+type cursor[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
+	path [maxHeight]struct {
+		n *node[K, V, S, PS]
+		i int
+	}
+	depth int
+}
+
+// down descends from n through child i of each branch, as rank picks it,
+// to a leaf, which it returns.
+func (c *cursor[K, V, S, PS]) down(n *node[K, V, S, PS], rank func(*node[K, V, S, PS]) int) *node[K, V, S, PS] {
+	for !n.leaf() {
+		i := rank(n)
+		c.path[c.depth].n, c.path[c.depth].i = n, i
+		c.depth++
+		n = n.children[i]
+	}
+	return n
+}
+
+// next returns the leaf right of the one the cursor is at, nil after the
+// last.
+func (c *cursor[K, V, S, PS]) next() *node[K, V, S, PS] {
+	for c.depth > 0 {
+		top := &c.path[c.depth-1]
+		if top.i+1 < len(top.n.children) {
+			top.i++
+			return c.down(top.n.children[top.i], leftmost)
+		}
+		c.depth--
+	}
+	return nil
+}
+
+// leftmost is the rank of a descent to the smallest key.
+func leftmost[K keys.Key, V any, S Stores[K], PS Store[K, S]](*node[K, V, S, PS]) int { return 0 }
+
 // Scan calls fn for every item with lo ≤ key ≤ hi in ascending key order,
-// walking the linked leaves, until fn returns false.
+// walking the leaves from lo's, until fn returns false.
 func (t *Skeleton[K, V, S, PS]) Scan(lo, hi K, fn func(K, V) bool) {
 	if lo > hi {
 		return
 	}
 	ev := t.spec.Evaluator
 	var reg kary.Register
-	n := t.root
-	for !n.leaf() {
+	var c cursor[K, V, S, PS]
+	n := c.down(t.root, func(n *node[K, V, S, PS]) int {
 		i, _ := n.rank(lo, &reg, ev, nil, false, nil)
-		n = n.children[i]
-	}
+		return i
+	})
 	// The first key ≥ lo: the rank of lo, one back if lo is present.
 	i, found := n.rank(lo, &reg, ev, nil, true, nil)
 	if found {
 		i--
 	}
-	for ; n != nil; n, i = n.next, 0 {
+	for ; n != nil; n, i = c.next(), 0 {
 		switch ks := any(n.keys()).(type) {
 		case *kary.Tree[K]:
 			for ; i < ks.Len(); i++ {
@@ -301,7 +375,8 @@ func (t *Skeleton[K, V, S, PS]) Scan(lo, hi K, fn func(K, V) bool) {
 // false.
 func (t *Skeleton[K, V, S, PS]) Ascend(fn func(K, V) bool) {
 	var buf []K
-	for n := t.first; n != nil; n = n.next {
+	var c cursor[K, V, S, PS]
+	for n := c.down(t.root, leftmost); n != nil; n = c.next() {
 		buf = n.keys().AppendKeys(buf[:0])
 		for i, k := range buf {
 			if !fn(k, n.vals[i]) {

@@ -72,8 +72,8 @@ func splitFullLeaf[S Stores[uint64], PS Store[uint64, S]](t *testing.T, sp Spec[
 		if sep, min := root.keys().At(0), r.keys().At(0); sep != min {
 			t.Fatalf("%s: separator %d, right half starts at %d", name, sep, min)
 		}
-		if l.next != r || r.next != nil || tr.first != l {
-			t.Fatalf("%s: leaf chain not relinked", name)
+		if ls := leaves(tr); len(ls) != 2 || ls[0] != l || ls[1] != r {
+			t.Fatalf("%s: the leaf walk does not see the two halves", name)
 		}
 		if v, ok := tr.Get(tc.key); !ok || v != -1 {
 			t.Fatalf("%s: inserted key lost", name)

@@ -9,8 +9,8 @@ import (
 // Validate checks every structural invariant of the tree: each key
 // store's own invariants, uniform leaf depth, node fill bounds (root
 // exempt, and the rightmost leaf from the lower one), separator fences,
-// an intact leaf chain, and a consistent size counter. It returns the
-// first violation found.
+// no node stamped by a later write than the tree's, and a consistent
+// size counter. It returns the first violation found.
 func (t *Skeleton[K, V, S, PS]) Validate() error {
 	type bound struct {
 		has bool
@@ -18,14 +18,16 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 	}
 	name := t.spec.Name
 	leafDepth := -1
-	var prevLeaf *node[K, V, S, PS]
 	keyCount := 0
 
-	var walk func(n *node[K, V, S, PS], depth int, lo, hi bound) error
-	walk = func(n *node[K, V, S, PS], depth int, lo, hi bound) error {
+	var walk func(n *node[K, V, S, PS], depth int, lo, hi bound, rightmost bool) error
+	walk = func(n *node[K, V, S, PS], depth int, lo, hi bound, rightmost bool) error {
 		ks := n.keys()
 		if err := ks.Validate(); err != nil {
 			return fmt.Errorf("%s: node at depth %d: %w", name, depth, err)
+		}
+		if n.gen > t.gen {
+			return fmt.Errorf("%s: node at depth %d stamped %d in a tree at gen %d", name, depth, n.gen, t.gen)
 		}
 		nk := ks.Len()
 		if nk > 0 {
@@ -49,7 +51,7 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 			// append starts it with one key (see insert). It is never
 			// empty below the root, since a delete repair refills it.
 			switch {
-			case n != t.root && n.next != nil && nk < t.spec.LeafCap/2:
+			case n != t.root && !rightmost && nk < t.spec.LeafCap/2:
 				return fmt.Errorf("%s: leaf underflow (%d keys)", name, nk)
 			case n != t.root && nk == 0:
 				return fmt.Errorf("%s: empty rightmost leaf", name)
@@ -57,10 +59,6 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 			if nk > t.spec.LeafCap {
 				return fmt.Errorf("%s: leaf overflow (%d keys)", name, nk)
 			}
-			if prevLeaf != nil && prevLeaf.next != n {
-				return fmt.Errorf("%s: broken leaf chain", name)
-			}
-			prevLeaf = n
 			keyCount += nk
 			return nil
 		}
@@ -84,28 +82,17 @@ func (t *Skeleton[K, V, S, PS]) Validate() error {
 			if i < nk {
 				chi = bound{true, ks.At(i)}
 			}
-			if err := walk(c, depth+1, clo, chi); err != nil {
+			if err := walk(c, depth+1, clo, chi, rightmost && i == nk); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root, 1, bound{}, bound{}); err != nil {
+	if err := walk(t.root, 1, bound{}, bound{}, true); err != nil {
 		return err
 	}
 	if keyCount != t.size {
 		return fmt.Errorf("%s: size %d but %d keys present", name, t.size, keyCount)
-	}
-	// The leaf chain must start at first and end after the rightmost leaf.
-	n := t.root
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	if n != t.first {
-		return fmt.Errorf("%s: first does not point at the leftmost leaf", name)
-	}
-	if prevLeaf != nil && prevLeaf.next != nil {
-		return fmt.Errorf("%s: rightmost leaf has a successor", name)
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 // White-box corruption tests: Validate must catch damaged structure, over
 // either key store.
 
-func TestValidateCatchesBrokenLeafChain(t *testing.T)    { validateCatches(t, "broken leaf chain") }
+func TestValidateCatchesFutureStamp(t *testing.T)        { validateCatches(t, "future stamp") }
 func TestValidateCatchesWrongSize(t *testing.T)          { validateCatches(t, "wrong size") }
 func TestValidateCatchesValueCountMismatch(t *testing.T) { validateCatches(t, "value count mismatch") }
 func TestValidateCatchesFenceViolation(t *testing.T)     { validateCatches(t, "fence violation") }
@@ -46,18 +46,21 @@ func damageCaught[S Stores[uint32], PS Store[uint32, S]](t *testing.T, sp Spec[S
 // damages lists, by name, the ways the tests damage a valid tree.
 func damages[S Stores[uint32], PS Store[uint32, S]]() map[string]func(*Skeleton[uint32, int, S, PS]) {
 	return map[string]func(*Skeleton[uint32, int, S, PS]){
-		"broken leaf chain": func(tr *Skeleton[uint32, int, S, PS]) {
-			tr.first.next = tr.first.next.next // skip a leaf
+		"future stamp": func(tr *Skeleton[uint32, int, S, PS]) {
+			// A node no write of this tree could have stamped yet.
+			leaves(tr)[1].gen = tr.gen + 1
 		},
 		"wrong size": func(tr *Skeleton[uint32, int, S, PS]) {
 			tr.size++
 		},
 		"value count mismatch": func(tr *Skeleton[uint32, int, S, PS]) {
-			tr.first.vals = tr.first.vals[:len(tr.first.vals)-1]
+			first := leaves(tr)[0]
+			first.vals = first.vals[:len(first.vals)-1]
 		},
 		"fence violation": func(tr *Skeleton[uint32, int, S, PS]) {
 			// Swap the key sets of two leaves: fences break.
-			a, b := tr.first, tr.first.next
+			ls := leaves(tr)
+			a, b := ls[0], ls[1]
 			ak, bk := a.keys().AppendKeys(nil), b.keys().AppendKeys(nil)
 			a.keys().Reset(bk)
 			b.keys().Reset(ak)
@@ -71,24 +74,22 @@ func damages[S Stores[uint32], PS Store[uint32, S]]() map[string]func(*Skeleton[
 		},
 		"underfull leaf": func(tr *Skeleton[uint32, int, S, PS]) {
 			// Only the rightmost leaf may hold fewer than LeafCap/2 keys.
-			trimLeaf(tr, tr.first, 1)
+			trimLeaf(tr, leaves(tr)[0], 1)
 		},
 		"empty rightmost leaf": func(tr *Skeleton[uint32, int, S, PS]) {
-			last := tr.first
-			for last.next != nil {
-				last = last.next
-			}
-			trimLeaf(tr, last, 0)
+			ls := leaves(tr)
+			trimLeaf(tr, ls[len(ls)-1], 0)
 		},
 		"overflowing node": func(tr *Skeleton[uint32, int, S, PS]) {
-			ks := tr.first.keys().AppendKeys(nil)
+			first := leaves(tr)[0]
+			ks := first.keys().AppendKeys(nil)
 			for i := 0; i < 10; i++ {
 				ks = append(ks, 1000000+uint32(i))
 			}
 			// Overflow the leaf and fix vals so only the overflow trips.
-			tr.first.keys().Reset(ks)
+			first.keys().Reset(ks)
 			for i := 0; i < 10; i++ {
-				tr.first.vals = append(tr.first.vals, 0)
+				first.vals = append(first.vals, 0)
 			}
 			tr.size += 10
 		},

@@ -10,7 +10,9 @@
 //     GetBatchInto contract, one serial loop, and the interleaved batch
 //     descent that overlaps the node loads of independent probes,
 //   - the key-range sharded concurrent index (sharded.go), the scalable
-//     write path the single-lock concurrent.Locked cannot provide.
+//     write path the single-lock concurrent.Locked cannot provide, over
+//     the MVCC snapshot publisher (versioned.go) and the path-copying
+//     write interface it publishes through (fork.go).
 //
 // The package sits below the structure packages: it imports only
 // internal/keys, and segtree/segtrie/btree import it for the engine.

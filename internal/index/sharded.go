@@ -8,8 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Sharded key-range-partitions any Index across a fixed number of
-// shards, each an independent Versioned copy-on-write publisher. Writes
+// Sharded key-range-partitions a path-copying index (Forker) across a
+// fixed number of shards, each an independent Versioned publisher. Writes
 // to different key ranges proceed in parallel — what the single global
 // lock of concurrent.Locked cannot do — and reads never take a lock at
 // all: each read pins its shard's currently published version through
@@ -30,8 +30,8 @@ type Sharded[K keys.Key, V any] struct {
 }
 
 // NewSharded partitions shardCount indexes built by newIndex. Each shard
-// must start empty; the caller must not use the built indexes directly.
-// It panics when shardCount < 1.
+// must start empty and implement Forker (see NewVersioned); the caller
+// must not use the built indexes directly. It panics when shardCount < 1.
 func NewSharded[K keys.Key, V any](shardCount int, newIndex func() Index[K, V]) *Sharded[K, V] {
 	if shardCount < 1 {
 		panic(fmt.Sprintf("index: shard count %d < 1", shardCount)) //simdtree:allowpanic configuration contract, documented above
@@ -105,7 +105,7 @@ func (s *Sharded[K, V]) Snapshot() *Snapshot[K, V] {
 	for i, sh := range s.shards {
 		v, sl := sh.pin(readerSlotHint())
 		snap.trees[i] = v.tree
-		snap.seqs[i] = v.seq
+		snap.seqs[i] = v.seq.Load()
 		snap.slots[i] = sl
 	}
 	return snap

@@ -13,8 +13,8 @@ import (
 // writers advance the live index, and takes no lock doing so.
 //
 // A Snapshot holds its versions' epoch slots until Release; forgetting
-// to release keeps the pinned trees alive and eventually costs writers
-// one clone each (see Versioned). The handle itself is not safe for
+// to release keeps the pinned trees alive and stops writers from reusing
+// the nodes they replace (see Versioned). The handle itself is not safe for
 // concurrent use — share the underlying Versioned/Sharded index instead,
 // or give each goroutine its own Snapshot.
 type Snapshot[K keys.Key, V any] struct {
@@ -76,9 +76,10 @@ func (s *Snapshot[K, V]) Seqs() []uint64 {
 	return out
 }
 
-// Release unpins the snapshot's versions, letting writers reclaim them.
-// Releasing twice is a no-op; using the snapshot after Release is a
-// logic error (reads may then observe reclaimed, mutating trees).
+// Release unpins the snapshot's versions, letting writers reuse the
+// nodes only they reach. Releasing twice is a no-op; using the snapshot
+// after Release is a logic error (reads may then observe reused,
+// mutating nodes).
 func (s *Snapshot[K, V]) Release() {
 	if s.released {
 		return

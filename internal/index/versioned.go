@@ -17,25 +17,27 @@ import (
 )
 
 // Versioned is the MVCC concurrency layer of the index stack: it wraps
-// any Index behind copy-on-write snapshot publication so that readers
-// never take a lock and never observe a torn tree, while one writer at a
-// time builds and publishes the next version.
+// a path-copying index (Forker) behind snapshot publication so that
+// readers never take a lock and never observe a torn tree, while one
+// writer at a time builds and publishes the next version.
 //
 // Nodes are shifted in place on insert and delete (§3.2), so a
-// published tree must never be the one the writer mutates: the writer
-// applies each mutation to a private tree and publishes it with one
-// atomic pointer swap. Readers pin the current version in a per-reader
-// epoch slot (announce the version's sequence number, re-validate the
-// pointer, read, release); the writer mutates a superseded version's
-// tree only once no slot still announces its sequence.
+// published tree must never be written. Each write forks the published
+// version in O(1), copies the nodes on its root-to-leaf path before it
+// changes them (the §3.2 locality property keeps that to the nodes it
+// touches), and publishes the fork's root with one atomic pointer swap.
+// Readers pin the current version in a per-reader epoch slot (announce
+// the version's sequence number, re-validate the pointer, read,
+// release).
 //
-// The writer keeps two trees. After a publish, the version just
-// superseded (prev) is one op behind the published content: the next
-// write adopts prev's tree once it drains and replays that op, so each
-// mutation is applied exactly twice and nothing is copied. A Snapshot
-// still holding prev at that point makes the writer clone the published
-// tree instead (counted in the MVCC health block) and drop prev to the
-// collector; rotation resumes with the copy.
+// The nodes a write replaces are retired under the sequence it
+// publishes, r: only versions below r reach them. The next writes reuse
+// their storage for copies once every claimed slot announces 0 or a
+// sequence ≥ r, and the version structs and tree headers of superseded
+// versions are recycled under the same rule. So the writer never waits
+// for a reader, never copies a whole tree, and in steady state allocates
+// nothing; a long-held Snapshot only keeps the nodes it reaches, and the
+// writer allocates fresh copies meanwhile.
 //
 // Get/GetBatch/Contains/Scan/Ascend/Min/Max/Len/IndexStats/Shape all run
 // against a pinned immutable version: no mutex, no torn reads, and —
@@ -46,23 +48,22 @@ type Versioned[K keys.Key, V any] struct {
 	current atomic.Pointer[version[K, V]]
 	// claimed has bit i%64 set once a reader has announced in slot i;
 	// bits never clear. It sits in current's cache line, which every
-	// reader loads anyway, and lets the writer's drain skip the slots no
-	// reader ever used.
+	// reader loads anyway, and lets the writer's slot scan skip the
+	// slots no reader ever used.
 	claimed  atomic.Uint64
 	slots    []epochSlot
 	slotMask uint32
 
-	// Writer state, guarded by mu. spare is a mutable tree holding the
-	// published content — left by construction or by a Delete miss —
-	// and nil after every publish. prev is the version current
-	// superseded and last the op that turned prev into current; prev is
-	// non-nil whenever spare is nil, until the next write adopts or
-	// drops it.
+	// Writer state, guarded by mu. retired holds the superseded versions,
+	// each retired under the sequence that superseded it, and the forks
+	// of Delete misses, which no reader saw. released is the highest
+	// sequence whose retired nodes the writer has released for reuse and
+	// copied the nodes writes copied: plain counters, read under mu by
+	// MVCCInfo, so a write pays no atomic add for them.
 	mu       sync.Mutex
-	newIndex func() Index[K, V]
-	spare    Index[K, V]
-	prev     *version[K, V]
-	last     writeOp[K, V]
+	retired  Recycler[version[K, V]]
+	released uint64
+	copied   uint64
 
 	health obs.MVCC
 }
@@ -71,17 +72,20 @@ type Versioned[K keys.Key, V any] struct {
 // starts at 1 (0 marks a free epoch slot) and increases by one per
 // published mutation.
 //
-// Once stored into x.current a version is frozen — that is the whole
-// MVCC contract (DESIGN.md §6): lock-free readers validate the pointer
-// and then dereference without synchronization, which is only sound if
-// no write ever follows the publish. The publishguard analyzer enforces
-// the freeze statically; the invariants build re-checks the sequence
-// discipline dynamically.
+// Once stored into x.current a version is frozen until no reader can
+// reach it — that is the whole MVCC contract (DESIGN.md §6): lock-free
+// readers validate the pointer and the sequence and then dereference
+// without synchronization, which is only sound if no write follows the
+// publish while a reader may hold it. The writer recycles a superseded
+// version only in fork (//simdtree:prepublish); seq is atomic because a
+// reader holding a stale pointer reads it before it validates. The
+// publishguard analyzer enforces the freeze statically; the invariants
+// build re-checks the sequence discipline dynamically.
 //
 //simdtree:published
 type version[K keys.Key, V any] struct {
-	tree Index[K, V]
-	seq  uint64
+	tree Forker[K, V]
+	seq  atomic.Uint64
 }
 
 // epochSlot is one per-reader announcement cell: 0 when free, otherwise
@@ -93,37 +97,27 @@ type epochSlot struct {
 	_     [15]uint64
 }
 
-// writeOp is one mutation, kept to catch prev's tree up to the
-// published content.
-type writeOp[K keys.Key, V any] struct {
-	key K
-	val V
-	del bool
-}
-
-// apply performs the mutation on t.
-func (op writeOp[K, V]) apply(t Index[K, V]) {
-	if op.del {
-		t.Delete(op.key)
-	} else {
-		t.Put(op.key, op.val)
-	}
-}
-
-// NewVersioned wraps an index built by newIndex in MVCC snapshot
-// publication. newIndex is called for the initial version, once for the
-// writer's spare tree, and again only if a clone is ever forced; every
-// tree it returns must start empty. It panics on a nil constructor.
+// NewVersioned wraps the index newIndex builds, which must start empty,
+// in MVCC snapshot publication; newIndex is called once. The index must
+// implement Forker (every tree of the module does): NewVersioned panics
+// on one that does not, and on a nil constructor. The constructor
+// returns Index rather than Forker so that callers written against
+// Index keep compiling.
 func NewVersioned[K keys.Key, V any](newIndex func() Index[K, V]) *Versioned[K, V] {
 	if newIndex == nil {
 		panic("index: NewVersioned requires an index constructor") //simdtree:allowpanic construction contract, documented above
 	}
-	x := &Versioned[K, V]{newIndex: newIndex}
+	tree, ok := newIndex().(Forker[K, V])
+	if !ok {
+		panic("index: NewVersioned requires an index that implements index.Forker") //simdtree:allowpanic construction contract, documented above
+	}
+	x := &Versioned[K, V]{released: 1}
 	size := pow2.CeilCap(8*runtime.GOMAXPROCS(0), 64)
 	x.slots = make([]epochSlot, size)
 	x.slotMask = uint32(size - 1)
-	x.spare = newIndex()
-	x.current.Store(&version[K, V]{tree: newIndex(), seq: 1})
+	v := &version[K, V]{tree: tree}
+	v.seq.Store(1)
+	x.current.Store(v)
 	return x
 }
 
@@ -167,16 +161,19 @@ func readerSlotHint() uint32 {
 // pinned. Readers pass readerSlotHint(). The readers that observability
 // endpoints run (Shape, IndexStats) pass 0 instead: each render then
 // reuses one slot rather than claiming a new one per serving goroutine
-// or stack depth, so claimed_slots, and the slots every writer drain
+// or stack depth, so claimed_slots, and the slots every writer scan
 // reads, stay put while a dashboard polls. The protocol is
 // announce-then-validate: store the current version's sequence into an
 // owned slot, then re-load the current pointer — if it still names the
-// same version, the writer's drain check (which runs after its publish)
-// is guaranteed to see the announcement, so the version's tree cannot be
-// reclaimed while pinned. If the pointer moved, re-announce the newer
-// version and check again. No lock is taken and no step blocks on the
-// writer. The slot's claimed bit is set before the first announcement;
-// once set, that costs one plain load.
+// same version under the same sequence, the writer's slot scan (which
+// runs after the publish that supersedes it) is guaranteed to see the
+// announcement, so nothing the version reaches is reused while pinned.
+// The sequence is checked too because version structs are recycled: a
+// stale pointer may name a newer version by the time it validates. If
+// either moved, re-announce the newer version and check again. No lock
+// is taken and no step blocks on the writer. The slot's claimed bit is
+// set before the first announcement; once set, that costs one plain
+// load.
 //
 //simdtree:hotpath
 func (x *Versioned[K, V]) pin(hint uint32) (*version[K, V], *epochSlot) {
@@ -190,18 +187,20 @@ func (x *Versioned[K, V]) pin(hint uint32) (*version[K, V], *epochSlot) {
 				x.claimed.Or(bit)
 			}
 			v := x.current.Load()
-			if s.epoch.CompareAndSwap(0, v.seq) {
+			seq := v.seq.Load()
+			if s.epoch.CompareAndSwap(0, seq) {
 				for {
 					cur := x.current.Load()
-					if cur == v {
+					if cur == v && v.seq.Load() == seq {
 						if invariants.Enabled {
-							invariants.Assert(v.seq != 0, "pinned version has zero sequence")
-							invariants.Assert(s.epoch.Load() == v.seq, "epoch slot does not announce the pinned version")
+							invariants.Assert(seq != 0, "pinned version has zero sequence")
+							invariants.Assert(s.epoch.Load() == seq, "epoch slot does not announce the pinned version")
 						}
 						return v, s
 					}
 					v = cur
-					s.epoch.Store(v.seq)
+					seq = v.seq.Load()
+					s.epoch.Store(seq)
 				}
 			}
 		}
@@ -323,14 +322,13 @@ func (x *Versioned[K, V]) Shape() shape.Report {
 // Snapshot returns a pinned read view of the currently published
 // version. The view stays frozen — concurrent writers keep publishing
 // new versions, none of which it observes — until Release, which must be
-// called to free the view's epoch slot. A snapshot held across two
-// writes costs the writer one full tree copy; see the package notes on
-// reclamation.
+// called to free the view's epoch slot. While it is held, the nodes
+// later writes replace are not reused (see Versioned).
 func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 	v, s := x.pin(readerSlotHint())
 	return &Snapshot[K, V]{
 		parts: newParts([]Index[K, V]{v.tree}, false),
-		seqs:  []uint64{v.seq},
+		seqs:  []uint64{v.seq.Load()},
 		slots: []*epochSlot{s},
 	}
 }
@@ -338,15 +336,16 @@ func (x *Versioned[K, V]) Snapshot() *Snapshot[K, V] {
 // Version reports the sequence number of the currently published
 // version. It starts at 1 for the empty index and increases by one per
 // published mutation.
-func (x *Versioned[K, V]) Version() uint64 { return x.current.Load().seq }
+func (x *Versioned[K, V]) Version() uint64 { return x.current.Load().seq.Load() }
 
 // MVCCInfo reports the health of the snapshot publication: the current
 // version, how many readers are pinned right now, how many slots the
-// claimed bits cover, whether the writer holds a superseded version for
-// reuse, and the publication/reclamation counters.
+// claimed bits cover, how many versions' retired nodes a pinned reader
+// still holds back, and the publication, copy and reclamation counters.
 func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 	snap := x.health.Read()
-	snap.Versions = []uint64{x.current.Load().seq}
+	cur := x.Version()
+	snap.Versions = []uint64{cur}
 	for c := x.claimed.Load(); c != 0; c &= c - 1 {
 		snap.ClaimedSlots += (len(x.slots) - bits.TrailingZeros64(c) + 63) / 64
 	}
@@ -355,112 +354,91 @@ func (x *Versioned[K, V]) MVCCInfo() obs.MVCCSnapshot {
 			snap.ActiveSnapshots++
 		}
 	}
-	x.mu.Lock()
-	if x.prev != nil {
-		snap.RetiredVersions = 1
+	if safe := x.safe(cur); safe < cur {
+		snap.RetiredVersions = int(cur - safe)
 	}
+	x.mu.Lock()
+	snap.Reclaimed, snap.CopiedNodes = x.released-1, x.copied
 	x.mu.Unlock()
 	return snap
 }
 
 // Put stores val under key, returning true when the key was new. The
-// mutation is applied to the writer's private tree and published as a
-// new version with one atomic pointer swap; concurrent readers continue
-// undisturbed on the previous version.
+// mutation is applied to a fork of the published version and published
+// as a new version with one atomic pointer swap; concurrent readers
+// continue undisturbed on the previous version.
 func (x *Versioned[K, V]) Put(key K, val V) bool {
 	x.mu.Lock()
 	start := x.startClock()
-	t := x.writable()
-	added := t.Put(key, val)
-	x.publish(t, writeOp[K, V]{key: key, val: val}, start)
+	v := x.fork()
+	added := v.tree.Put(key, val)
+	x.publish(v, start)
 	x.mu.Unlock()
 	return added
 }
 
-// Delete removes key, reporting whether it was present. A miss changes
-// nothing and publishes nothing.
+// Delete removes key, reporting whether it was present. A miss copies
+// nothing and publishes nothing; its fork goes back for a later write.
 func (x *Versioned[K, V]) Delete(key K) bool {
 	x.mu.Lock()
 	start := x.startClock()
-	t := x.writable()
-	removed := t.Delete(key)
+	v := x.fork()
+	removed := v.tree.Delete(key)
 	if removed {
-		x.publish(t, writeOp[K, V]{key: key, del: true}, start)
+		x.publish(v, start)
+	} else {
+		x.retired.Retire(v, v.seq.Load()-1)
 	}
 	x.mu.Unlock()
 	return removed
 }
 
-// writable returns the writer's private mutable tree, holding the
-// currently published content: the spare if one is left, else prev's
-// tree with the last op replayed onto it, else — when a reader still
-// pins prev — a fresh clone. Callers hold mu.
-func (x *Versioned[K, V]) writable() Index[K, V] {
-	if x.spare != nil {
-		return x.spare
-	}
+// fork returns the version the running write builds: a fork of the
+// published tree for the next sequence, in a retired version's struct
+// and tree header when no reader can reach them. It scans the claimed
+// slots once for the safe sequence, releases the nodes retired at or
+// below it, and passes it to the fork for its copies. Callers hold mu.
+//
+//simdtree:prepublish
+func (x *Versioned[K, V]) fork() *version[K, V] {
 	cur := x.current.Load()
-	if x.drained(x.prev) {
-		if invariants.Enabled {
-			invariants.Assertf(x.prev.seq+1 == cur.seq, "prev at seq %d is not one op behind current %d", x.prev.seq, cur.seq)
-		}
-		x.spare = x.prev.tree
-		x.last.apply(x.spare)
-		x.health.RecordReclaim()
-	} else {
-		x.spare = x.cloneTree(cur.tree)
-		x.health.RecordClone()
+	seq := cur.seq.Load()
+	safe := x.safe(seq)
+	x.released = max(x.released, safe)
+	v := x.retired.Reuse(safe)
+	if v == nil {
+		v = new(version[K, V])
 	}
-	x.prev = nil
-	if invariants.Enabled {
-		invariants.Assertf(x.spare.Len() == cur.tree.Len(), "writable tree holds %d keys, published %d", x.spare.Len(), cur.tree.Len())
-	}
-	return x.spare
+	v.tree = cur.tree.Fork(v.tree, seq+1, safe)
+	v.seq.Store(seq + 1)
+	return v
 }
 
-// drained reports whether no reader slot pins v — the condition under
-// which v's tree may be mutated — within a brief yield loop that covers
-// the common race where v still carries a mid-flight Get. A slot
-// protects exactly the version whose sequence it announces (a reader
-// only ever dereferences the tree it successfully validated), so the
-// check is for v's own sequence; the announce-then-validate pin protocol
-// guarantees that any reader that validated v as current is visible
-// here. Only claimed slots are read: a reader that validated v claimed
-// its slot before announcing, and so before the publish that superseded
-// v, which precedes this check.
-func (x *Versioned[K, V]) drained(v *version[K, V]) bool {
-	for attempt := 0; attempt < 64; attempt++ {
-		if !x.pinned(v.seq) {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
-}
-
-// pinned reports whether a claimed slot announces seq. Bit b covers the
-// slots b, b+64, b+128, … .
-func (x *Versioned[K, V]) pinned(seq uint64) bool {
+// safe returns the highest sequence at or below which retired nodes no
+// reader can reach: the smallest sequence a claimed slot announces, or
+// cur when none does. Nodes retired under sequence r are reachable only
+// from versions below r, and a reader that validated such a version
+// announced it before the publish of r, so before this scan, which
+// therefore sees it. Only claimed slots are read: a reader claims its
+// slot before it announces. Bit b covers the slots b, b+64, b+128, … .
+func (x *Versioned[K, V]) safe(cur uint64) uint64 {
+	min := cur
 	for c := x.claimed.Load(); c != 0; c &= c - 1 {
 		for i := uint32(bits.TrailingZeros64(c)); i <= x.slotMask; i += 64 {
-			if x.slots[i&x.slotMask].epoch.Load() == seq {
-				return true
+			if e := x.slots[i&x.slotMask].epoch.Load(); e != 0 && e < min {
+				min = e
 			}
 		}
 	}
-	return false
-}
-
-// cloneTree builds a fresh tree with the same content as src. Ascending
-// insertion takes every structure's fast append path; in the B+-Trees
-// it fills each leaf before starting the next.
-func (x *Versioned[K, V]) cloneTree(src Index[K, V]) Index[K, V] {
-	t := x.newIndex()
-	src.Ascend(func(k K, v V) bool {
-		t.Put(k, v)
-		return true
-	})
-	return t
+	if invariants.Enabled {
+		claimed := x.claimed.Load()
+		for i := range x.slots {
+			if x.slots[i].epoch.Load() != 0 {
+				invariants.Assertf(claimed&(1<<(i&63)) != 0, "slot %d announces a sequence without its claimed bit", i)
+			}
+		}
+	}
+	return min
 }
 
 // clockBase anchors the publish timer: time.Since of a time carrying a
@@ -476,21 +454,23 @@ const publishStride = 16
 // startClock returns the time.Since(clockBase) at which a write begins
 // if the version it would publish is timed, else -1. Callers hold mu.
 func (x *Versioned[K, V]) startClock() time.Duration {
-	if (x.current.Load().seq+1)%publishStride != 0 {
+	if (x.Version()+1)%publishStride != 0 {
 		return -1
 	}
 	return time.Since(clockBase)
 }
 
-// publish swaps t in as the next version and keeps the superseded one,
-// with op, as prev. start is startClock's reading at the beginning of
-// the write. Callers hold mu.
-func (x *Versioned[K, V]) publish(t Index[K, V], op writeOp[K, V], start time.Duration) {
+// publish swaps v in as the next version and retires the one it
+// supersedes, together with its tree header, for a later fork. start is
+// startClock's reading at the beginning of the write. Callers hold mu.
+func (x *Versioned[K, V]) publish(v *version[K, V], start time.Duration) {
 	cur := x.current.Load()
-	next := &version[K, V]{tree: t, seq: cur.seq + 1}
-	x.current.Store(next)
-	x.prev, x.last = cur, op
-	x.spare = nil
+	if invariants.Enabled {
+		invariants.Assertf(v.seq.Load() == cur.seq.Load()+1, "publishing seq %d over %d", v.seq.Load(), cur.seq.Load())
+	}
+	x.copied += uint64(v.tree.Copied())
+	x.current.Store(v)
+	x.retired.Retire(cur, v.seq.Load())
 	if start < 0 {
 		x.health.RecordPublish()
 	} else {

@@ -1,10 +1,10 @@
 package index_test
 
 // Tests of the MVCC layer: snapshot isolation (a pinned reader keeps a
-// frozen version while writers advance the live index), version
-// rotation and reclamation accounting, the forced-clone path under a
-// long-lived pin, a map-model check of the writer's two-tree rotation,
-// and race-run concurrent mixed loads. Everything here
+// frozen version while writers advance the live index), path copying and
+// reclamation accounting, recycling held back by a long-lived pin, a
+// map-model check of the writer's counters, and race-run concurrent
+// mixed loads. Everything here
 // drives the public API; the internal epoch protocol is observed through
 // MVCCInfo counters.
 
@@ -153,97 +153,113 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestVersionedRotation verifies the steady-state write path: with no
-// pins the writer ping-pongs between two trees — versions publish one
-// per mutation, every write after the first reuses the version it
-// superseded, and no clone is ever forced.
-func TestVersionedRotation(t *testing.T) {
-	ix := newVersionedSegTree()
-	const writes = 1000
-	for i := 0; i < writes; i++ {
-		ix.Put(uint32(i%300), i)
+// TestVersionedPathCopying verifies the steady-state write path on a
+// 100k-key shard: with no reader, every Put copies exactly one node per
+// tree level (the descent owns each node on its path before it enters
+// it; nodes a split creates are new, not copies), every write releases
+// the nodes its predecessor retired, so Reclaimed is Published − 1, and
+// nothing is ever cloned or held back.
+func TestVersionedPathCopying(t *testing.T) {
+	ix := index.NewVersioned[uint32, int](func() index.Index[uint32, int] {
+		return segtree.New[uint32, int](segtree.DefaultConfig[uint32]())
+	})
+	rng := rand.New(rand.NewSource(5))
+	const load, writes = 100_000, 1000
+	for _, i := range rng.Perm(load) {
+		ix.Put(uint32(i)*2, i)
 	}
-	if got, want := ix.Version(), uint64(writes+1); got != want {
-		t.Errorf("Version = %d, want %d (seq 1 + %d puts)", got, want, writes)
+	levels := ix.Shape().Levels
+	if levels < 3 {
+		t.Fatalf("a %d-key shard has %d levels, want at least 3", load, levels)
+	}
+	for i := 0; i < writes; i++ {
+		before := ix.MVCCInfo().CopiedNodes
+		ix.Put(uint32(rng.Intn(2*load)), i) // overwrites and inserts
+		if got := ix.MVCCInfo().CopiedNodes - before; got != uint64(levels) {
+			t.Fatalf("write %d copied %d nodes, want one per level: %d", i, got, levels)
+		}
+	}
+	if got := ix.Shape().Levels; got != levels {
+		t.Fatalf("height moved %d -> %d: the per-write copy count assumed it fixed", levels, got)
 	}
 	mv := ix.MVCCInfo()
-	if mv.Published != writes {
-		t.Errorf("Published = %d, want %d", mv.Published, writes)
+	if got, want := ix.Version(), uint64(load+writes+1); got != want {
+		t.Errorf("Version = %d, want %d (seq 1 + one per write)", got, want)
 	}
-	if mv.Cloned != 0 {
-		t.Errorf("Cloned = %d, want 0: rotation must never copy without a pinned snapshot", mv.Cloned)
-	}
-	if mv.RetiredVersions > 1 {
-		t.Errorf("RetiredVersions = %d, want <= 1", mv.RetiredVersions)
-	}
-	if mv.ActiveSnapshots != 0 {
-		t.Errorf("ActiveSnapshots = %d, want 0 with no readers", mv.ActiveSnapshots)
+	if mv.Published != load+writes {
+		t.Errorf("Published = %d, want %d", mv.Published, load+writes)
 	}
 	if want := mv.Published - 1; mv.Reclaimed != want {
-		t.Errorf("Reclaimed = %d, want %d: every write but the first reuses the superseded tree", mv.Reclaimed, want)
+		t.Errorf("Reclaimed = %d, want %d: each write releases what the one before it retired", mv.Reclaimed, want)
+	}
+	if mv.Cloned != 0 || mv.RetiredVersions != 0 || mv.ActiveSnapshots != 0 {
+		t.Errorf("Cloned = %d, RetiredVersions = %d, ActiveSnapshots = %d, want 0 each with no reader held",
+			mv.Cloned, mv.RetiredVersions, mv.ActiveSnapshots)
 	}
 	// The publish timer samples one write per stride and records it for
 	// the whole stride, so the weighted count is within one stride.
-	if c := mv.PublishLatency.Count; c > writes || writes-c >= index.PublishStride {
-		t.Errorf("publish latency observations = %d, want within %d below %d", c, index.PublishStride, writes)
+	if c := mv.PublishLatency.Count; c > mv.Published || mv.Published-c >= index.PublishStride {
+		t.Errorf("publish latency observations = %d, want within %d below %d", c, index.PublishStride, mv.Published)
 	}
-	if mv.ClaimedSlots != 0 {
-		t.Errorf("ClaimedSlots = %d, want 0: no reader ever pinned", mv.ClaimedSlots)
+	// Delete misses copy and publish nothing.
+	if ix.Delete(1) {
+		t.Fatal("Delete(1) hit an odd key")
 	}
-	// Delete misses publish nothing.
-	if ix.Delete(9999) {
-		t.Fatal("Delete(9999) hit")
-	}
-	if got := ix.MVCCInfo().Published; got != writes {
-		t.Errorf("Published after delete miss = %d, want unchanged %d", got, writes)
+	if got := ix.MVCCInfo(); got.Published != mv.Published || got.CopiedNodes != mv.CopiedNodes {
+		t.Errorf("after a delete miss: Published %d, CopiedNodes %d, want unchanged %d, %d",
+			got.Published, got.CopiedNodes, mv.Published, mv.CopiedNodes)
 	}
 }
 
-// TestVersionedClonePath verifies the long-pin fallback: a held snapshot
-// pins its tree, the writer clones exactly once to regain a mutable
-// tree, and after Release rotation resumes copy-free.
-func TestVersionedClonePath(t *testing.T) {
+// TestVersionedHeldSnapshotDefersRecycling: a held snapshot keeps the
+// nodes later writes replace from reuse — they count as retired versions
+// waiting for a reader, and Reclaimed stops at the snapshot's sequence —
+// without any clone; after Release the next write releases them all.
+func TestVersionedHeldSnapshotDefersRecycling(t *testing.T) {
 	ix := newVersionedSegTree()
 	for i := uint32(0); i < 100; i++ {
 		ix.Put(i, int(i))
 	}
 	snap := ix.Snapshot()
 	for i := 0; i < 50; i++ {
+		ix.Put(uint32(i), -i)
 		ix.Put(uint32(200+i), i)
 	}
 	mv := ix.MVCCInfo()
-	if mv.Cloned != 1 {
-		t.Errorf("Cloned under one held snapshot = %d, want exactly 1", mv.Cloned)
+	if mv.Cloned != 0 || mv.ActiveSnapshots != 1 {
+		t.Errorf("held snapshot: Cloned = %d, ActiveSnapshots = %d, want 0 and 1", mv.Cloned, mv.ActiveSnapshots)
 	}
-	if mv.ActiveSnapshots != 1 {
-		t.Errorf("ActiveSnapshots = %d, want 1", mv.ActiveSnapshots)
+	if mv.RetiredVersions != 100 {
+		t.Errorf("RetiredVersions = %d, want the 100 versions published since the snapshot", mv.RetiredVersions)
+	}
+	if want := snap.Seq() - 1; mv.Reclaimed != want {
+		t.Errorf("Reclaimed = %d, want %d: nothing the snapshot reaches may be released", mv.Reclaimed, want)
 	}
 	if n := snap.Len(); n != 100 {
 		t.Errorf("held snapshot Len = %d, want 100", n)
 	}
+	for i := uint32(0); i < 100; i++ {
+		if v, ok := snap.Get(i); !ok || v != int(i) {
+			t.Fatalf("held snapshot Get(%d) = (%d,%v), want (%d,true)", i, v, ok, i)
+		}
+	}
 	snap.Release()
-	for i := 0; i < 50; i++ {
-		ix.Put(uint32(400+i), i)
+	if got := ix.MVCCInfo().RetiredVersions; got != 0 {
+		t.Errorf("RetiredVersions after release = %d, want 0", got)
 	}
+	ix.Put(1000, 0)
 	mv = ix.MVCCInfo()
-	if mv.Cloned != 1 {
-		t.Errorf("Cloned after release = %d, want still 1", mv.Cloned)
-	}
-	if want := mv.Published - 1 - mv.Cloned; mv.Reclaimed != want {
-		t.Errorf("Reclaimed = %d, want %d: every write but the first and the clone reuses the superseded tree", mv.Reclaimed, want)
-	}
-	if mv.ActiveSnapshots != 0 || mv.RetiredVersions > 1 {
-		t.Errorf("post-release state: active=%d retired=%d, want 0/<=1",
-			mv.ActiveSnapshots, mv.RetiredVersions)
+	if want := mv.Published - 1; mv.Reclaimed != want || mv.Cloned != 0 {
+		t.Errorf("after release and a write: Reclaimed = %d, Cloned = %d, want %d and 0", mv.Reclaimed, mv.Cloned, want)
 	}
 }
 
-// TestVersionedDrainSeesProbedSlot: a Snapshot whose reader found its
-// first slots busy and probed on to a later one still forces the clone.
-// Every slot takes its turn as the only free one, so all but at most one
-// pin land past the reader's hint; 256 slots put four slots behind each
-// claimed bit.
-func TestVersionedDrainSeesProbedSlot(t *testing.T) {
+// TestVersionedRecyclingSeesProbedSlot: a Snapshot whose reader found its
+// first slots busy and probed on to a later one still holds back the
+// nodes later writes retire. Every slot takes its turn as the only free
+// one, so all but at most one pin land past the reader's hint; 256 slots
+// put four slots behind each claimed bit.
+func TestVersionedRecyclingSeesProbedSlot(t *testing.T) {
 	for _, slots := range []int{64, 256} {
 		for free := 0; free < slots; free++ {
 			ix := index.NewVersionedSlots[uint32, int](slots, func() index.Index[uint32, int] {
@@ -255,17 +271,20 @@ func TestVersionedDrainSeesProbedSlot(t *testing.T) {
 			release := index.OccupyEpochSlots(ix, free)
 			snap := ix.Snapshot()
 			release()
-			ix.Put(100, 0) // adopts the unpinned prev
-			ix.Put(101, 0) // prev is the snapshot's version: must clone
+			ix.Put(3, -1) // retires nodes the snapshot reaches
+			ix.Put(4, -1) // must not reuse them
 			mv := ix.MVCCInfo()
-			if mv.Cloned != 1 {
-				t.Fatalf("%d slots, reader in slot %d: Cloned = %d, want 1", slots, free, mv.Cloned)
+			if mv.RetiredVersions != 2 || mv.Reclaimed != 10 {
+				t.Fatalf("%d slots, reader in slot %d: RetiredVersions = %d, Reclaimed = %d, want 2 and 10",
+					slots, free, mv.RetiredVersions, mv.Reclaimed)
 			}
 			if want := slots / 64; mv.ClaimedSlots != want {
 				t.Fatalf("%d slots: ClaimedSlots = %d, want the %d slots of one bit", slots, mv.ClaimedSlots, want)
 			}
-			if n := snap.Len(); n != 10 {
-				t.Fatalf("held snapshot Len = %d, want 10", n)
+			for i := uint32(0); i < 10; i++ {
+				if v, ok := snap.Get(i); !ok || v != int(i) {
+					t.Fatalf("%d slots, reader in slot %d: held snapshot Get(%d) = (%d,%v)", slots, free, i, v, ok)
+				}
 			}
 			snap.Release()
 		}
@@ -333,23 +352,23 @@ func TestShapeReusesOneSlot(t *testing.T) {
 // (hit or miss), Snapshot and Release, run in one goroutine. After every
 // step the live index must answer like the model, every held snapshot
 // like the model did when it was taken, and the MVCC counters must match
-// the writer's rotation exactly: the first write after a publish clones
-// when a held snapshot pins the superseded version, and reuses it
-// otherwise.
+// the writer's recycling exactly: each write releases the versions up to
+// the oldest held snapshot's sequence (or the current one), the versions
+// above that wait, a miss copies nothing, and a write to a non-empty
+// index copies at least one node and at most two per level.
 func FuzzVersionedOps(f *testing.F) {
 	const (
 		put, del, snapshot, release = 0, 1, 2, 3
 	)
-	// Two overlapping snapshots, the older released first: the writer
-	// keeps only the version the published one superseded, so the write
-	// after the release finds it pinned by the younger snapshot and
-	// clones a second time instead of reusing the released tree.
+	// Two overlapping snapshots, the older released first: the writes
+	// after the release still may not release what the younger one
+	// reaches.
 	f.Add([]byte{
 		put, 1, snapshot, 0, put, 2, snapshot, 0, put, 3,
 		release, 0, put, 4,
 	})
-	// A Delete miss leaves the writer a tree holding the published
-	// content, which the next write uses without reuse or clone.
+	// A Delete miss copies and publishes nothing, and the next write
+	// takes its fork.
 	f.Add([]byte{put, 1, put, 2, del, 9, put, 3, snapshot, 0, del, 9, put, 4, put, 5, release, 0, put, 6})
 	rng := rand.New(rand.NewSource(19))
 	for range 4 {
@@ -379,46 +398,56 @@ func FuzzVersionedOps(f *testing.F) {
 			ix := index.NewVersioned[uint32, int](m.new)
 			model := map[uint32]int{}
 			var snaps []held
-			// The writer's expected state: whether it holds a tree with
-			// the published content, and the superseded version's seq.
-			spare, seq, prev := true, uint64(1), uint64(0)
+			// The writer's expected state: the published sequence and the
+			// highest sequence whose retired nodes it released.
+			seq, released := uint64(1), uint64(1)
 			var want obs.MVCCSnapshot
-			write := func(publishes bool) {
-				if !spare {
-					pinned := false
-					for _, h := range snaps {
-						pinned = pinned || h.seq == prev
-					}
-					if pinned {
-						want.Cloned++
-					} else {
-						want.Reclaimed++
-					}
+			// safe is the sequence a write may release up to.
+			safe := func() uint64 {
+				lo := seq
+				for _, h := range snaps {
+					lo = min(lo, h.seq)
 				}
-				spare, prev = true, 0
+				return lo
+			}
+			// write accounts one write; levels is the index's height before
+			// it and copied the nodes it copied.
+			write := func(step int, publishes bool, levels int, copied uint64, empty bool) {
+				if s := safe(); s > released {
+					want.Reclaimed += s - released
+					released = s
+				}
+				switch {
+				case !publishes && copied != 0:
+					t.Fatalf("%s step %d: a write that published nothing copied %d nodes", m.name, step, copied)
+				case publishes && !empty && (copied == 0 || copied > uint64(2*levels)):
+					t.Fatalf("%s step %d: a write to a %d-level index copied %d nodes", m.name, step, levels, copied)
+				}
 				if publishes {
 					want.Published++
-					spare, prev = false, seq
 					seq++
 				}
 			}
 			for i := 0; i+1 < len(script); i += 2 {
 				op, k := script[i]%4, uint32(script[i+1]%48)
+				levels := ix.Shape().Levels
+				copied := ix.MVCCInfo().CopiedNodes
 				switch op {
 				case put:
 					_, had := model[k]
+					empty := len(model) == 0
 					if added := ix.Put(k, i); added == had {
 						t.Fatalf("%s step %d: Put(%d) added=%v, model had=%v", m.name, i/2, k, added, had)
 					}
 					model[k] = i
-					write(true)
+					write(i/2, true, levels, ix.MVCCInfo().CopiedNodes-copied, empty)
 				case del:
 					_, had := model[k]
 					if removed := ix.Delete(k); removed != had {
 						t.Fatalf("%s step %d: Delete(%d) = %v, model had=%v", m.name, i/2, k, removed, had)
 					}
 					delete(model, k)
-					write(had)
+					write(i/2, had, levels, ix.MVCCInfo().CopiedNodes-copied, false)
 				case snapshot:
 					if len(snaps) == 8 {
 						continue
@@ -444,16 +473,13 @@ func FuzzVersionedOps(f *testing.F) {
 					checkModel(t, fmt.Sprintf("%s step %d: snapshot at seq %d", m.name, i/2, h.seq), h.snap, h.model)
 				}
 				mv := ix.MVCCInfo()
-				retired := 0
-				if prev != 0 {
-					retired = 1
-				}
-				if mv.Published != want.Published || mv.Cloned != want.Cloned || mv.Reclaimed != want.Reclaimed ||
+				retired := int(seq - safe())
+				if mv.Published != want.Published || mv.Cloned != 0 || mv.Reclaimed != want.Reclaimed ||
 					mv.Versions[0] != seq || mv.ActiveSnapshots != len(snaps) || mv.RetiredVersions != retired {
 					t.Fatalf("%s step %d: MVCCInfo published=%d cloned=%d reclaimed=%d version=%d active=%d retired=%d, "+
-						"want %d %d %d %d %d %d", m.name, i/2,
+						"want %d 0 %d %d %d %d", m.name, i/2,
 						mv.Published, mv.Cloned, mv.Reclaimed, mv.Versions[0], mv.ActiveSnapshots, mv.RetiredVersions,
-						want.Published, want.Cloned, want.Reclaimed, seq, len(snaps), retired)
+						want.Published, want.Reclaimed, seq, len(snaps), retired)
 				}
 			}
 			for _, h := range snaps {

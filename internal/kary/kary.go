@@ -272,6 +272,21 @@ func (t *Tree[K]) Reserve(n int) {
 	}
 }
 
+// CopyFrom makes t a copy of src that shares no storage with it. The
+// copy's storage has src's capacity, in t's old array when that holds
+// as much. More would count as spare room a Reserve left, which a
+// rebuild keeps at its new lane width, so storage recycled between
+// nodes of different widths would grow without bound.
+func (t *Tree[K]) CopyFrom(src *Tree[K]) {
+	buf := t.data
+	*t = *src
+	if c := cap(src.data); cap(buf) >= c {
+		t.data = append(buf[:0:c], src.data...)
+	} else {
+		t.data = append(make([]byte, 0, c), src.data...)
+	}
+}
+
 // Reset makes t a fresh linearization of the strictly ascending keys
 // sorted, in t's layout; sorted is not retained.
 func (t *Tree[K]) Reset(sorted []K) { t.build(sorted, t.layout, nil) }

@@ -6,13 +6,13 @@ import (
 )
 
 // This file is the observability surface of the MVCC snapshot layer
-// (internal/index.Versioned): lock-free counters for version publication
-// and reclamation plus the writer-publish latency histogram. The index
-// layer owns the live state (current version numbers, pinned readers,
-// the superseded version it holds) and reports it at read time through
-// MVCCSnapshot, so the hot paths carry no extra gauges — point-in-time
-// quantities are computed from the epoch slots when someone actually
-// looks.
+// (internal/index.Versioned): the lock-free version-publication counter
+// and writer-publish latency histogram, and the snapshot type that also
+// carries the writer's node-copy and reclamation counts. The index layer owns the live state (current
+// version numbers, pinned readers, the versions whose retired nodes a
+// reader holds back) and reports it at read time through MVCCSnapshot,
+// so the hot paths carry no extra gauges — point-in-time quantities are
+// computed from the epoch slots when someone actually looks.
 
 // MVCC accumulates the publication-side counters of one copy-on-write
 // snapshot publisher. The zero value is ready to use; all methods are
@@ -20,8 +20,6 @@ import (
 // a Versioned index touches them.
 type MVCC struct {
 	published atomic.Uint64
-	reclaimed atomic.Uint64
-	cloned    atomic.Uint64
 	latency   Histogram
 }
 
@@ -37,22 +35,13 @@ func (m *MVCC) RecordTimedPublish(d time.Duration, stride uint64) {
 	m.latency.ObserveN(d, stride)
 }
 
-// RecordReclaim counts one superseded version whose tree was handed
-// back to the writer after its last pinned reader left.
-func (m *MVCC) RecordReclaim() { m.reclaimed.Add(1) }
-
-// RecordClone counts one full copy-on-write rebuild — the writer needed
-// a mutable tree while a reader still pinned the superseded version.
-func (m *MVCC) RecordClone() { m.cloned.Add(1) }
-
 // Read returns the counter and latency state. The index layer fills in
-// the point-in-time fields (Versions, ActiveSnapshots, RetiredVersions,
-// ClaimedSlots) it owns.
+// the fields it owns: the point-in-time ones (Versions,
+// ActiveSnapshots, RetiredVersions, ClaimedSlots) and the writer's own
+// counts (Reclaimed, CopiedNodes).
 func (m *MVCC) Read() MVCCSnapshot {
 	return MVCCSnapshot{
 		Published:      m.published.Load(),
-		Reclaimed:      m.reclaimed.Load(),
-		Cloned:         m.cloned.Load(),
 		PublishLatency: m.latency.Read(),
 	}
 }
@@ -67,19 +56,26 @@ type MVCCSnapshot struct {
 	// slots holding a version open, whether a mid-flight Get or a
 	// long-lived Snapshot handle.
 	ActiveSnapshots int `json:"active_snapshots"`
-	// RetiredVersions counts superseded versions the writers hold for
-	// reuse: 0 or 1 per publisher.
+	// RetiredVersions counts the versions whose retired nodes are still
+	// waiting for a reader: those above the oldest sequence a reader
+	// pins. It is 0 while no reader pins an older version than the
+	// current one.
 	RetiredVersions int `json:"retired_versions"`
 	// ClaimedSlots counts the epoch slots some reader has ever announced
-	// in — the slots a writer's drain check reads. It stays 0 while no
-	// reader has pinned a version.
+	// in — the slots a writer's scan reads. It stays 0 while no reader
+	// has pinned a version.
 	ClaimedSlots int `json:"claimed_slots"`
 	// Published counts versions published since construction.
 	Published uint64 `json:"published_versions_total"`
-	// Reclaimed counts superseded versions whose trees the writers
-	// reused after draining.
+	// Reclaimed counts versions whose replaced nodes the writers released
+	// for reuse, once no reader could reach them.
 	Reclaimed uint64 `json:"reclaimed_versions_total"`
-	// Cloned counts full tree copies forced by long-pinned snapshots.
+	// CopiedNodes counts the nodes writes copied before changing them
+	// (path copying): about one per tree level per write.
+	CopiedNodes uint64 `json:"copied_nodes_total"`
+	// Cloned counted full tree copies of the earlier two-tree writer.
+	// Path copying never copies a whole tree, so it always reads 0; it
+	// stays for readers of its JSON name.
 	Cloned uint64 `json:"cloned_versions_total"`
 	// PublishLatency is the writer-side publish latency histogram.
 	PublishLatency HistogramSnapshot `json:"publish_latency"`
@@ -94,6 +90,7 @@ func (s *MVCCSnapshot) Merge(o MVCCSnapshot) {
 	s.ClaimedSlots += o.ClaimedSlots
 	s.Published += o.Published
 	s.Reclaimed += o.Reclaimed
+	s.CopiedNodes += o.CopiedNodes
 	s.Cloned += o.Cloned
 	s.PublishLatency.Merge(o.PublishLatency)
 }
@@ -112,26 +109,29 @@ func (s MVCCSnapshot) CurrentVersion() uint64 {
 
 // Metrics returns the snapshot as table rows named mvcc_*: the
 // active-snapshot, retired-version and claimed-slot gauges, the current
-// version, the publication counters and the publish latency histogram
-// (sampled: see RecordTimedPublish). The current
-// version, published count, active snapshots and claimed slots carry
-// the /stats keys version, versions_published, active_snapshots and
-// claimed_slots.
+// version, the publication, reclamation and copy counters and the
+// publish latency histogram (sampled: see RecordTimedPublish). The
+// current version, published and reclaimed counts, copied nodes, active
+// snapshots and claimed slots carry the /stats keys version,
+// versions_published, versions_reclaimed, copied_nodes,
+// active_snapshots and claimed_slots.
 func (s MVCCSnapshot) Metrics() []Metric {
 	return []Metric{
 		{Name: "mvcc_active_snapshots", Help: "pinned reader epochs: mid-flight reads and held snapshots",
 			Kind: KindGauge, Value: float64(s.ActiveSnapshots), Stat: "active_snapshots"},
-		{Name: "mvcc_retired_versions", Help: "superseded versions the writers hold for reuse",
+		{Name: "mvcc_retired_versions", Help: "versions whose retired nodes are still waiting for a reader",
 			Kind: KindGauge, Value: float64(s.RetiredVersions)},
-		{Name: "mvcc_claimed_slots", Help: "epoch slots ever claimed by a reader: the slots a writer's drain reads",
+		{Name: "mvcc_claimed_slots", Help: "epoch slots ever claimed by a reader: the slots a writer's scan reads",
 			Kind: KindGauge, Value: float64(s.ClaimedSlots), Stat: "claimed_slots"},
 		{Name: "mvcc_current_version", Help: "highest published version sequence",
 			Kind: KindGauge, Value: float64(s.CurrentVersion()), Stat: "version"},
 		{Name: "mvcc_published_versions_total", Help: "tree versions published by writers",
 			Kind: KindCounter, Value: float64(s.Published), Stat: "versions_published"},
-		{Name: "mvcc_reclaimed_versions_total", Help: "superseded versions reused by writers after draining",
-			Kind: KindCounter, Value: float64(s.Reclaimed)},
-		{Name: "mvcc_cloned_versions_total", Help: "full tree copies forced by pinned snapshots",
+		{Name: "mvcc_reclaimed_versions_total", Help: "versions whose replaced nodes writers released for reuse",
+			Kind: KindCounter, Value: float64(s.Reclaimed), Stat: "versions_reclaimed"},
+		{Name: "mvcc_copied_nodes_total", Help: "nodes writes copied before changing them (path copying)",
+			Kind: KindCounter, Value: float64(s.CopiedNodes), Stat: "copied_nodes"},
+		{Name: "mvcc_cloned_versions_total", Help: "full tree copies: always 0 since writes copy only the nodes they touch",
 			Kind: KindCounter, Value: float64(s.Cloned)},
 		{Name: "mvcc_publish_latency_seconds", Help: "writer-side version build-and-publish latency",
 			Kind: KindHistogram, Hist: &s.PublishLatency},

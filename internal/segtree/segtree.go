@@ -82,8 +82,9 @@ type Tree[K keys.Key, V any] struct {
 	cfg Config
 }
 
-// The Seg-Tree satisfies the module-wide index contract.
-var _ index.Index[uint32, int] = (*Tree[uint32, int])(nil)
+// The Seg-Tree satisfies the module-wide index contract and the MVCC
+// layer's path-copying write interface.
+var _ index.Forker[uint32, int] = (*Tree[uint32, int])(nil)
 
 // New returns an empty tree with the given configuration. It is the
 // Must-style wrapper over NewChecked: it panics on an invalid
@@ -126,3 +127,14 @@ func BulkLoad[K keys.Key, V any](cfg Config, ks []K, vs []V) *Tree[K, V] {
 
 // Config returns the tree's configuration.
 func (t *Tree[K, V]) Config() Config { return t.cfg }
+
+// Fork implements index.Forker: a fork of the tree, in dst's header when
+// dst is a tree (see btree.Skeleton.ForkTo).
+func (t *Tree[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker[K, V] {
+	f, _ := dst.(*Tree[K, V])
+	if f == nil {
+		f = &Tree[K, V]{cfg: t.cfg}
+	}
+	t.ForkTo(&f.Skeleton, gen, safe)
+	return f
+}

@@ -7,8 +7,9 @@ import "repro/internal/index"
 // callbacks would cost more than the overlapped node loads save
 // (EXPERIMENTS.md, "Batched lookups").
 
-// Both level policies satisfy the module-wide index contract.
-var _ index.Index[uint32, int] = (*Trie[uint32, int])(nil)
+// Both level policies satisfy the module-wide index contract and the
+// MVCC layer's path-copying write interface.
+var _ index.Forker[uint32, int] = (*Trie[uint32, int])(nil)
 
 // GetBatchInto looks up ks into vals and found, in input order, with one
 // Get each.

@@ -60,8 +60,8 @@ func (t *Trie[K, V]) scan(n *node[V], level int, prefix, lo, hi uint64, fn func(
 		level++
 	}
 	rem := uint(8 * (t.levels - 1 - level))
-	for i, pk := range n.kt.Keys() {
-		u := prefix<<8 | uint64(pk)
+	for i := range n.kt.Len() {
+		u := prefix<<8 | uint64(n.kt.At(i))
 		// The subtree below u covers [u<<rem, (u<<rem)|maxFill].
 		min := u << rem
 		max := min | (uint64(1)<<rem - 1)
@@ -83,7 +83,7 @@ func (t *Trie[K, V]) scan(n *node[V], level int, prefix, lo, hi uint64, fn func(
 }
 
 // Validate checks the structural invariants: per-node kary invariants,
-// no empty node, level arithmetic (every root-to-value path consumes
+// no node stamped by a later write than the trie's, no empty node, level arithmetic (every root-to-value path consumes
 // exactly Levels segments), children or values parallel to the partial
 // keys, a size that matches the stored keys, and the level policy's rule
 // — no prefix in the plain trie, at least two keys in every inner node
@@ -94,6 +94,9 @@ func (t *Trie[K, V]) Validate() error {
 	walk = func(n *node[V], level int) error {
 		if err := n.kt.Validate(); err != nil {
 			return fmt.Errorf("segtrie: level %d: %w", level, err)
+		}
+		if n.gen > t.gen {
+			return fmt.Errorf("segtrie: level %d: node stamped %d in a trie at gen %d", level, n.gen, t.gen)
 		}
 		if !t.omit && len(n.prefix) > 0 {
 			return fmt.Errorf("segtrie: plain trie node at level %d has a %d-byte prefix", level, len(n.prefix))

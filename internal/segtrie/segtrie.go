@@ -20,12 +20,20 @@
 // tail, which builds the path below a miss, and Delete's repair — and
 // Validate checks its rule; every read walks node prefixes, which the
 // plain trie leaves empty.
+//
+// A Trie is also its own version header for path copying
+// (index.Forker), under the same stamp rule as btree.Skeleton: Fork
+// copies the header, and a fork's writes copy each node they change
+// that an older write stamped, once — along Put's link walk, split and
+// Delete's repair, and the child a splice rewrites the prefix of.
 package segtrie
 
 import (
 	"slices"
 
 	"repro/internal/bitmask"
+	"repro/internal/index"
+	"repro/internal/invariants"
 	"repro/internal/kary"
 	"repro/internal/keys"
 	"repro/internal/obs"
@@ -56,6 +64,14 @@ type Trie[K keys.Key, V any] struct {
 	size   int
 	levels int  // r = Width(K): segments per key
 	omit   bool // §4 level omission, set by NewOptimized
+	// Path copying (index.Forker), as in btree.Skeleton: gen stamps the
+	// nodes the running write creates and is 0 in a trie never forked,
+	// safe bounds the retired nodes it may reuse, copied counts its
+	// copies, and pool is shared by every fork of one trie.
+	gen    uint64
+	safe   uint64
+	copied int
+	pool   *index.Recycler[node[V]]
 }
 
 // node discriminates one trie level after its prefix: the segments of
@@ -67,9 +83,10 @@ type Trie[K keys.Key, V any] struct {
 // of every level reads next to the fields the node search reads.
 type node[V any] struct {
 	kt       kary.Tree[uint8]
-	prefix   []uint8
+	prefix   []uint8 // never changed in place, so copies share it
 	children []*node[V]
 	vals     []V
+	gen      uint64 // stamp of the write that created the node
 }
 
 // New returns an empty Seg-Trie that materializes every level, so its
@@ -248,10 +265,71 @@ func (t *Trie[K, V]) Contains(key K) bool {
 	return ok
 }
 
+// Fork implements index.Forker: a fork of the trie for the write that
+// publishes gen, in dst's header when dst is a trie. Nothing of t is
+// written, so t may be a published version.
+func (t *Trie[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker[K, V] {
+	if invariants.Enabled {
+		invariants.Assertf(gen > t.gen && safe < gen, "fork for gen %d (safe %d) of a trie at gen %d", gen, safe, t.gen)
+	}
+	f, _ := dst.(*Trie[K, V])
+	if f == nil {
+		f = new(Trie[K, V])
+	}
+	p := t.pool
+	if p == nil {
+		p = new(index.Recycler[node[V]])
+	}
+	*f = *t
+	f.gen, f.safe, f.copied, f.pool = gen, safe, 0, p
+	return f
+}
+
+// Copied reports the number of nodes this fork's writes copied.
+func (t *Trie[K, V]) Copied() int { return t.copied }
+
+// own returns n ready for the running write to change: n itself when the
+// write created it, else its copy (copyOf). The caller links the result
+// in n's place. own is small enough to inline, so a trie never forked
+// pays one stamp comparison per node.
+func (t *Trie[K, V]) own(n *node[V]) *node[V] {
+	if n.gen == t.gen {
+		return n
+	}
+	return t.copyOf(n)
+}
+
+// copyOf returns a copy of n stamped with the running write's gen, in a
+// retired node's storage when one is free, and retires n.
+func (t *Trie[K, V]) copyOf(n *node[V]) *node[V] {
+	c := t.pool.Reuse(t.safe)
+	if c == nil {
+		c = new(node[V])
+	}
+	c.gen = t.gen
+	c.kt.CopyFrom(&n.kt)
+	c.prefix = n.prefix
+	c.children = index.Clone(c.children, n.children)
+	c.vals = index.Clone(c.vals, n.vals)
+	t.pool.Retire(n, t.gen)
+	t.copied++
+	return c
+}
+
+// retire hands n, which the running write unlinked, to the recycler; a
+// trie never forked has none.
+func (t *Trie[K, V]) retire(n *node[V]) {
+	if t.pool != nil {
+		t.pool.Retire(n, t.gen)
+	}
+}
+
 // Put stores val under key, returning true when the key was newly
 // inserted and false when an existing value was replaced. A miss hangs
 // the rest of the key below the node as one tail; a key diverging inside
-// a stored prefix splits the node there (lazy expansion, §4).
+// a stored prefix splits the node there (lazy expansion, §4). Every node
+// on the walk changes or relinks a copied child, so the walk owns each
+// node it enters.
 func (t *Trie[K, V]) Put(key K, val V) bool {
 	u := keys.OrderedBits(key)
 	if t.root == nil {
@@ -261,7 +339,8 @@ func (t *Trie[K, V]) Put(key K, val V) bool {
 	}
 	link := &t.root
 	for level := 0; ; level++ {
-		n := *link
+		n := t.own(*link)
+		*link = n
 		for d, p := range n.prefix {
 			if t.segment(u, level) != p {
 				*link = t.split(n, d, u, level, val)
@@ -298,7 +377,7 @@ func (t *Trie[K, V]) Put(key K, val V) bool {
 // level, the plain trie one single-key node per level.
 func (t *Trie[K, V]) tail(u uint64, level int, val V) *node[V] {
 	last := t.levels - 1
-	n := &node[V]{kt: t.single(t.segment(u, last)), vals: []V{val}}
+	n := &node[V]{kt: t.single(t.segment(u, last)), vals: []V{val}, gen: t.gen}
 	if t.omit {
 		n.prefix = make([]uint8, last-level)
 		for i := range n.prefix {
@@ -307,7 +386,7 @@ func (t *Trie[K, V]) tail(u uint64, level int, val V) *node[V] {
 		return n
 	}
 	for l := last - 1; l >= level; l-- {
-		n = &node[V]{kt: t.single(t.segment(u, l)), children: []*node[V]{n}}
+		n = &node[V]{kt: t.single(t.segment(u, l)), children: []*node[V]{n}, gen: t.gen}
 	}
 	return n
 }
@@ -317,12 +396,15 @@ func (t *Trie[K, V]) single(pk uint8) kary.Tree[uint8] {
 	return *kary.BuildUnchecked([]uint8{pk}, t.cfg.Layout)
 }
 
-// split handles key u diverging from n's prefix at prefix index d, trie
-// level `level`: a new two-way node takes the prefix above d and holds
-// n, which keeps the prefix below d, beside the tail of u.
+// split handles key u diverging from the owned node n's prefix at prefix
+// index d, trie level `level`: a new two-way node takes the prefix above
+// d and holds n, which keeps the prefix below d, beside the tail of u.
 func (t *Trie[K, V]) split(n *node[V], d int, u uint64, level int, val V) *node[V] {
+	if invariants.Enabled {
+		invariants.Assertf(n.gen == t.gen, "split at gen %d changes a node stamped %d", t.gen, n.gen)
+	}
 	old, pk := n.prefix[d], t.segment(u, level)
-	up := &node[V]{prefix: slices.Clone(n.prefix[:d])}
+	up := &node[V]{prefix: slices.Clone(n.prefix[:d]), gen: t.gen}
 	n.prefix = slices.Clone(n.prefix[d+1:])
 	pks, kids := []uint8{old, pk}, []*node[V]{n, t.tail(u, level+1, val)}
 	if pk < old {
@@ -342,7 +424,7 @@ type step[V any] struct {
 
 // Delete removes key, reporting whether it was present. The descent path
 // lives in a stack array — a key has at most 8 segments — so a Delete
-// that unlinks no node allocates nothing.
+// that unlinks no node allocates nothing, and a miss copies nothing.
 func (t *Trie[K, V]) Delete(key K) bool {
 	var path [8]step[V]
 	u := keys.OrderedBits(key)
@@ -368,34 +450,46 @@ func (t *Trie[K, V]) Delete(key K) bool {
 	return false
 }
 
-// remove deletes the value path ends at, then repairs the path bottom-up.
-// It is the other half of the level-omission policy. Both tries unlink
-// emptied nodes (§4: "a node that becomes empty due to deleting all
-// partial keys will be removed"); the optimized trie then splices an
-// inner node left with one key into its child, merging the prefixes —
-// the inverse of lazy expansion.
+// remove deletes the value path ends at, then repairs the path. It is
+// the other half of the level-omission policy. Both tries unlink emptied
+// nodes (§4: "a node that becomes empty due to deleting all partial keys
+// will be removed"); the optimized trie then splices an inner node left
+// with one key into its child, merging the prefixes — the inverse of
+// lazy expansion. The nodes the delete would empty are unlinked as they
+// are; the path above them is owned top down, and a spliced child is
+// owned too, since its prefix changes.
 func (t *Trie[K, V]) remove(path []step[V]) {
 	i := len(path) - 1
-	leaf := path[i]
-	leaf.n.kt.DeleteAt(leaf.idx)
-	leaf.n.vals = slices.Delete(leaf.n.vals, leaf.idx, leaf.idx+1)
-	t.size--
-	for ; i > 0 && path[i].n.kt.Len() == 0; i-- {
-		p := path[i-1]
-		p.n.kt.DeleteAt(p.idx)
-		p.n.children = slices.Delete(p.n.children, p.idx, p.idx+1)
+	for ; i > 0 && path[i].n.kt.Len() == 1; i-- {
+		t.retire(path[i].n)
 	}
-	n := path[i].n
 	link := &t.root
-	if i > 0 {
-		link = &path[i-1].n.children[path[i-1].idx]
+	for j := 0; j <= i; j++ {
+		n := t.own(*link)
+		*link = n
+		if j < i {
+			link = &n.children[path[j].idx]
+		}
 	}
+	n, idx := *link, path[i].idx
+	if invariants.Enabled {
+		invariants.Assertf(n.gen == t.gen, "delete at gen %d changes a node stamped %d", t.gen, n.gen)
+	}
+	n.kt.DeleteAt(idx)
+	if i == len(path)-1 {
+		n.vals = slices.Delete(n.vals, idx, idx+1)
+	} else {
+		n.children = slices.Delete(n.children, idx, idx+1)
+	}
+	t.size--
 	switch {
 	case n.kt.Len() == 0:
 		*link = nil // only the root can empty here
+		t.retire(n)
 	case t.omit && n.kt.Len() == 1 && len(n.children) == 1:
-		child := n.children[0]
+		child := t.own(n.children[0])
 		child.prefix = slices.Concat(n.prefix, []uint8{n.kt.At(0)}, child.prefix)
 		*link = child
+		t.retire(n)
 	}
 }

@@ -141,3 +141,28 @@ func TestDeleteIsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestScanIsAllocationFree: a scan walks each node's partial keys in
+// place, so a 1,000-key Scan over 2^20 dense keys allocates nothing in
+// either trie.
+func TestScanIsAllocationFree(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	for name, tr := range map[string]*Trie[uint32, int]{
+		"segtrie": NewDefault[uint32, int](), "opt-segtrie": NewOptimizedDefault[uint32, int](),
+	} {
+		for k := range uint32(1 << 20) {
+			tr.Put(k, int(k))
+		}
+		n := 0
+		fn := func(uint32, int) bool { n++; return true }
+		allocs := testing.AllocsPerRun(10, func() {
+			n = 0
+			tr.Scan(300_000, 300_999, fn)
+		})
+		if n != 1000 || allocs != 0 {
+			t.Errorf("%s: Scan visited %d keys with %.1f allocations, want 1000 and 0", name, n, allocs)
+		}
+	}
+}
