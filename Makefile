@@ -100,11 +100,13 @@ race:
 # check (FuzzVersionedOps) replay against a map model, recycling must
 # respect held and probed pins, and every node a held snapshot reaches
 # must keep its bytes through 10,000 writes in both trees
-# (TestPublishedNodesNeverChange). STRESS_OPS scales the per worker
+# (TestPublishedNodesNeverChange), and the shards of one index must share
+# one reader-slot array without holding back each other's reuse, a
+# whole-index snapshot taking one slot of it. STRESS_OPS scales the per worker
 # operation count of the MVCC tests (the short default inside the tests
 # is sized for `make race`; CI runs this target with a much larger
 # budget).
-MVCC_TESTS = TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps|TestVersionedPathCopying|TestVersionedHeldSnapshotDefersRecycling|TestVersionedRecyclingSeesProbedSlot|TestPublishedNodesNeverChange
+MVCC_TESTS = TestMVCCStressMixedLoad|TestSnapshotUnderConcurrentWrites|TestInstrumentedCountersConcurrentAttribution|TestGetBatchPinsEachShardOnce|FuzzVersionedOps|TestVersionedPathCopying|TestVersionedHeldSnapshotDefersRecycling|TestVersionedRecyclingSeesProbedSlot|TestPublishedNodesNeverChange|TestShardedSnapshotClaimsOneSlot|TestShardedReaderDoesNotHoldBackOtherShards|TestShardsShareOneSlotArray
 MVCC_PKGS = ./internal/index/ ./internal/btree/ ./internal/segtrie/
 
 stress:
@@ -116,7 +118,9 @@ stress:
 # a write changes only nodes carrying its own stamp, a fork is for a
 # later sequence than its source and reuses only nodes retired at or
 # below every sequence a claimed slot announces (and every announcing
-# slot is claimed), announce-then-validate epoch pinning, single-owner
+# slot is claimed, with a shard tag in range), announce-then-validate
+# epoch pinning (a whole-index snapshot's slot points at its per-shard
+# sequences before it announces any of them), single-owner
 # window rotation — across the full suite under the race detector, then
 # re-runs the MVCC stress tests and the MVCC model check with the same
 # assertions armed. SIMDTREE_STRESS_OPS scales the stress budget the

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -197,6 +198,54 @@ func TestVersionObservability(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestReaderSlotsExported: the shards of a 4-shard server share one
+// reader-slot array, so /stats reader_slots and /metrics
+// mvcc_reader_slots report that array's size, not four times it, and a
+// held whole-index snapshot counts as one active snapshot, not one per
+// shard.
+func TestReaderSlotsExported(t *testing.T) {
+	s, ts := newTestServer(t)
+	want := 64
+	for want < 8*runtime.GOMAXPROCS(0) {
+		want *= 2
+	}
+	stat := func(name string) int {
+		t.Helper()
+		_, stats := get(t, ts.URL+"/stats")
+		for _, line := range strings.Split(stats, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("/stats %s = %q: %v", name, v, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/stats has no %s:\n%s", name, stats)
+		return 0
+	}
+	if got := stat("reader_slots"); got != want {
+		t.Errorf("/stats reader_slots = %d, want the one array's %d", got, want)
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); !strings.Contains(metrics, fmt.Sprintf("\nsegserve_mvcc_reader_slots %d\n", want)) {
+		t.Errorf("/metrics lacks segserve_mvcc_reader_slots %d", want)
+	}
+	if got := stat("active_snapshots"); got != 0 {
+		t.Errorf("/stats active_snapshots = %d with no reader held, want 0", got)
+	}
+	snap, ok := s.ix.ReadSnapshot()
+	if !ok {
+		t.Fatal("the 4-shard server's index hands out no snapshots")
+	}
+	if got := stat("active_snapshots"); got != 1 {
+		t.Errorf("/stats active_snapshots = %d under one held 4-shard snapshot, want 1", got)
+	}
+	snap.Release()
+	if got := stat("active_snapshots"); got != 0 {
+		t.Errorf("/stats active_snapshots = %d after Release, want 0", got)
 	}
 }
 

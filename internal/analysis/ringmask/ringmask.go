@@ -8,7 +8,8 @@
 //
 // A "ring" is detected structurally: a struct with a slice field, an
 // integer field whose name contains "mask", and at least one
-// sync/atomic-typed field (the lock-free cursor). Plain lookup tables
+// sync/atomic-typed field or pointer to one (the lock-free cursor, which
+// copies of one ring's header may share). Plain lookup tables
 // that happen to have a mask are not constrained. The mask guards every
 // slice field of its struct, whatever the names: a ring keeps no other
 // slices. Generic rings are matched through their declaration, so
@@ -142,8 +143,11 @@ func isMaskName(name string) bool {
 }
 
 // isAtomicType reports whether t is a named type declared in a package
-// named atomic.
+// named atomic, or a pointer to one (a cursor shared between rings).
 func isAtomicType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false

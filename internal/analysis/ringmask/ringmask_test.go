@@ -8,5 +8,5 @@ import (
 )
 
 func TestRingmask(t *testing.T) {
-	analysistest.Run(t, "testdata", ringmask.Analyzer, "a", "b", "c", "d")
+	analysistest.Run(t, "testdata", ringmask.Analyzer, "a", "b", "c", "d", "e")
 }

@@ -18,3 +18,9 @@ type Pointer[T any] struct{ v *T }
 func (x *Pointer[T]) Load() *T { return x.v }
 
 func (x *Pointer[T]) Store(v *T) { x.v = v }
+
+func (x *Uint64) Or(m uint64) uint64 {
+	old := x.v
+	x.v |= m
+	return old
+}

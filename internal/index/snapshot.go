@@ -1,6 +1,8 @@
 package index
 
 import (
+	"sync/atomic"
+
 	"repro/internal/keys"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -12,7 +14,8 @@ import (
 // the versions pinned at acquisition, no matter how far concurrent
 // writers advance the live index, and takes no lock doing so.
 //
-// A Snapshot holds its versions' epoch slots until Release; forgetting
+// A Snapshot holds one epoch slot until Release, however many shards it
+// pins; forgetting
 // to release keeps the pinned trees alive and stops writers from reusing
 // the nodes they replace (see Versioned). The handle itself is not safe for
 // concurrent use — share the underlying Versioned/Sharded index instead,
@@ -22,8 +25,12 @@ type Snapshot[K keys.Key, V any] struct {
 	// unrouted tree for a Versioned index), and serves every multi-tree
 	// read exactly as the live Sharded index does.
 	parts[K, V]
-	seqs     []uint64
-	slots    []*epochSlot
+	// seqs holds the pinned sequence of each tree, in shard order. A
+	// Sharded snapshot's slot points writers at it (a wildcard
+	// announcement), so its entries are atomic; they stay fixed once the
+	// snapshot is returned.
+	seqs     []atomic.Uint64
+	slot     *epochSlot
 	released bool
 }
 
@@ -59,20 +66,20 @@ func (s *Snapshot[K, V]) Contains(key K) bool {
 // Seq reports the snapshot's version: the highest pinned sequence number
 // across its trees.
 func (s *Snapshot[K, V]) Seq() uint64 {
-	var max uint64
-	for _, q := range s.seqs {
-		if q > max {
-			max = q
-		}
+	var top uint64
+	for i := range s.seqs {
+		top = max(top, s.seqs[i].Load())
 	}
-	return max
+	return top
 }
 
 // Seqs returns the pinned per-tree sequence numbers (one per shard; a
 // single entry unsharded), in shard order.
 func (s *Snapshot[K, V]) Seqs() []uint64 {
 	out := make([]uint64, len(s.seqs))
-	copy(out, s.seqs)
+	for i := range s.seqs {
+		out[i] = s.seqs[i].Load()
+	}
 	return out
 }
 
@@ -85,8 +92,7 @@ func (s *Snapshot[K, V]) Release() {
 		return
 	}
 	s.released = true
-	for _, sl := range s.slots {
-		sl.epoch.Store(0)
-	}
-	s.slots = nil
+	s.slot.seqs.Store(nil)
+	s.slot.epoch.Store(0)
+	s.slot = nil
 }

@@ -10,8 +10,11 @@ package index_test
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -376,6 +379,12 @@ func FuzzVersionedOps(f *testing.F) {
 		rng.Read(script)
 		f.Add(script)
 	}
+	// Sharded: a snapshot held across writes to the first and last
+	// shards, a second one after them, released oldest first.
+	f.Add([]byte{
+		put, 0, put, 47, snapshot, 0, put, 10, put, 47, put, 30, snapshot, 0,
+		put, 0, release, 0, put, 47, del, 30, release, 0, put, 20,
+	})
 	var makers []maker
 	for _, m := range fuzzMakers() {
 		if m.name != "sharded/segtree" {
@@ -384,6 +393,12 @@ func FuzzVersionedOps(f *testing.F) {
 	}
 	if len(makers) != 4 {
 		f.Fatalf("model runs on %d structures, want 4", len(makers))
+	}
+	var sharded maker
+	for _, m := range fuzzMakers() {
+		if m.name == "sharded/segtree" {
+			sharded = m
+		}
 	}
 	type held struct {
 		snap  *index.Snapshot[uint32, int]
@@ -486,7 +501,144 @@ func FuzzVersionedOps(f *testing.F) {
 				h.snap.Release()
 			}
 		}
+		fuzzShardedOps(t, sharded.new, script)
 	})
+}
+
+// fuzzShardedOps is FuzzVersionedOps' sharded arm: the same script over
+// a Sharded index, each script key k spread to k·⌊2³²/48⌋ so that the
+// keys fall into every shard. After every step the live index must
+// answer like the model, every held snapshot like the model did when it
+// was taken, each held snapshot must count as one active slot, and each
+// shard must keep its own sequence and recycling: a write releases up
+// to the oldest sequence a held snapshot pinned on its shard, whatever
+// the other shards' readers pin.
+func fuzzShardedOps(t *testing.T, newIndex func() index.Index[uint32, int], script []byte) {
+	const (
+		put, del, snapshot, release = 0, 1, 2, 3
+		stride                      = math.MaxUint32 / 48
+	)
+	ix := newIndex().(*index.Sharded[uint32, int])
+	shards := ix.Shards()
+	shardOf := func(k uint32) int { return int(uint64(k) * uint64(shards) >> 32) }
+	type held struct {
+		snap  *index.Snapshot[uint32, int]
+		seqs  []uint64
+		model map[uint32]int
+	}
+	model := map[uint32]int{}
+	var snaps []held
+	// Each shard's published sequence and the highest sequence whose
+	// retired nodes its writer released.
+	seqs, released := make([]uint64, shards), make([]uint64, shards)
+	for j := range seqs {
+		seqs[j], released[j] = 1, 1
+	}
+	var published, reclaimed uint64
+	safe := func(j int) uint64 {
+		lo := seqs[j]
+		for _, h := range snaps {
+			lo = min(lo, h.seqs[j])
+		}
+		return lo
+	}
+	write := func(j int, publishes bool) {
+		if s := safe(j); s > released[j] {
+			reclaimed += s - released[j]
+			released[j] = s
+		}
+		if publishes {
+			published++
+			seqs[j]++
+		}
+	}
+	for i := 0; i+1 < len(script); i += 2 {
+		op, k := script[i]%4, uint32(script[i+1]%48)*stride
+		switch op {
+		case put:
+			_, had := model[k]
+			if added := ix.Put(k, i); added == had {
+				t.Fatalf("sharded step %d: Put(%d) added=%v, model had=%v", i/2, k, added, had)
+			}
+			model[k] = i
+			write(shardOf(k), true)
+		case del:
+			_, had := model[k]
+			if removed := ix.Delete(k); removed != had {
+				t.Fatalf("sharded step %d: Delete(%d) = %v, model had=%v", i/2, k, removed, had)
+			}
+			delete(model, k)
+			write(shardOf(k), had)
+		case snapshot:
+			if len(snaps) == 8 {
+				continue
+			}
+			snaps = append(snaps, held{ix.Snapshot(), slices.Clone(seqs), maps.Clone(model)})
+		case release:
+			if len(snaps) == 0 {
+				continue
+			}
+			j := int(k/stride) % len(snaps)
+			snaps[j].snap.Release()
+			snaps = append(snaps[:j], snaps[j+1:]...)
+		}
+		what := fmt.Sprintf("sharded step %d", i/2)
+		checkSpreadModel(t, what+": live", ix, model, stride)
+		for _, h := range snaps {
+			if got := h.snap.Seqs(); !slices.Equal(got, h.seqs) {
+				t.Fatalf("%s: snapshot Seqs moved %v -> %v", what, h.seqs, got)
+			}
+			checkSpreadModel(t, fmt.Sprintf("%s: snapshot at %v", what, h.seqs), h.snap, h.model, stride)
+		}
+		retired := 0
+		for j := range seqs {
+			retired += int(seqs[j] - safe(j))
+		}
+		mv := ix.MVCCInfo()
+		if !slices.Equal(ix.Versions(), seqs) || !slices.Equal(mv.Versions, seqs) {
+			t.Fatalf("%s: Versions() = %v, MVCCInfo versions %v, want %v", what, ix.Versions(), mv.Versions, seqs)
+		}
+		if mv.Published != published || mv.Reclaimed != reclaimed || mv.ActiveSnapshots != len(snaps) ||
+			mv.RetiredVersions != retired || mv.Cloned != 0 {
+			t.Fatalf("%s: MVCCInfo published=%d reclaimed=%d active=%d retired=%d cloned=%d, want %d %d %d %d 0",
+				what, mv.Published, mv.Reclaimed, mv.ActiveSnapshots, mv.RetiredVersions, mv.Cloned,
+				published, reclaimed, len(snaps), retired)
+		}
+	}
+	for _, h := range snaps {
+		h.snap.Release()
+	}
+}
+
+// checkSpreadModel is checkModel over the spread keys k·stride, k < 48.
+func checkSpreadModel(t *testing.T, what string, r interface {
+	Get(uint32) (int, bool)
+	Len() int
+	Ascend(func(uint32, int) bool)
+}, model map[uint32]int, stride uint32) {
+	t.Helper()
+	if n := r.Len(); n != len(model) {
+		t.Fatalf("%s: Len = %d, want %d", what, n, len(model))
+	}
+	for k := uint32(0); k < 48; k++ {
+		v, ok := r.Get(k * stride)
+		mv, mok := model[k*stride]
+		if ok != mok || v != mv {
+			t.Fatalf("%s: Get(%d) = (%d,%v), want (%d,%v)", what, k*stride, v, ok, mv, mok)
+		}
+	}
+	prev, n := int64(-1), 0
+	r.Ascend(func(k uint32, v int) bool {
+		if int64(k) <= prev || model[k] != v {
+			t.Fatalf("%s: Ascend yielded (%d,%d) after key %d", what, k, v, prev)
+		}
+		prev = int64(k)
+		n++
+		return true
+	})
+	if n != len(model) {
+		t.Fatalf("%s: Ascend visited %d items, want %d", what, n, len(model))
+	}
 }
 
 // checkModel requires r to hold exactly model's items over the fuzz key
@@ -497,28 +649,7 @@ func checkModel(t *testing.T, what string, r interface {
 	Ascend(func(uint32, int) bool)
 }, model map[uint32]int) {
 	t.Helper()
-	if n := r.Len(); n != len(model) {
-		t.Fatalf("%s: Len = %d, want %d", what, n, len(model))
-	}
-	for k := uint32(0); k < 48; k++ {
-		v, ok := r.Get(k)
-		mv, mok := model[k]
-		if ok != mok || v != mv {
-			t.Fatalf("%s: Get(%d) = (%d,%v), want (%d,%v)", what, k, v, ok, mv, mok)
-		}
-	}
-	prev, n := -1, 0
-	r.Ascend(func(k uint32, v int) bool {
-		if int(k) <= prev || model[k] != v {
-			t.Fatalf("%s: Ascend yielded (%d,%d) after key %d", what, k, v, prev)
-		}
-		prev = int(k)
-		n++
-		return true
-	})
-	if n != len(model) {
-		t.Fatalf("%s: Ascend visited %d items, want %d", what, n, len(model))
-	}
+	checkSpreadModel(t, what, r, model, 1)
 }
 
 // TestSnapshotUnderConcurrentWrites race-tests the reader protocol: a
@@ -545,6 +676,9 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 			var stop atomic.Bool
 			var writerOps atomic.Int64
 			var writerWg, readerWg sync.WaitGroup
+			// The readers start once the writer has made its first op, so
+			// they cannot all finish before it is first scheduled.
+			started := make(chan struct{})
 			writerWg.Add(1)
 			go func() {
 				defer writerWg.Done()
@@ -557,7 +691,9 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 					} else {
 						ix.Put(k, i)
 					}
-					writerOps.Add(1)
+					if writerOps.Add(1) == 1 {
+						close(started)
+					}
 				}
 			}()
 
@@ -566,6 +702,7 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 			for r := 0; r < readers; r++ {
 				go func(seed int64) {
 					defer readerWg.Done()
+					<-started
 					last := -1
 					for i := 0; i < 300; i++ {
 						v, ok := ix.Get(counterKey)

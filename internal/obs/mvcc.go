@@ -37,8 +37,8 @@ func (m *MVCC) RecordTimedPublish(d time.Duration, stride uint64) {
 
 // Read returns the counter and latency state. The index layer fills in
 // the fields it owns: the point-in-time ones (Versions,
-// ActiveSnapshots, RetiredVersions, ClaimedSlots) and the writer's own
-// counts (Reclaimed, CopiedNodes).
+// ActiveSnapshots, RetiredVersions, ClaimedSlots, ReaderSlots) and the
+// writer's own counts (Reclaimed, CopiedNodes).
 func (m *MVCC) Read() MVCCSnapshot {
 	return MVCCSnapshot{
 		Published:      m.published.Load(),
@@ -54,7 +54,7 @@ type MVCCSnapshot struct {
 	Versions []uint64 `json:"versions"`
 	// ActiveSnapshots is the number of currently pinned readers: epoch
 	// slots holding a version open, whether a mid-flight Get or a
-	// long-lived Snapshot handle.
+	// long-lived Snapshot handle (one slot however many shards it pins).
 	ActiveSnapshots int `json:"active_snapshots"`
 	// RetiredVersions counts the versions whose retired nodes are still
 	// waiting for a reader: those above the oldest sequence a reader
@@ -65,6 +65,9 @@ type MVCCSnapshot struct {
 	// in — the slots a writer's scan reads. It stays 0 while no reader
 	// has pinned a version.
 	ClaimedSlots int `json:"claimed_slots"`
+	// ReaderSlots is the size of the epoch-slot array readers announce
+	// in: one array per index, shared by all its shards.
+	ReaderSlots int `json:"reader_slots"`
 	// Published counts versions published since construction.
 	Published uint64 `json:"published_versions_total"`
 	// Reclaimed counts versions whose replaced nodes the writers released
@@ -81,13 +84,14 @@ type MVCCSnapshot struct {
 	PublishLatency HistogramSnapshot `json:"publish_latency"`
 }
 
-// Merge accumulates o into s: versions append, gauges and counters sum,
-// histograms add bucket-wise — the aggregation a sharded index uses.
+// Merge accumulates o into s: versions append, the writers' gauges and
+// counters sum, histograms add bucket-wise — the aggregation of a
+// sharded index's shards. The reader-slot gauges (ActiveSnapshots,
+// ClaimedSlots, ReaderSlots) describe the one slot array the shards
+// share and are left to its owner to set, not summed.
 func (s *MVCCSnapshot) Merge(o MVCCSnapshot) {
 	s.Versions = append(s.Versions, o.Versions...)
-	s.ActiveSnapshots += o.ActiveSnapshots
 	s.RetiredVersions += o.RetiredVersions
-	s.ClaimedSlots += o.ClaimedSlots
 	s.Published += o.Published
 	s.Reclaimed += o.Reclaimed
 	s.CopiedNodes += o.CopiedNodes
@@ -108,13 +112,13 @@ func (s MVCCSnapshot) CurrentVersion() uint64 {
 }
 
 // Metrics returns the snapshot as table rows named mvcc_*: the
-// active-snapshot, retired-version and claimed-slot gauges, the current
-// version, the publication, reclamation and copy counters and the
-// publish latency histogram (sampled: see RecordTimedPublish). The
-// current version, published and reclaimed counts, copied nodes, active
-// snapshots and claimed slots carry the /stats keys version,
-// versions_published, versions_reclaimed, copied_nodes,
-// active_snapshots and claimed_slots.
+// active-snapshot, retired-version, claimed-slot and reader-slot gauges,
+// the current version, the publication, reclamation and copy counters
+// and the publish latency histogram (sampled: see RecordTimedPublish).
+// The current version, published and reclaimed counts, copied nodes,
+// active snapshots, claimed slots and reader slots carry the /stats keys
+// version, versions_published, versions_reclaimed, copied_nodes,
+// active_snapshots, claimed_slots and reader_slots.
 func (s MVCCSnapshot) Metrics() []Metric {
 	return []Metric{
 		{Name: "mvcc_active_snapshots", Help: "pinned reader epochs: mid-flight reads and held snapshots",
@@ -123,6 +127,8 @@ func (s MVCCSnapshot) Metrics() []Metric {
 			Kind: KindGauge, Value: float64(s.RetiredVersions)},
 		{Name: "mvcc_claimed_slots", Help: "epoch slots ever claimed by a reader: the slots a writer's scan reads",
 			Kind: KindGauge, Value: float64(s.ClaimedSlots), Stat: "claimed_slots"},
+		{Name: "mvcc_reader_slots", Help: "epoch slots in the index's one reader-slot array",
+			Kind: KindGauge, Value: float64(s.ReaderSlots), Stat: "reader_slots"},
 		{Name: "mvcc_current_version", Help: "highest published version sequence",
 			Kind: KindGauge, Value: float64(s.CurrentVersion()), Stat: "version"},
 		{Name: "mvcc_published_versions_total", Help: "tree versions published by writers",
