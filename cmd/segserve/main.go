@@ -626,7 +626,10 @@ func (s *server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleScan streams the [lo, hi] range in key order as "key value"
-// lines, at most limit of them (default 1000).
+// lines, at most limit of them (default 1000). Each shard's reader slot
+// stays claimed while its lines are written to the client, and the
+// index's shards share one pool of slots (DESIGN §6), so slow /scan
+// clients hold slots that every shard's readers draw on.
 func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	lo, err := strconv.ParseUint(q.Get("lo"), 10, 64)
