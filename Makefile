@@ -56,7 +56,8 @@ FUZZ_TARGETS = \
 	./internal/segtree:FuzzDeserialize \
 	./internal/segtrie:FuzzTrieOps \
 	./internal/simd:FuzzCompareKernels \
-	./internal/reqtrace:FuzzParseTraceparent
+	./internal/reqtrace:FuzzParseTraceparent \
+	./cmd/segserve:FuzzHandlerQuery
 
 SERVE_ARGS ?= -structure opt-segtrie -shards 16 -preload 100000
 

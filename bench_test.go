@@ -754,12 +754,13 @@ func BenchmarkShardedLoad(b *testing.B) {
 }
 
 // BenchmarkShardedPut compares concurrent Put throughput of the
-// key-range-sharded index (16 shards, per-shard RW locks) against the
-// single global lock of LockedMap at 1, 4 and 16 writer goroutines over
-// uniformly random 64-bit keys. The inner structure is the B+-Tree
-// baseline: its cheap inserts keep the measurement about lock
-// contention, not about the Seg-Tree's per-node re-linearization cost
-// (which at ~26 µs per random insert would swamp any locking effect).
+// key-range-sharded index (16 shards over bare trees, each behind its
+// own lock) against the single global lock of LockedMap at 1, 4 and 16
+// writer goroutines over uniformly random 64-bit keys. The inner
+// structure is the B+-Tree baseline, so the measurement stays about
+// lock contention; a Seg-Tree insert (about 274 ns on the perfbench
+// ladder's segtree.insert_ns rung) would add its node update to every
+// Put.
 func BenchmarkShardedPut(b *testing.B) {
 	run := func(name string, workers int, mk func() interface{ Put(uint64, uint64) bool }) {
 		b.Run(fmt.Sprintf("%s/goroutines%d", name, workers), func(b *testing.B) {

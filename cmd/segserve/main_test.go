@@ -162,7 +162,7 @@ func TestVersionObservability(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/stats = %d", code)
 	}
-	for _, want := range []string{"version ", "versions_published ", "versions_reclaimed ", "copied_nodes ", "active_snapshots "} {
+	for _, want := range []string{"version ", "versions_published ", "versions_reclaimed ", "copied_nodes ", "copy_allocs ", "active_snapshots "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/stats missing %q:\n%s", want, body)
 		}
@@ -185,6 +185,9 @@ func TestVersionObservability(t *testing.T) {
 	if mv.CopiedNodes == 0 || mv.Cloned != 0 {
 		t.Errorf("/debug/snapshot: %d nodes copied and %d trees cloned, want some and none", mv.CopiedNodes, mv.Cloned)
 	}
+	if mv.CopyAllocs > mv.CopiedNodes {
+		t.Errorf("/debug/snapshot: %d copies allocated storage, more than the %d copied", mv.CopyAllocs, mv.CopiedNodes)
+	}
 
 	_, metrics := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
@@ -193,6 +196,7 @@ func TestVersionObservability(t *testing.T) {
 		"# TYPE segserve_mvcc_published_versions_total counter",
 		"# TYPE segserve_mvcc_reclaimed_versions_total counter",
 		"# TYPE segserve_mvcc_copied_nodes_total counter",
+		"# TYPE segserve_mvcc_copy_allocs_total counter",
 		"# TYPE segserve_mvcc_publish_latency_seconds histogram",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 	"repro/internal/reqtrace"
 	"repro/internal/segtree"
 	"repro/internal/shape"
+	"repro/internal/workload"
 )
 
 // TestGetIsAllocationFree is the dynamic counterpart of the hotalloc
@@ -463,6 +466,53 @@ func TestPutAllocations(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per Put, want at most %.2f", tc.name, perPut, limit)
 		} else {
 			t.Logf("%s: %.3f allocations per Put", tc.name, perPut)
+		}
+	}
+}
+
+// TestLoadBytesPerPut bounds the bytes a load allocates per Put into the
+// MVCC composition perfbench serves: 16 key-range shards, each a
+// versioned tree whose writes copy the nodes on their path. A copy is
+// sized to its node and reuses a retired node's storage of its size
+// class, so a shuffled load allocates little beyond the nodes splits
+// create (about 80 B/Put; 269 when copies kept the source's capacity),
+// and an ascending one reuses the rightmost leaf's storage, which its
+// copies keep at LeafCap, through the whole load (about 25 B/Put, 70
+// before). The Seg-Trie shares the copy rule (about 70 B/Put, 119
+// before).
+func TestLoadBytesPerPut(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate the size-class growth twice; this gate runs without -race")
+	}
+	if invariants.Enabled {
+		t.Skip("assertion arguments allocate in -tags=invariants builds")
+	}
+	rng := rand.New(rand.NewSource(1))
+	shuffled := workload.Ascending[uint64](100_000)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	ascending := workload.UniformRandom[uint64](rng, 32_768)
+	slices.Sort(ascending)
+	for _, tc := range []struct {
+		name      string
+		structure simdtree.Structure
+		ks        []uint64
+		limit     float64
+	}{
+		{"segtree/shuffled-100000", simdtree.StructureSegTree, shuffled, 128},
+		{"segtree/ascending-32768", simdtree.StructureSegTree, ascending, 70},
+		{"segtrie/shuffled-100000", simdtree.StructureSegTrie, shuffled, 96},
+	} {
+		ix := simdtree.NewIndex[uint64, uint64](simdtree.WithStructure(tc.structure), simdtree.WithShards(16))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, k := range tc.ks {
+			ix.Put(k, k)
+		}
+		runtime.ReadMemStats(&after)
+		if perPut := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tc.ks)); perPut > tc.limit {
+			t.Errorf("%s: %.1f B allocated per Put, want at most %.0f", tc.name, perPut, tc.limit)
+		} else {
+			t.Logf("%s: %.1f B allocated per Put", tc.name, perPut)
 		}
 	}
 }

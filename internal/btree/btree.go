@@ -22,6 +22,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/obs"
 	"repro/internal/shape"
+	"repro/internal/sizeclass"
 	"repro/internal/trace"
 )
 
@@ -130,15 +131,17 @@ func (t *Tree[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker
 // sorted is the baseline's key store: a node's keys in a sorted slice.
 type sorted[K keys.Key] struct{ ks []K }
 
-func (s *sorted[K]) Len() int                { return len(s.ks) }
-func (s *sorted[K]) At(i int) K              { return s.ks[i] }
-func (s *sorted[K]) AppendKeys(dst []K) []K  { return append(dst, s.ks...) }
-func (s *sorted[K]) Reset(ks []K)            { s.ks = append(s.ks[:0], ks...) }
-func (s *sorted[K]) InsertAt(i int, k K)     { s.ks = slices.Insert(s.ks, i, k) }
-func (s *sorted[K]) DeleteAt(i int)          { s.ks = slices.Delete(s.ks, i, i+1) }
-func (s *sorted[K]) ReplaceAt(i int, k K)    { s.ks[i] = k }
-func (s *sorted[K]) Reserve(n int)           { s.ks = slices.Grow(s.ks, max(n-len(s.ks), 0)) }
-func (s *sorted[K]) CopyFrom(src *sorted[K]) { s.ks = index.Clone(s.ks, src.ks) }
+func (s *sorted[K]) Len() int                       { return len(s.ks) }
+func (s *sorted[K]) At(i int) K                     { return s.ks[i] }
+func (s *sorted[K]) AppendKeys(dst []K) []K         { return append(dst, s.ks...) }
+func (s *sorted[K]) Reset(ks []K)                   { s.ks = append(s.ks[:0], ks...) }
+func (s *sorted[K]) InsertAt(i int, k K)            { s.ks = slices.Insert(s.ks, i, k) }
+func (s *sorted[K]) DeleteAt(i int)                 { s.ks = slices.Delete(s.ks, i, i+1) }
+func (s *sorted[K]) ReplaceAt(i int, k K)           { s.ks[i] = k }
+func (s *sorted[K]) Reserve(n int)                  { s.ks = slices.Grow(s.ks, max(n-len(s.ks), 0)) }
+func (s *sorted[K]) Cap() int                       { return cap(s.ks) }
+func (s *sorted[K]) CopyCap(n int) int              { return sizeclass.Elems[K](max(len(s.ks)+1, n), false) }
+func (s *sorted[K]) CopyFrom(src *sorted[K], c int) { s.ks = sizeclass.Copy(s.ks, src.ks, c, false) }
 
 func (s *sorted[K]) SplitInsert(i int, k K, mid int, right *sorted[K]) {
 	s.ks = slices.Insert(s.ks, i, k)

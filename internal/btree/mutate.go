@@ -3,7 +3,6 @@ package btree
 import (
 	"slices"
 
-	"repro/internal/index"
 	"repro/internal/invariants"
 	"repro/internal/kary"
 )
@@ -18,17 +17,18 @@ func (t *Skeleton[K, V, S, PS]) ForkTo(dst *Skeleton[K, V, S, PS], gen, safe uin
 	}
 	p := t.pool
 	if p == nil {
-		p = new(pool[K, V, S, PS])
+		p = newPool[K, V, S, PS]()
 	}
 	if dst.pool != p {
 		// A header new to the tree; a recycled one holds the spec already.
 		dst.spec = t.spec
 	}
-	dst.root, dst.size, dst.gen, dst.safe, dst.copied, dst.pool = t.root, t.size, gen, safe, 0, p
+	dst.root, dst.size, dst.gen, dst.safe, dst.copied, dst.copyAllocs, dst.pool = t.root, t.size, gen, safe, 0, 0, p
 }
 
-// Copied reports the number of nodes this fork's writes copied.
-func (t *Skeleton[K, V, S, PS]) Copied() int { return t.copied }
+// Copied reports the number of nodes this fork's writes copied and how
+// many of those copies allocated storage.
+func (t *Skeleton[K, V, S, PS]) Copied() (nodes, allocated int) { return t.copied, t.copyAllocs }
 
 // own returns n ready for the running write to change: n itself when the
 // write created it, else its copy (copyOf). The caller links the result
@@ -38,40 +38,97 @@ func (t *Skeleton[K, V, S, PS]) own(n *node[K, V, S, PS]) *node[K, V, S, PS] {
 	if n.gen == t.gen {
 		return n
 	}
-	return t.copyOf(n)
+	return t.copyOf(n, 0)
 }
 
-// copyOf returns a copy of n stamped with the running write's gen, in a
-// retired node's storage when one is free, and retires n.
-func (t *Skeleton[K, V, S, PS]) copyOf(n *node[K, V, S, PS]) *node[K, V, S, PS] {
-	r := t.recycler(n)
-	c := r.Reuse(t.safe)
-	if c == nil {
-		c = new(node[K, V, S, PS])
+// ownForInsert is own for a node an insert descends through. A copy of
+// the rightmost leaf, the one node appends grow, keeps room for LeafCap
+// keys, as a never-forked tree's new rightmost leaf reserves them, so an
+// ascending load copies it at one size instead of through every size
+// class on its way to full. rightmost reports that n is the last node of
+// its level.
+func (t *Skeleton[K, V, S, PS]) ownForInsert(n *node[K, V, S, PS], rightmost bool) *node[K, V, S, PS] {
+	if n.gen == t.gen {
+		return n
 	}
+	room := 0
+	if rightmost && n.leaf() {
+		room = t.spec.LeafCap
+	}
+	return t.copyOf(n, room)
+}
+
+// copyOf returns a copy of n stamped with the running write's gen and
+// retires n. The copy's key store and value or child array are each
+// sized to n's plus one element, or to room keys when that is more
+// (CopyCap, index.Arrays.Class), in retired storage of that class when
+// some is free. The write's i-th copy first tries the node the last
+// write's i-th copy retired, which on a repeated path (appends, or the
+// root on any write) has exactly these classes; else it takes its key
+// store with a retired node and its array from the pool.
+func (t *Skeleton[K, V, S, PS]) copyOf(n *node[K, V, S, PS], room int) *node[K, V, S, PS] {
+	p, i := t.pool, t.copied
+	kc := n.keys().CopyCap(room)
+	vc, cc := p.vals.Class(n.vals, room), p.children.Class(n.children, 0)
+	c, reused := p.takeSpare(i, kc, vc, cc, t.safe)
+	if !reused {
+		var ks, vs, cs bool
+		if c, ks = p.nodes.Reuse(kc, t.safe); !ks {
+			c = new(node[K, V, S, PS])
+		}
+		c.vals, vs = p.vals.Reuse(vc, t.safe)
+		c.children, cs = p.children.Reuse(cc, t.safe)
+		reused = ks && vs && cs
+	}
+	c.keys().CopyFrom(n.keys(), kc)
+	c.vals = p.vals.Copy(c.vals, n.vals, vc)
+	c.children = p.children.Copy(c.children, n.children, cc)
 	c.gen = t.gen
-	c.keys().CopyFrom(n.keys())
-	c.vals = index.Clone(c.vals, n.vals)
-	c.children = index.Clone(c.children, n.children)
-	r.Retire(n, t.gen)
+	if i < len(p.path) {
+		if s := p.path[i]; s.node != nil {
+			p.retire(s.node, s.gen)
+		}
+		p.path[i] = spare[K, V, S, PS]{n, t.gen}
+	} else {
+		p.retire(n, t.gen)
+	}
 	t.copied++
+	if !reused {
+		t.copyAllocs++
+	}
 	return c
 }
 
-// retire hands n, which the running write unlinked, to the recycler of
-// its kind; a tree never forked has none.
+// takeSpare returns the node the last write's i-th copy retired when no
+// reader reaches it and its key store and value and child arrays have
+// capacities kc, vc and cc.
+func (p *pool[K, V, S, PS]) takeSpare(i, kc, vc, cc int, safe uint64) (*node[K, V, S, PS], bool) {
+	if i >= len(p.path) {
+		return nil, false
+	}
+	s := p.path[i]
+	if s.node == nil || s.gen > safe || s.node.keys().Cap() != kc || cap(s.node.vals) != vc || cap(s.node.children) != cc {
+		return nil, false
+	}
+	p.path[i] = spare[K, V, S, PS]{}
+	return s.node, true
+}
+
+// retire hands n, which the running write unlinked, to the pool; a
+// tree never forked has none.
 func (t *Skeleton[K, V, S, PS]) retire(n *node[K, V, S, PS]) {
 	if t.pool != nil {
-		t.recycler(n).Retire(n, t.gen)
+		t.pool.retire(n, t.gen)
 	}
 }
 
-// recycler returns the pool's recycler for n's kind.
-func (t *Skeleton[K, V, S, PS]) recycler(n *node[K, V, S, PS]) *index.Recycler[node[K, V, S, PS]] {
-	if n.leaf() {
-		return &t.pool.leaves
-	}
-	return &t.pool.branches
+// retire records n, which the write stamped gen replaced or dropped,
+// its value or child array split off. n itself is left as it is:
+// versions below gen may still reach it.
+func (p *pool[K, V, S, PS]) retire(n *node[K, V, S, PS], gen uint64) {
+	p.nodes.Retire(n, n.keys().Cap(), gen)
+	p.vals.Retire(n.vals, gen)
+	p.children.Retire(n.children, gen)
 }
 
 // owned asserts, under the invariants build, that the running write
@@ -87,7 +144,7 @@ func (t *Skeleton[K, V, S, PS]) owned(ns ...*node[K, V, S, PS]) {
 // changes, so the descent owns each one before entering it.
 func (t *Skeleton[K, V, S, PS]) Put(key K, val V) bool {
 	var reg kary.Register
-	t.root = t.own(t.root)
+	t.root = t.ownForInsert(t.root, true)
 	sep, right, added := t.insert(t.root, key, &reg, val, true)
 	if right != nil {
 		root := t.newNode([]K{sep})
@@ -124,13 +181,19 @@ func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, reg *kary.Re
 		if pos == ks.Len() && rightmost {
 			// An append to the rightmost leaf (§3.2 continuous filling):
 			// the full leaf stays full and the key starts a new rightmost
-			// leaf, with room to fill up to LeafCap without regrowing.
-			// The key goes in first, so a k-ary store reserves at the
-			// lane width its key picks.
+			// leaf. A tree never forked gives it room to fill up to
+			// LeafCap without regrowing; the key goes in first, so a
+			// k-ary store reserves at the lane width its key picks. In a
+			// fork the next write copies the leaf with that room
+			// (ownForInsert).
 			r := t.newNode(nil)
 			r.keys().InsertAt(0, key)
-			r.keys().Reserve(t.spec.LeafCap)
-			r.vals = append(make([]V, 0, t.spec.LeafCap), val)
+			if t.pool == nil {
+				r.keys().Reserve(t.spec.LeafCap)
+				r.vals = append(make([]V, 0, t.spec.LeafCap), val)
+			} else {
+				r.vals = []V{val}
+			}
 			return key, r, true
 		}
 		// Any other full leaf splits into its first mid keys and the rest.
@@ -144,9 +207,10 @@ func (t *Skeleton[K, V, S, PS]) insert(n *node[K, V, S, PS], key K, reg *kary.Re
 	}
 
 	pos, _ := n.rank(key, reg, t.spec.Evaluator, nil, false, nil)
-	c := t.own(n.children[pos])
+	rightmost = rightmost && pos == len(n.children)-1
+	c := t.ownForInsert(n.children[pos], rightmost)
 	n.children[pos] = c
-	sep, right, added = t.insert(c, key, reg, val, rightmost && pos == len(n.children)-1)
+	sep, right, added = t.insert(c, key, reg, val, rightmost)
 	if right == nil {
 		return sep, nil, added
 	}

@@ -42,9 +42,17 @@ type Store[K keys.Key, S Stores[K]] interface {
 	// allocates nothing more.
 	Reserve(n int)
 	// CopyFrom makes the store a copy of src that shares no storage with
-	// it, at src's capacity, reusing the store's own storage when that
-	// holds as much.
-	CopyFrom(src *S)
+	// it, in storage of capacity c (src's CopyCap): the store's own
+	// when its capacity is exactly c, else new.
+	CopyFrom(src *S, c int)
+	// Cap reports the capacity of the store's storage. CopyCap reports
+	// the capacity a copy of the store with room for n keys takes: the
+	// allocator size class of its stored keys plus room for one more,
+	// or for n keys when n is larger. A retired store whose
+	// Cap equals a node's CopyCap holds the storage its copy reuses.
+	// Both are in the store's own unit.
+	Cap() int
+	CopyCap(n int) int
 	// SplitInsert inserts k at sorted index i into the full store, keeps
 	// the first mid keys and moves the others into the empty store right.
 	SplitInsert(i int, k K, mid int, right *S)
@@ -104,19 +112,37 @@ type Skeleton[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
 	// below it is copied before it changes. It is 0 in a tree never
 	// forked, whose nodes are all stamped 0. safe is the sequence at or
 	// below which retired nodes may be reused, copied counts this fork's
-	// copies, and pool is shared by every fork of one tree (nil until
-	// the first Fork).
-	gen    uint64
-	safe   uint64
-	copied int
-	pool   *pool[K, V, S, PS]
+	// copies and copyAllocs those that allocated storage, and pool is
+	// shared by every fork of one tree (nil until the first Fork).
+	gen        uint64
+	safe       uint64
+	copied     int
+	copyAllocs int
+	pool       *pool[K, V, S, PS]
 }
 
 // pool is the writer state every fork of one tree shares: the nodes its
-// writes retired, one recycler per node kind, so a reused node's storage
-// is the size of the kind it copies.
+// writes retired, each with the key store it held, and the value and
+// child arrays they held, split off. All three are recycled by size
+// class, so a copy takes storage of exactly the class it needs,
+// whichever kind of node held it.
 type pool[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
-	leaves, branches index.Recycler[node[K, V, S, PS]]
+	nodes    index.Recycler[*node[K, V, S, PS]]
+	vals     index.Arrays[V]
+	children index.Arrays[*node[K, V, S, PS]]
+	// path holds, for the first copies of a write, the node the last
+	// write's copy at that position retired and that write's gen, whole.
+	path [8]spare[K, V, S, PS]
+}
+
+// spare is a retired node and the gen of the write that retired it.
+type spare[K keys.Key, V any, S Stores[K], PS Store[K, S]] struct {
+	node *node[K, V, S, PS]
+	gen  uint64
+}
+
+func newPool[K keys.Key, V any, S Stores[K], PS Store[K, S]]() *pool[K, V, S, PS] {
+	return &pool[K, V, S, PS]{vals: index.NewArrays[V](), children: index.NewArrays[*node[K, V, S, PS]]()}
 }
 
 // node is a branching node (children != nil) or a leaf. In a branching

@@ -13,6 +13,9 @@ const Cursors = cursors
 // PublishStride exposes the publish timer's sampling stride.
 const PublishStride = publishStride
 
+// RecycleCap exposes how many retired items a Recycler holds.
+const RecycleCap = recycleCap
+
 // NewVersionedSlots is NewVersioned with n epoch slots (n a power of two)
 // in place of the GOMAXPROCS-derived count, so tests can reach slot
 // arrays wider than one claimed word.

@@ -1,6 +1,9 @@
 package index
 
-import "repro/internal/keys"
+import (
+	"repro/internal/keys"
+	"repro/internal/sizeclass"
+)
 
 // Forker is the write interface of the indexes Versioned publishes:
 // path copying. A fork is an O(1) copy of an index's header that shares
@@ -13,7 +16,11 @@ import "repro/internal/keys"
 // The nodes a write replaces or drops are retired under its gen: they
 // are reachable only from versions below gen. Later writes reuse their
 // storage for copies once gen is at or below the safe sequence Fork is
-// given, so in steady state a write allocates nothing for its copies.
+// given. A copy is sized to the node it copies — the allocator size
+// class of its length plus one element (Arrays.Class) — and reuses only
+// retired storage of that same class, so a live node never carries the
+// slack of a larger recycled array, and in steady state a write
+// allocates nothing for its copies.
 type Forker[K keys.Key, V any] interface {
 	Index[K, V]
 	// Fork returns a writable fork of the index for the write that will
@@ -23,73 +30,199 @@ type Forker[K keys.Key, V any] interface {
 	// more, lends its header, so the fork allocates nothing; nil asks
 	// for a new one.
 	Fork(dst Forker[K, V], gen, safe uint64) Forker[K, V]
-	// Copied reports the number of nodes this fork's writes copied.
-	Copied() int
+	// Copied reports the number of nodes this fork's writes copied and
+	// how many of those copies allocated storage (a header, key, value
+	// or child array) instead of reusing a retired node's.
+	Copied() (nodes, allocated int)
 }
 
-// recycleCap bounds a Recycler: a few root-to-leaf paths of the
-// module's trees (two of a 64-bit plain Seg-Trie, eight levels each).
-// Retired nodes beyond it go to the collector.
-const recycleCap = 16
+// recycleCap bounds a Recycler: the items it holds, and the age, in
+// writes, at which an item no copy took goes to the collector. A
+// shuffled load copies leaves of seven to nine size classes at random,
+// so a copy needs a few dozen retired leaves to choose from: a shuffled
+// 100,000-key load into a Seg-Tree allocates 23 MB at 16, 14 MB at 32
+// and 7.5 MB at 64.
+const recycleCap = 64
 
-// Recycler holds the retired nodes of one node kind in retire order, up
-// to recycleCap of them, and hands the oldest back once no reader can
-// reach it. Keeping one per node kind keeps reused storage the right
-// size; Versioned keeps one for its superseded versions. The zero value
-// is empty and ready to use; it is writer state.
+// Recycler holds up to recycleCap items that writes retired, each with
+// its size class and the gen of the write that retired it, and hands the
+// oldest item of a requested class back once no reader can reach it.
+// Retention follows the writes, not the classes: a Retire drops the
+// items older than recycleCap writes and, into a full Recycler, the
+// oldest item of any class, so a node that grew through many classes
+// leaves no array of each behind. Items of one size (versions) share
+// class 0. The zero value is empty and ready to use; it is writer
+// state.
 type Recycler[T any] struct {
-	ring       [recycleCap]retired[T]
-	head, size int
+	n     int            // items held
+	lists []classList[T] // at most one per class, in no order; some empty
+	// expiry is a gen at or before which no item ages out: the oldest
+	// item's expiry when it was last looked at. Items taken since only
+	// make the oldest younger, so Retire looks again only from expiry.
+	expiry uint64
 }
 
-// retired is one node a write stopped referencing and the gen of that
+// classList is the items of one class, oldest first: retire order is
+// gen order. The items are items[head:]; first is the first one's gen,
+// kept beside the class so a scan of the lists reads no item.
+type classList[T any] struct {
+	class int
+	first uint64
+	head  int
+	items []retired[T]
+}
+
+// retired is one item a write stopped referencing and the gen of that
 // write.
 type retired[T any] struct {
-	node *T
+	item T
 	gen  uint64
 }
 
-// Retire records n, which the write stamped gen replaced or dropped.
-// When the ring is full its oldest node goes to the collector. Gens
-// arrive in ascending order, since one writer runs at a time.
-func (r *Recycler[T]) Retire(n *T, gen uint64) {
-	if r.size == recycleCap {
-		r.ring[r.head] = retired[T]{}
-		r.head = (r.head + 1) % recycleCap
-		r.size--
+// Retire records item, of class, which the write stamped gen replaced or
+// dropped, after dropping the items that aged out and, when the
+// Recycler is full, its oldest item. Gens arrive in ascending order,
+// since one writer runs at a time, except for an item a caller held
+// back first (btree's path spares): it only ages out later, since Reuse
+// checks the gen of the item it hands back.
+func (r *Recycler[T]) Retire(item T, class int, gen uint64) {
+	for r.n == recycleCap || gen >= r.expiry {
+		oldest := -1
+		for i := range r.lists {
+			if r.lists[i].empty() {
+				continue
+			}
+			if oldest < 0 || r.lists[i].first < r.lists[oldest].first {
+				oldest = i
+			}
+		}
+		if oldest < 0 {
+			r.expiry = gen + recycleCap
+			break
+		}
+		if r.n < recycleCap && r.lists[oldest].first+recycleCap > gen {
+			r.expiry = r.lists[oldest].first + recycleCap
+			break
+		}
+		r.pop(oldest)
 	}
-	r.ring[(r.head+r.size)%recycleCap] = retired[T]{n, gen}
-	r.size++
+	i := r.find(class)
+	if i < 0 {
+		// A new class takes an empty list, and its buffer, when there
+		// is one.
+		for i = 0; i < len(r.lists) && !r.lists[i].empty(); i++ {
+		}
+		if i == len(r.lists) {
+			r.lists = append(r.lists, classList[T]{})
+		}
+		r.lists[i].class = class
+	}
+	l := &r.lists[i]
+	if l.empty() {
+		l.first = gen
+	}
+	if len(l.items) == cap(l.items) && l.head > 0 {
+		// Move the items to the front rather than grow.
+		n := copy(l.items, l.items[l.head:])
+		clear(l.items[n:])
+		l.items, l.head = l.items[:n], 0
+	}
+	l.items = append(l.items, retired[T]{item, gen})
+	r.n++
 }
 
-// Reuse returns the oldest retired node when its gen is at or below
-// safe — no reader can reach it — and nil otherwise.
-func (r *Recycler[T]) Reuse(safe uint64) *T {
-	if r.size == 0 || r.ring[r.head].gen > safe {
-		return nil
+// Reuse returns the oldest item of class when it was retired at or below
+// safe — no reader can reach it — and reports whether there was one.
+func (r *Recycler[T]) Reuse(class int, safe uint64) (item T, ok bool) {
+	i := r.find(class)
+	if i < 0 || r.lists[i].empty() || r.lists[i].first > safe {
+		return item, false
 	}
-	e := r.ring[r.head]
-	r.ring[r.head] = retired[T]{}
-	r.head = (r.head + 1) % recycleCap
-	r.size--
-	return e.node
+	l := &r.lists[i]
+	item = l.items[l.head].item
+	r.pop(i)
+	return item, true
 }
 
-// Clone returns a copy of src in dst's array when that has room for
-// one element more, at dst's full capacity, else in a new array of
-// src's capacity; a nil src gives nil. The room covers the element the
-// running write may add, and keeping the whole array keeps recycled
-// arrays of every size reusable. Elements dst held beyond len(src) are
-// cleared, so a reused array keeps no stale pointer alive.
-func Clone[T any](dst, src []T) []T {
+// find returns the index of class's list, or -1.
+func (r *Recycler[T]) find(class int) int {
+	for i := range r.lists {
+		if r.lists[i].class == class {
+			return i
+		}
+	}
+	return -1
+}
+
+// pop drops the oldest item of list i. An emptied list stays, with its
+// buffer, for its class or the next new one.
+func (r *Recycler[T]) pop(i int) {
+	l := &r.lists[i]
+	l.items[l.head] = retired[T]{}
+	l.head++
+	r.n--
+	if l.empty() {
+		l.items, l.head = l.items[:0], 0
+	} else {
+		l.first = l.items[l.head].gen
+	}
+}
+
+func (l *classList[T]) empty() bool { return l.head == len(l.items) }
+
+// Arrays recycles retired arrays of E by their size class. Make one with
+// NewArrays: whether E holds pointers changes the class of an array.
+type Arrays[E any] struct {
+	ring     Recycler[[]E]
+	pointers bool
+}
+
+// NewArrays returns an empty Arrays.
+func NewArrays[E any]() Arrays[E] { return Arrays[E]{pointers: sizeclass.Pointers[E]()} }
+
+// Retire records arr, when it is not nil, which the write stamped gen
+// replaced or dropped.
+func (a *Arrays[E]) Retire(arr []E, gen uint64) {
+	if arr != nil {
+		a.ring.Retire(arr, cap(arr), gen)
+	}
+}
+
+// Class returns the capacity every path copy of src takes: the
+// allocator size class of len(src)+1 elements, so the copy has room for
+// the element the running write may add and no more, or of n elements
+// when the caller asks for room up to n. A nil src gives 0.
+func (a *Arrays[E]) Class(src []E, n int) int {
+	if src == nil {
+		return 0
+	}
+	return sizeclass.Elems[E](max(len(src)+1, n), a.pointers)
+}
+
+// Reuse returns a retired array of class, retired at or below safe, and
+// reports whether there was one; class 0 asks for none and is always
+// met.
+func (a *Arrays[E]) Reuse(class int, safe uint64) ([]E, bool) {
+	if class == 0 {
+		return nil, true
+	}
+	return a.ring.Reuse(class, safe)
+}
+
+// Copy returns a copy of src in an array of capacity class (Class):
+// dst's when it has that capacity, else a new one. A nil src gives nil.
+func (a *Arrays[E]) Copy(dst, src []E, class int) []E {
 	if src == nil {
 		return nil
 	}
-	if cap(dst) <= len(src) {
-		return append(make([]T, 0, cap(src)), src...)
-	}
-	if len(dst) > len(src) {
-		clear(dst[len(src):])
-	}
-	return append(dst[:0], src...)
+	return sizeclass.Copy(dst, src, class, a.pointers)
+}
+
+// Clone returns a copy of src sized by Class, in a retired array of that
+// class when one is at or below safe, else a new one; reused reports
+// which.
+func (a *Arrays[E]) Clone(src []E, n int, safe uint64) (c []E, reused bool) {
+	class := a.Class(src, n)
+	dst, reused := a.Reuse(class, safe)
+	return a.Copy(dst, src, class), reused
 }

@@ -60,13 +60,15 @@ type Versioned[K keys.Key, V any] struct {
 	// Writer state, guarded by mu. retired holds the superseded versions,
 	// each retired under the sequence that superseded it, and the forks
 	// of Delete misses, which no reader saw. released is the highest
-	// sequence whose retired nodes the writer has released for reuse and
-	// copied the nodes writes copied: plain counters, read under mu by
-	// MVCCInfo, so a write pays no atomic add for them.
-	mu       sync.Mutex
-	retired  Recycler[version[K, V]]
-	released uint64
-	copied   uint64
+	// sequence whose retired nodes the writer has released for reuse,
+	// copied the nodes writes copied and copyAllocs the copies that
+	// allocated storage: plain counters, read under mu by MVCCInfo, so a
+	// write pays no atomic add for them.
+	mu         sync.Mutex
+	retired    Recycler[*version[K, V]]
+	released   uint64
+	copied     uint64
+	copyAllocs uint64
 
 	health obs.MVCC
 }
@@ -460,7 +462,7 @@ func (x *Versioned[K, V]) writerInfo() obs.MVCCSnapshot {
 		snap.RetiredVersions = int(cur - safe)
 	}
 	x.mu.Lock()
-	snap.Reclaimed, snap.CopiedNodes = x.released-1, x.copied
+	snap.Reclaimed, snap.CopiedNodes, snap.CopyAllocs = x.released-1, x.copied, x.copyAllocs
 	x.mu.Unlock()
 	return snap
 }
@@ -504,7 +506,7 @@ func (x *Versioned[K, V]) Delete(key K) bool {
 	if removed {
 		x.publish(v, start)
 	} else {
-		x.retired.Retire(v, v.seq.Load()-1)
+		x.retired.Retire(v, 0, v.seq.Load()-1)
 	}
 	x.mu.Unlock()
 	return removed
@@ -526,8 +528,8 @@ func (x *Versioned[K, V]) fork() *version[K, V] {
 	}
 	safe := x.safe(seq)
 	x.released = max(x.released, safe)
-	v := x.retired.Reuse(safe)
-	if v == nil {
+	v, ok := x.retired.Reuse(0, safe)
+	if !ok {
 		v = new(version[K, V])
 	}
 	v.tree = cur.tree.Fork(v.tree, seq+1, safe)
@@ -599,9 +601,11 @@ func (x *Versioned[K, V]) publish(v *version[K, V], start time.Duration) {
 	if invariants.Enabled {
 		invariants.Assertf(v.seq.Load() == cur.seq.Load()+1, "publishing seq %d over %d", v.seq.Load(), cur.seq.Load())
 	}
-	x.copied += uint64(v.tree.Copied())
+	copied, allocated := v.tree.Copied()
+	x.copied += uint64(copied)
+	x.copyAllocs += uint64(allocated)
 	x.current.Store(v)
-	x.retired.Retire(cur, v.seq.Load())
+	x.retired.Retire(cur, 0, v.seq.Load())
 	if start < 0 {
 		x.health.RecordPublish()
 	} else {

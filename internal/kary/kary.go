@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/simd"
+	"repro/internal/sizeclass"
 )
 
 // Layout selects the linearization order of a k-ary search tree.
@@ -264,27 +265,50 @@ func (t *Tree[K]) Reserve(n int) {
 	if n <= t.n {
 		return
 	}
-	need := int(slotsFor(geometryOf(n, int(t.k), t.layout)).bound[n]) * int(t.w)
-	if need > cap(t.data) {
+	if need := t.reserveBytes(n); need > cap(t.data) {
 		grown := sizeClassed(need)[:len(t.data)]
 		copy(grown, t.data)
 		t.data = grown
 	}
 }
 
-// CopyFrom makes t a copy of src that shares no storage with it. The
-// copy's storage has src's capacity, in t's old array when that holds
-// as much. More would count as spare room a Reserve left, which a
-// rebuild keeps at its new lane width, so storage recycled between
-// nodes of different widths would grow without bound.
-func (t *Tree[K]) CopyFrom(src *Tree[K]) {
+// reserveBytes returns the storage a fresh Build of n > t.n keys takes
+// at t's lane width. A breadth-first tree is complete: its keys rounded
+// up to whole registers.
+func (t *Tree[K]) reserveBytes(n int) int {
+	if t.layout == BreadthFirst {
+		return (n + int(t.lanes) - 1) / int(t.lanes) * registerBytes
+	}
+	return int(slotsFor(geometryOf(n, int(t.k), t.layout)).bound[n]) * int(t.w)
+}
+
+// registerBytes is the width of one SIMD register: the room a copy
+// keeps for an insert (CopyCap).
+const registerBytes = 16
+
+// CopyFrom makes t a copy of src that shares no storage with it, in
+// storage of capacity c (src.CopyCap): t's old array when that has
+// exactly this capacity, else a new one, so a copy never carries the
+// slack of a larger array a Reserve or an earlier node left.
+func (t *Tree[K]) CopyFrom(src *Tree[K], c int) {
 	buf := t.data
 	*t = *src
-	if c := cap(src.data); cap(buf) >= c {
-		t.data = append(buf[:0:c], src.data...)
-	} else {
-		t.data = append(make([]byte, 0, c), src.data...)
+	t.data = sizeclass.Copy(buf, src.data, c, false)
+}
+
+// Cap reports the capacity in bytes of t's storage.
+func (t *Tree[K]) Cap() int { return cap(t.data) }
+
+// CopyCap reports the capacity in bytes of a copy of t with room for n
+// keys: the allocator size class of t's stored bytes plus one register
+// (the slots an insert that changes the geometry adds), or of a Reserve
+// for n keys when that is larger.
+func (t *Tree[K]) CopyCap(n int) int {
+	need := len(t.data) + registerBytes
+	if n > t.n {
+		need = max(need, t.reserveBytes(n))
 	}
+	return sizeclass.Bytes(need, false)
 }
 
 // Reset makes t a fresh linearization of the strictly ascending keys

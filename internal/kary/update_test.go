@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bitmask"
 	"repro/internal/keys"
+	"repro/internal/sizeclass"
 )
 
 func TestInsertAscendingUsesFastPathAndStaysCorrect(t *testing.T) {
@@ -306,6 +307,81 @@ func TestWideningKeepsReservedRoomOnly(t *testing.T) {
 		}
 		if unsafe.SliceData(reserved.data) != storage {
 			t.Fatalf("%v: reserved node regrew after widening", layout)
+		}
+	}
+}
+
+// TestReserveBytesMatchesBuild checks the size Reserve and CopyCap
+// give n keys against a fresh Build of n keys, for every key count up
+// to past a Table 3 node (all 256 at 1-byte lanes), every lane width
+// and both layouts.
+func TestReserveBytesMatchesBuild(t *testing.T) {
+	for _, layout := range Layouts {
+		for _, w := range []int{1, 2, 4, 8} {
+			for n := 2; n <= 300 && uint64(n-1) <= laneMax(w); n++ {
+				// Keys 0 … n−2 and one that makes the span need w bytes.
+				ks := make([]uint64, n)
+				for i := range ks {
+					ks[i] = uint64(i)
+				}
+				ks[n-1] = laneMax(w)
+				fresh := Empty[uint64](layout, NarrowLanes)
+				fresh.build(ks, layout, nil)
+				if int(fresh.w) != w {
+					t.Fatalf("%v, %d keys: built at %d-byte lanes, want %d", layout, n, fresh.w, w)
+				}
+				e := Empty[uint64](layout, NarrowLanes)
+				e.w, e.k, e.lanes = fresh.w, fresh.k, fresh.lanes
+				if got, want := e.reserveBytes(n), len(fresh.data); got != want {
+					t.Fatalf("%v, %d-byte lanes, %d keys: reserveBytes %d, a fresh Build stores %d bytes",
+						layout, w, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCopySizedToNode checks the path-copy rule on a node a Reserve left
+// with room: the copy's storage is the allocator size class of the
+// node's stored bytes plus one register, not the source's capacity; it
+// reuses an array of exactly that class and no larger one; and with
+// room asked for, it is sized as a Reserve.
+func TestCopySizedToNode(t *testing.T) {
+	for _, layout := range Layouts {
+		src := BuildUnchecked([]uint64{10, 20, 30, 40, 50}, layout)
+		src.Reserve(242)
+		want := sizeclass.Bytes(len(src.data)+registerBytes, false)
+		if got := src.CopyCap(0); got != want {
+			t.Fatalf("%v: CopyCap(0) = %d, want %d", layout, got, want)
+		}
+		var c Tree[uint64]
+		c.CopyFrom(src, src.CopyCap(0))
+		if cap(c.data) != want || !slices.Equal(c.Keys(), src.Keys()) {
+			t.Fatalf("%v: copy of capacity %d holding %v, want %d holding %v", layout, cap(c.data), c.Keys(), want, src.Keys())
+		}
+		// A retired array of the class is reused; a larger one is not.
+		same := c.data
+		c.CopyFrom(src, want)
+		if unsafe.SliceData(c.data) != unsafe.SliceData(same) {
+			t.Fatalf("%v: copy did not reuse an array of its class", layout)
+		}
+		c.data = make([]byte, 0, 4*want)
+		c.CopyFrom(src, want)
+		if cap(c.data) != want {
+			t.Fatalf("%v: copy kept a larger array's capacity %d, want %d", layout, cap(c.data), want)
+		}
+		// Room for a whole node is a Reserve's size, and appends up to it
+		// keep the storage.
+		c.CopyFrom(src, src.CopyCap(242))
+		if got, res := cap(c.data), sizeclass.Bytes(c.reserveBytes(242), false); got != res {
+			t.Fatalf("%v: copy with room for 242 keys has capacity %d, want %d", layout, got, res)
+		}
+		kept := unsafe.SliceData(c.data)
+		for x := uint64(60); c.Len() < 242; x += 10 {
+			c.InsertAt(c.Len(), x)
+		}
+		if unsafe.SliceData(c.data) != kept {
+			t.Fatalf("%v: appends to a copy with room replaced its storage", layout)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func (m *MVCC) RecordTimedPublish(d time.Duration, stride uint64) {
 // Read returns the counter and latency state. The index layer fills in
 // the fields it owns: the point-in-time ones (Versions,
 // ActiveSnapshots, RetiredVersions, ClaimedSlots, ReaderSlots) and the
-// writer's own counts (Reclaimed, CopiedNodes).
+// writer's own counts (Reclaimed, CopiedNodes, CopyAllocs).
 func (m *MVCC) Read() MVCCSnapshot {
 	return MVCCSnapshot{
 		Published:      m.published.Load(),
@@ -76,6 +76,11 @@ type MVCCSnapshot struct {
 	// CopiedNodes counts the nodes writes copied before changing them
 	// (path copying): about one per tree level per write.
 	CopiedNodes uint64 `json:"copied_nodes_total"`
+	// CopyAllocs counts the copies among CopiedNodes whose storage was
+	// allocated instead of reused from a retired node of its size class:
+	// the ones a pinned reader held storage back from, or that found no
+	// retired array of their class.
+	CopyAllocs uint64 `json:"copy_allocs_total"`
 	// Cloned counted full tree copies of the earlier two-tree writer.
 	// Path copying never copies a whole tree, so it always reads 0; it
 	// stays for readers of its JSON name.
@@ -95,6 +100,7 @@ func (s *MVCCSnapshot) Merge(o MVCCSnapshot) {
 	s.Published += o.Published
 	s.Reclaimed += o.Reclaimed
 	s.CopiedNodes += o.CopiedNodes
+	s.CopyAllocs += o.CopyAllocs
 	s.Cloned += o.Cloned
 	s.PublishLatency.Merge(o.PublishLatency)
 }
@@ -116,9 +122,10 @@ func (s MVCCSnapshot) CurrentVersion() uint64 {
 // the current version, the publication, reclamation and copy counters
 // and the publish latency histogram (sampled: see RecordTimedPublish).
 // The current version, published and reclaimed counts, copied nodes,
-// active snapshots, claimed slots and reader slots carry the /stats keys
-// version, versions_published, versions_reclaimed, copied_nodes,
-// active_snapshots, claimed_slots and reader_slots.
+// copy allocations, active snapshots, claimed slots and reader slots
+// carry the /stats keys version, versions_published, versions_reclaimed,
+// copied_nodes, copy_allocs, active_snapshots, claimed_slots and
+// reader_slots.
 func (s MVCCSnapshot) Metrics() []Metric {
 	return []Metric{
 		{Name: "mvcc_active_snapshots", Help: "pinned reader epochs: mid-flight reads and held snapshots",
@@ -137,6 +144,8 @@ func (s MVCCSnapshot) Metrics() []Metric {
 			Kind: KindCounter, Value: float64(s.Reclaimed), Stat: "versions_reclaimed"},
 		{Name: "mvcc_copied_nodes_total", Help: "nodes writes copied before changing them (path copying)",
 			Kind: KindCounter, Value: float64(s.CopiedNodes), Stat: "copied_nodes"},
+		{Name: "mvcc_copy_allocs_total", Help: "node copies that allocated storage instead of reusing a retired node's",
+			Kind: KindCounter, Value: float64(s.CopyAllocs), Stat: "copy_allocs"},
 		{Name: "mvcc_cloned_versions_total", Help: "full tree copies: always 0 since writes copy only the nodes they touch",
 			Kind: KindCounter, Value: float64(s.Cloned)},
 		{Name: "mvcc_publish_latency_seconds", Help: "writer-side version build-and-publish latency",

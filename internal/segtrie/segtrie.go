@@ -67,11 +67,22 @@ type Trie[K keys.Key, V any] struct {
 	// Path copying (index.Forker), as in btree.Skeleton: gen stamps the
 	// nodes the running write creates and is 0 in a trie never forked,
 	// safe bounds the retired nodes it may reuse, copied counts its
-	// copies, and pool is shared by every fork of one trie.
-	gen    uint64
-	safe   uint64
-	copied int
-	pool   *index.Recycler[node[V]]
+	// copies and copyAllocs those that allocated storage, and pool is
+	// shared by every fork of one trie.
+	gen        uint64
+	safe       uint64
+	copied     int
+	copyAllocs int
+	pool       *pool[V]
+}
+
+// pool is what the writes of one trie retired, as btree's pool: nodes
+// with their partial-key stores, and their child and value arrays split
+// off, each recycled by size class.
+type pool[V any] struct {
+	nodes    index.Recycler[*node[V]]
+	children index.Arrays[*node[V]]
+	vals     index.Arrays[V]
 }
 
 // node discriminates one trie level after its prefix: the segments of
@@ -278,15 +289,16 @@ func (t *Trie[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker
 	}
 	p := t.pool
 	if p == nil {
-		p = new(index.Recycler[node[V]])
+		p = &pool[V]{children: index.NewArrays[*node[V]](), vals: index.NewArrays[V]()}
 	}
 	*f = *t
-	f.gen, f.safe, f.copied, f.pool = gen, safe, 0, p
+	f.gen, f.safe, f.copied, f.copyAllocs, f.pool = gen, safe, 0, 0, p
 	return f
 }
 
-// Copied reports the number of nodes this fork's writes copied.
-func (t *Trie[K, V]) Copied() int { return t.copied }
+// Copied reports the number of nodes this fork's writes copied and how
+// many of those copies allocated storage.
+func (t *Trie[K, V]) Copied() (nodes, allocated int) { return t.copied, t.copyAllocs }
 
 // own returns n ready for the running write to change: n itself when the
 // write created it, else its copy (copyOf). The caller links the result
@@ -299,29 +311,43 @@ func (t *Trie[K, V]) own(n *node[V]) *node[V] {
 	return t.copyOf(n)
 }
 
-// copyOf returns a copy of n stamped with the running write's gen, in a
-// retired node's storage when one is free, and retires n.
+// copyOf returns a copy of n stamped with the running write's gen and
+// retires n. As in btree, the copy's partial keys and child or value
+// array are sized to n's plus one element, in retired storage of that
+// class when some is free, the partial keys with their node; the prefix
+// is shared.
 func (t *Trie[K, V]) copyOf(n *node[V]) *node[V] {
-	c := t.pool.Reuse(t.safe)
-	if c == nil {
+	p := t.pool
+	kc := n.kt.CopyCap(0)
+	c, ks := p.nodes.Reuse(kc, t.safe)
+	if !ks {
 		c = new(node[V])
 	}
-	c.gen = t.gen
-	c.kt.CopyFrom(&n.kt)
+	c.kt.CopyFrom(&n.kt, kc)
 	c.prefix = n.prefix
-	c.children = index.Clone(c.children, n.children)
-	c.vals = index.Clone(c.vals, n.vals)
-	t.pool.Retire(n, t.gen)
+	var cs, vs bool
+	c.children, cs = p.children.Clone(n.children, 0, t.safe)
+	c.vals, vs = p.vals.Clone(n.vals, 0, t.safe)
+	c.gen = t.gen
+	t.retire(n)
 	t.copied++
+	if !(ks && cs && vs) {
+		t.copyAllocs++
+	}
 	return c
 }
 
-// retire hands n, which the running write unlinked, to the recycler; a
-// trie never forked has none.
+// retire hands n, which the running write unlinked, to the pool, its
+// child or value array split off; a trie never forked has none. n itself
+// is left as it is.
 func (t *Trie[K, V]) retire(n *node[V]) {
-	if t.pool != nil {
-		t.pool.Retire(n, t.gen)
+	p := t.pool
+	if p == nil {
+		return
 	}
+	p.nodes.Retire(n, n.kt.Cap(), t.gen)
+	p.children.Retire(n.children, t.gen)
+	p.vals.Retire(n.vals, t.gen)
 }
 
 // Put stores val under key, returning true when the key was newly
