@@ -49,8 +49,9 @@ const recycleCap = 64
 // oldest item of a requested class back once no reader can reach it.
 // Retention follows the writes, not the classes: a Retire drops the
 // items older than recycleCap writes and, into a full Recycler, the
-// oldest item of any class, so a node that grew through many classes
-// leaves no array of each behind. Items of one size (versions) share
+// oldest item of its own class, or of any class when its own has none,
+// so a node that grew through many classes leaves no array of each
+// behind. Items of one size (versions) share
 // class 0. The zero value is empty and ready to use; it is writer
 // state.
 type Recycler[T any] struct {
@@ -81,11 +82,17 @@ type retired[T any] struct {
 
 // Retire records item, of class, which the write stamped gen replaced or
 // dropped, after dropping the items that aged out and, when the
-// Recycler is full, its oldest item. Gens arrive in ascending order,
+// Recycler is full, an oldest item (see Recycler). Gens arrive in ascending order,
 // since one writer runs at a time, except for an item a caller held
 // back first (btree's path spares): it only ages out later, since Reuse
 // checks the gen of the item it hands back.
 func (r *Recycler[T]) Retire(item T, class int, gen uint64) {
+	if r.n == recycleCap {
+		// The class's own oldest item spares a scan of every list.
+		if i := r.find(class); i >= 0 && !r.lists[i].empty() {
+			r.pop(i)
+		}
+	}
 	for r.n == recycleCap || gen >= r.expiry {
 		oldest := -1
 		for i := range r.lists {
