@@ -10,7 +10,8 @@ import (
 // ForkTo makes dst a fork of t for the write that publishes gen: the
 // same root, size and spec, with gen and safe set and no copies yet.
 // Nothing of t is written, so t may be a published version. The first
-// fork of a tree starts the recycling pool its forks share.
+// fork of a tree starts the recycling pool its forks share; each fork
+// ages it (index.Recycler.Age).
 func (t *Skeleton[K, V, S, PS]) ForkTo(dst *Skeleton[K, V, S, PS], gen, safe uint64) {
 	if invariants.Enabled {
 		invariants.Assertf(gen > t.gen && safe < gen, "fork for gen %d (safe %d) of a tree at gen %d", gen, safe, t.gen)
@@ -19,6 +20,9 @@ func (t *Skeleton[K, V, S, PS]) ForkTo(dst *Skeleton[K, V, S, PS], gen, safe uin
 	if p == nil {
 		p = newPool[K, V, S, PS]()
 	}
+	p.nodes.Age(gen)
+	p.vals.Age(gen)
+	p.children.Age(gen)
 	if dst.pool != p {
 		// A header new to the tree; a recycled one holds the spec already.
 		dst.spec = t.spec

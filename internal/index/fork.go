@@ -47,20 +47,16 @@ const recycleCap = 64
 // Recycler holds up to recycleCap items that writes retired, each with
 // its size class and the gen of the write that retired it, and hands the
 // oldest item of a requested class back once no reader can reach it.
-// Retention follows the writes, not the classes: a Retire drops the
-// items older than recycleCap writes and, into a full Recycler, the
-// oldest item of its own class, or of any class when its own has none,
-// so a node that grew through many classes leaves no array of each
-// behind. Items of one size (versions) share
-// class 0. The zero value is empty and ready to use; it is writer
-// state.
+// Retention follows the writes, not the classes: Age drops the items
+// older than recycleCap writes, and a Retire into a full Recycler drops
+// the oldest item of its own class, or of any class when its own has
+// none, so a node that grew through many classes leaves no array of each
+// behind. Items of one size (versions) share class 0. The zero value is
+// empty and ready to use; it is writer state.
 type Recycler[T any] struct {
 	n     int            // items held
 	lists []classList[T] // at most one per class, in no order; some empty
-	// expiry is a gen at or before which no item ages out: the oldest
-	// item's expiry when it was last looked at. Items taken since only
-	// make the oldest younger, so Retire looks again only from expiry.
-	expiry uint64
+	floor uint64         // at or below the gen of every item held
 }
 
 // classList is the items of one class, oldest first: retire order is
@@ -81,39 +77,20 @@ type retired[T any] struct {
 }
 
 // Retire records item, of class, which the write stamped gen replaced or
-// dropped, after dropping the items that aged out and, when the
-// Recycler is full, an oldest item (see Recycler). Gens arrive in ascending order,
-// since one writer runs at a time, except for an item a caller held
-// back first (btree's path spares): it only ages out later, since Reuse
-// checks the gen of the item it hands back.
+// dropped, after dropping an oldest item when the Recycler is full (see
+// Recycler). Gens arrive in ascending order, since one writer runs at a
+// time, except for an item a caller held back first (btree's path
+// spares): Reuse checks the gen of the item it hands back.
 func (r *Recycler[T]) Retire(item T, class int, gen uint64) {
+	i := r.find(class)
 	if r.n == recycleCap {
 		// The class's own oldest item spares a scan of every list.
-		if i := r.find(class); i >= 0 && !r.lists[i].empty() {
-			r.pop(i)
+		j := i
+		if j < 0 || r.lists[j].empty() {
+			j = r.oldest()
 		}
+		r.pop(j)
 	}
-	for r.n == recycleCap || gen >= r.expiry {
-		oldest := -1
-		for i := range r.lists {
-			if r.lists[i].empty() {
-				continue
-			}
-			if oldest < 0 || r.lists[i].first < r.lists[oldest].first {
-				oldest = i
-			}
-		}
-		if oldest < 0 {
-			r.expiry = gen + recycleCap
-			break
-		}
-		if r.n < recycleCap && r.lists[oldest].first+recycleCap > gen {
-			r.expiry = r.lists[oldest].first + recycleCap
-			break
-		}
-		r.pop(oldest)
-	}
-	i := r.find(class)
 	if i < 0 {
 		// A new class takes an empty list, and its buffer, when there
 		// is one.
@@ -123,6 +100,9 @@ func (r *Recycler[T]) Retire(item T, class int, gen uint64) {
 			r.lists = append(r.lists, classList[T]{})
 		}
 		r.lists[i].class = class
+	}
+	if r.n == 0 || gen < r.floor {
+		r.floor = gen
 	}
 	l := &r.lists[i]
 	if l.empty() {
@@ -136,6 +116,49 @@ func (r *Recycler[T]) Retire(item T, class int, gen uint64) {
 	}
 	l.items = append(l.items, retired[T]{item, gen})
 	r.n++
+}
+
+// Age drops the items retired more than recycleCap writes before gen,
+// the gen of the running write: storage no copy took in that many
+// writes is mostly of classes the tree grew past. A class it empties
+// gives up its buffer too. Each write calls it once, so a tree that
+// stops writing holds only what its last recycleCap writes retired.
+func (r *Recycler[T]) Age(gen uint64) {
+	if r.n > 0 && r.floor+recycleCap < gen {
+		r.age(gen)
+	}
+}
+
+// age is Age past the check that some item may be old enough to drop:
+// it drops those, and raises floor to the oldest gen still held.
+func (r *Recycler[T]) age(gen uint64) {
+	r.floor = gen
+	for i := range r.lists {
+		l := &r.lists[i]
+		if l.empty() {
+			continue
+		}
+		for !l.empty() && l.first+recycleCap < gen {
+			r.pop(i)
+		}
+		if l.empty() {
+			l.items = nil
+		} else {
+			r.floor = min(r.floor, l.first)
+		}
+	}
+}
+
+// oldest returns the index of the list whose first item is the oldest
+// held. The Recycler must not be empty.
+func (r *Recycler[T]) oldest() int {
+	o := -1
+	for i := range r.lists {
+		if !r.lists[i].empty() && (o < 0 || r.lists[i].first < r.lists[o].first) {
+			o = i
+		}
+	}
+	return o
 }
 
 // Reuse returns the oldest item of class when it was retired at or below
@@ -195,6 +218,10 @@ func (a *Arrays[E]) Retire(arr []E, gen uint64) {
 	}
 }
 
+// Age drops the arrays retired more than recycleCap writes before gen
+// (Recycler.Age).
+func (a *Arrays[E]) Age(gen uint64) { a.ring.Age(gen) }
+
 // Class returns the capacity every path copy of src takes: the
 // allocator size class of len(src)+1 elements, so the copy has room for
 // the element the running write may add and no more, or of n elements
@@ -223,13 +250,4 @@ func (a *Arrays[E]) Copy(dst, src []E, class int) []E {
 		return nil
 	}
 	return sizeclass.Copy(dst, src, class, a.pointers)
-}
-
-// Clone returns a copy of src sized by Class, in a retired array of that
-// class when one is at or below safe, else a new one; reused reports
-// which.
-func (a *Arrays[E]) Clone(src []E, n int, safe uint64) (c []E, reused bool) {
-	class := a.Class(src, n)
-	dst, reused := a.Reuse(class, safe)
-	return a.Copy(dst, src, class), reused
 }

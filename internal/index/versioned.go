@@ -528,6 +528,7 @@ func (x *Versioned[K, V]) fork() *version[K, V] {
 	}
 	safe := x.safe(seq)
 	x.released = max(x.released, safe)
+	x.retired.Age(seq + 1)
 	v, ok := x.retired.Reuse(0, safe)
 	if !ok {
 		v = new(version[K, V])

@@ -301,12 +301,18 @@ func (t *Tree[K]) Cap() int { return cap(t.data) }
 
 // CopyCap reports the capacity in bytes of a copy of t with room for n
 // keys: the allocator size class of t's stored bytes plus one register
-// (the slots an insert that changes the geometry adds), or of a Reserve
-// for n keys when that is larger.
+// (the slots an insert that changes the geometry adds). With room asked
+// for (n > t.n), the copy keeps t's capacity while that still holds the
+// register, and takes a Reserve's size for n keys once it does not, so
+// the Reserve's slot-map lookup runs once per growth, not per copy.
 func (t *Tree[K]) CopyCap(n int) int {
 	need := len(t.data) + registerBytes
 	if n > t.n {
-		need = max(need, t.reserveBytes(n))
+		if cap(t.data) >= need {
+			need = cap(t.data)
+		} else {
+			need = max(need, t.reserveBytes(n))
+		}
 	}
 	return sizeclass.Bytes(need, false)
 }

@@ -1,10 +1,8 @@
 package kary
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // slotMap tabulates the position transformation from sorted order into
@@ -48,21 +46,9 @@ const maxCachedSlots = 1 << 12
 
 var slotMaps sync.Map // geometry → *slotMap
 
-// depthFirst holds the cached depth-first maps again, indexed by lane
-// count (log2 of k−1, less one) and r, so the lookups a rebuild or a
-// copy's Reserve size makes cost no hashing.
-var depthFirst [4][8]atomic.Pointer[slotMap]
-
 // slotsFor returns the slot map of g, cached when g is small enough to
 // keep. It is safe for concurrent use.
 func slotsFor(g geometry) *slotMap {
-	var fast *atomic.Pointer[slotMap]
-	if w := bits.TrailingZeros(uint(g.k - 1)); g.layout == DepthFirst && g.k-1 == 1<<w && w >= 1 && w <= 4 && g.r < 8 {
-		fast = &depthFirst[(w-1)&3][g.r&7]
-		if sm := fast.Load(); sm != nil {
-			return sm
-		}
-	}
 	if sm, ok := slotMaps.Load(g); ok {
 		return sm.(*slotMap)
 	}
@@ -74,9 +60,6 @@ func slotsFor(g geometry) *slotMap {
 		sm.tabulatePads()
 	}
 	cached, _ := slotMaps.LoadOrStore(g, sm)
-	if fast != nil {
-		fast.Store(cached.(*slotMap))
-	}
 	return cached.(*slotMap)
 }
 

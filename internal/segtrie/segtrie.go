@@ -291,6 +291,9 @@ func (t *Trie[K, V]) Fork(dst index.Forker[K, V], gen, safe uint64) index.Forker
 	if p == nil {
 		p = &pool[V]{children: index.NewArrays[*node[V]](), vals: index.NewArrays[V]()}
 	}
+	p.nodes.Age(gen)
+	p.children.Age(gen)
+	p.vals.Age(gen)
 	*f = *t
 	f.gen, f.safe, f.copied, f.copyAllocs, f.pool = gen, safe, 0, 0, p
 	return f
@@ -323,11 +326,14 @@ func (t *Trie[K, V]) copyOf(n *node[V]) *node[V] {
 	if !ks {
 		c = new(node[V])
 	}
+	cc, vc := p.children.Class(n.children, 0), p.vals.Class(n.vals, 0)
+	var cs, vs bool
+	c.children, cs = p.children.Reuse(cc, t.safe)
+	c.vals, vs = p.vals.Reuse(vc, t.safe)
 	c.kt.CopyFrom(&n.kt, kc)
 	c.prefix = n.prefix
-	var cs, vs bool
-	c.children, cs = p.children.Clone(n.children, 0, t.safe)
-	c.vals, vs = p.vals.Clone(n.vals, 0, t.safe)
+	c.children = p.children.Copy(c.children, n.children, cc)
+	c.vals = p.vals.Copy(c.vals, n.vals, vc)
 	c.gen = t.gen
 	t.retire(n)
 	t.copied++
